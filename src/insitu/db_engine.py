@@ -7,13 +7,14 @@ pruning, and hash joins.
 
 On-disk layout per table: `<data_dir>/<table>/<attr>.col` files, a text
 `meta` file (row count, per-column type and min/max), and `journal.log`
-when journaling is on.
+when journaling is on. A `.col` file is a `<type> <count>` ASCII line, then
+either `count` little-endian float64 values or the text values as one
+newline-joined UTF-8 blob (the CSV contract forbids newlines in fields).
 """
 from __future__ import annotations
 
 import os
 import shutil
-import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,15 +23,16 @@ import numpy as np
 
 from .cache import ColumnCache
 from .errors import LoadError, NotLoadedError, SchemaError
-from .query_model import QueryAst
+from .query_model import QueryAst, needed_attrs
 from .tabular import (
     Column,
     ExecStats,
     FLOAT_TYPE,
     LoadStats,
     ResultSet,
-    TEXT_TYPE,
-    predicate_mask,
+    filter_rows,
+    join_stage,
+    project,
     scan_csv,
 )
 
@@ -190,11 +192,7 @@ class DbEngine:
         start = time.perf_counter()
 
         stores = {t: self._require_store(t) for t in ast.tables}
-        needed = _needed_by_table(ast)
-        for table, attrs in needed.items():
-            missing = [a for a in attrs if a not in stores[table].attrs]
-            if missing:
-                raise SchemaError(f"table {table!r} has no attribute {missing[0]!r}")
+        needed = needed_attrs(ast, lambda table: stores[table].attrs)
 
         # Min/max pruning: a predicate range disjoint from the column's
         # [min, max] empties the whole result without any column scan.
@@ -242,74 +240,46 @@ class DbEngine:
 
     def _execute_single(self, ast, store, qcols, stats) -> ResultSet:
         nrows = store.row_count
-        mask = None
-        for pred in ast.predicates:
-            m = predicate_mask(qcols[pred.attr], pred.op, pred.literal)
-            mask = m if mask is None else (mask & m)
+        indices = filter_rows(qcols, ast.predicates, nrows)
         if ast.is_count:
             stats.rows_scanned = nrows if ast.predicates else 0
-            count = int(mask.sum()) if mask is not None else nrows
-            return ResultSet(columns=("count",), rows=[(count,)])
+            return ResultSet(columns=("count",), rows=[(len(indices),)])
         stats.rows_scanned = nrows
-        indices = np.arange(nrows) if mask is None else np.flatnonzero(mask)
         if ast.limit is not None and len(indices) > ast.limit:
             indices = indices[: ast.limit]
             stats.early_stop = True
-        taken = [qcols[a].take(indices) for a in ast.projections]
-        rows = list(zip(*taken)) if taken else []
-        return ResultSet(columns=tuple(ast.projections), rows=rows)
+        return project(ast.projections, qcols, {ast.tables[0]: indices})
 
     def _execute_join(self, ast, stores, qcols, stats) -> ResultSet:
         # Pre-filter each table with its own predicates, then left-deep hash
         # joins probing in intermediate order so pair enumeration matches the
         # in-situ engine's nested loop.
-        survivors: dict[str, np.ndarray] = {}
-        for table in ast.tables:
-            n = stores[table].row_count
-            mask = np.ones(n, dtype=bool)
-            for pred in ast.predicates:
-                if pred.attr.split(".", 1)[0] == table:
-                    mask &= predicate_mask(qcols[pred.attr], pred.op, pred.literal)
-            survivors[table] = np.flatnonzero(mask)
+        survivors = {
+            table: filter_rows(
+                qcols,
+                [p for p in ast.predicates if p.attr.split(".", 1)[0] == table],
+                stores[table].row_count,
+            )
+            for table in ast.tables
+        }
         stats.rows_scanned = sum(stores[t].row_count for t in ast.tables)
 
         first = ast.tables[0]
         inter = {first: survivors[first]}
-        inter_len = len(survivors[first])
-        for i, join in enumerate(ast.joins):
-            new_table = ast.tables[i + 1]
-            inter, inter_len = _hash_join_stage(
-                inter, inter_len, join, new_table, survivors[new_table], qcols
+        for new_table, join in zip(ast.tables[1:], ast.joins):
+            inter = join_stage(
+                inter, join, new_table, survivors[new_table], qcols, _hash_match
             )
 
-        sel = np.arange(inter_len)
         if ast.is_count:
-            return ResultSet(columns=("count",), rows=[(inter_len,)])
-        if ast.limit is not None and len(sel) > ast.limit:
-            sel = sel[: ast.limit]
+            return ResultSet(columns=("count",), rows=[(len(inter[first]),)])
+        if ast.limit is not None and len(inter[first]) > ast.limit:
+            inter = {t: idx[: ast.limit] for t, idx in inter.items()}
             stats.early_stop = True
-        taken = [
-            qcols[a].take(inter[a.split(".", 1)[0]][sel]) for a in ast.projections
-        ]
-        rows = list(zip(*taken)) if taken else []
-        return ResultSet(columns=tuple(ast.projections), rows=rows)
+        return project(ast.projections, qcols, inter)
 
 
 # -- helpers ----------------------------------------------------------------
-
-
-def _needed_by_table(ast: QueryAst) -> dict[str, list[str]]:
-    needed: dict[str, list[str]] = {t: [] for t in ast.tables}
-    refs = [
-        *(() if ast.is_count else ast.projections),
-        *(s for j in ast.joins for s in (j.left, j.right)),
-        *(p.attr for p in ast.predicates),
-    ]
-    for ref in refs:
-        table, bare = ref.split(".", 1)
-        if bare not in needed[table]:
-            needed[table].append(bare)
-    return needed
 
 
 def _prunes(store: TableStore, pred) -> bool:
@@ -338,53 +308,20 @@ def _prunes(store: TableStore, pred) -> bool:
     return lit < lo or lit > hi  # "="
 
 
-def _hash_join_stage(inter, inter_len, join, new_table, new_rows, qcols):
-    new_prefix = new_table + "."
-    if join.left.startswith(new_prefix) and not join.right.startswith(new_prefix):
-        new_attr, old_attr = join.left, join.right
-    else:
-        old_attr, new_attr = join.left, join.right
-    if not new_attr.startswith(new_prefix):
-        # Condition not referencing the joined table: per-tuple filter
-        # crossed with every surviving new-table row.
-        l = _values_at(qcols[old_attr], inter[old_attr.split(".", 1)[0]])
-        r = _values_at(qcols[new_attr], inter[new_attr.split(".", 1)[0]])
-        kept = np.asarray([i for i, (x, y) in enumerate(zip(l, r)) if x == y], dtype=np.int64)
-        lefts = np.repeat(kept, len(new_rows))
-        rights_idx = np.tile(np.arange(len(new_rows)), len(kept))
-        rights = new_rows[rights_idx] if len(new_rows) else np.empty(0, dtype=np.int64)
-        new_inter = {t: idx[lefts] for t, idx in inter.items()}
-        new_inter[new_table] = rights
-        return new_inter, len(rights)
-
+def _hash_match(old: Column, new: Column):
+    """Join kernel: build a hash table on the new rows, probe it with each
+    old value in order."""
     buckets: dict = {}
-    new_vals = _values_at(qcols[new_attr], new_rows)
-    for pos, v in enumerate(new_vals):
+    for pos, v in enumerate(new.tolist()):
         buckets.setdefault(v, []).append(pos)
-
-    old_table = old_attr.split(".", 1)[0]
-    old_vals = _values_at(qcols[old_attr], inter[old_table])
-    counts = np.zeros(inter_len, dtype=np.int64)
-    match_lists = []
-    for k, v in enumerate(old_vals):
+    counts = np.zeros(len(old), dtype=np.int64)
+    hits: list[int] = []
+    for k, v in enumerate(old.tolist()):
         hit = buckets.get(v)
         if hit:
             counts[k] = len(hit)
-            match_lists.append(hit)
-    lefts = np.repeat(np.arange(inter_len), counts)
-    if match_lists:
-        rights = new_rows[np.concatenate([np.asarray(m, dtype=np.int64) for m in match_lists])]
-    else:
-        rights = np.empty(0, dtype=np.int64)
-    new_inter = {t: idx[lefts] for t, idx in inter.items()}
-    new_inter[new_table] = rights
-    return new_inter, len(rights)
-
-
-def _values_at(col: Column, indices):
-    if col.is_numeric:
-        return col.values[indices].tolist()
-    return [col.values[i] for i in indices]
+            hits.extend(hit)
+    return counts, np.asarray(hits, dtype=np.int64)
 
 
 def _column_minmax(col: Column):
@@ -396,17 +333,11 @@ def _column_minmax(col: Column):
 
 
 def _write_column(path, col: Column) -> int:
+    header = f"{col.type} {len(col)}\n".encode("ascii")
     if col.is_numeric:
-        header = f"{FLOAT_TYPE} {len(col)}\n".encode("ascii")
         payload = col.values.astype("<f8").tobytes()
     else:
-        header = f"{TEXT_TYPE} {len(col)}\n".encode("ascii")
-        chunks = []
-        for v in col.values:
-            b = v.encode("utf-8")
-            chunks.append(struct.pack("<I", len(b)))
-            chunks.append(b)
-        payload = b"".join(chunks)
+        payload = "\n".join(col.values).encode("utf-8")
     with open(path, "wb") as f:
         f.write(header)
         f.write(payload)
@@ -421,17 +352,14 @@ def _read_column(path) -> tuple[Column, int]:
     count = int(count_s)
     payload = raw[nl + 1 :]
     if kind == FLOAT_TYPE:
-        col = Column(np.frombuffer(payload, dtype="<f8", count=count).astype(np.float64))
+        values = np.frombuffer(payload, dtype="<f8", count=len(payload) // 8)
+        values = values.astype(np.float64)
     else:
-        values = []
-        off = 0
-        for _ in range(count):
-            (n,) = struct.unpack_from("<I", payload, off)
-            off += 4
-            values.append(payload[off : off + n].decode("utf-8"))
-            off += n
-        col = Column(values)
-    return col, len(raw)
+        # "" splits to [""], which is one empty value, not zero values.
+        values = payload.decode("utf-8").split("\n") if count or payload else []
+    if len(values) != count:
+        raise LoadError(f"{path}: header says {count} values, file holds {len(values)}")
+    return Column(values), len(raw)
 
 
 def _write_journal(path, csv_path) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError, FormatError, ParseError
+from .errors import DomainError, FormatError, ParseError, SchemaError
 
 KIND_SIMPLE = "simple"
 KIND_COMPLEX = "complex"
@@ -457,17 +457,23 @@ def classify(ast: QueryAst) -> QueryClass:
     )
 
 
-def referenced_attrs(ast: QueryAst, table: str) -> list[str]:
-    """Bare attribute names of one table, in first-reference order."""
-    prefix = table + "."
-    seen: list[str] = []
-    for name in (
+def needed_attrs(ast: QueryAst, attrs_of) -> dict[str, list[str]]:
+    """Bare attribute names to fetch per table, in first-reference order.
+
+    `attrs_of(table)` gives the attribute names a table has. Every
+    reference, COUNT's argument included, must name one of them, or
+    SchemaError is raised; COUNT's argument is checked but never fetched.
+    """
+    needed: dict[str, list[str]] = {t: [] for t in ast.tables}
+    counted = len(ast.projections) if ast.is_count else 0
+    for i, ref in enumerate((
         *ast.projections,
         *(s for j in ast.joins for s in (j.left, j.right)),
         *(p.attr for p in ast.predicates),
-    ):
-        if name.startswith(prefix):
-            bare = name[len(prefix) :]
-            if bare not in seen:
-                seen.append(bare)
-    return seen
+    )):
+        table, bare = ref.split(".", 1)
+        if bare not in attrs_of(table):
+            raise SchemaError(f"table {table!r} has no attribute {bare!r}")
+        if i >= counted and bare not in needed[table]:
+            needed[table].append(bare)
+    return needed

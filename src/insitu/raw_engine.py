@@ -18,14 +18,16 @@ import numpy as np
 
 from .cache import ColumnCache
 from .errors import FormatError, JoinGuardError, SchemaError
-from .query_model import QueryAst
+from .query_model import QueryAst, needed_attrs
 from .tabular import (
     Column,
     ExecStats,
     ResultSet,
+    filter_rows,
+    join_stage,
     parse_field,
-    predicate_mask,
     predicate_row_test,
+    project,
     read_header,
     scan_csv,
 )
@@ -65,7 +67,6 @@ class RawEngine:
         self.join_guard_pairs = int(join_guard_pairs)
         self.files: dict[str, str] = {}
         self.total_bytes_written = 0  # in-situ contract: stays 0
-        self._maps: dict[str, PositionalMap] = {}
         self._headers: dict[str, list[str]] = {}
         self._row_counts: dict[str, int] = {}
 
@@ -84,20 +85,15 @@ class RawEngine:
         path = self.files.get(table)
         if path is not None:
             self.cache.drop_matching(lambda key: key[0] == path)
-            self._maps.pop(path, None)
             self._headers.pop(path, None)
             self._row_counts.pop(path, None)
         return 0.0
 
     def clear_cache(self) -> None:
-        """Forget all cached columns and positional maps; next run is cold."""
+        """Forget all cached columns and row counts; next run is cold."""
         self.cache.clear()
-        self._maps.clear()
         self._headers.clear()
         self._row_counts.clear()
-
-    def positional_map(self, path) -> PositionalMap | None:
-        return self._maps.get(str(path))
 
     # -- execution ------------------------------------------------------
 
@@ -119,13 +115,7 @@ class RawEngine:
         self.cache.begin_peak_window()
         start = time.perf_counter()
 
-        needed = _needed_attrs(ast)
-        for table, attrs in needed.items():
-            header = self._header(paths[table])
-            for bare in attrs:
-                if bare not in header:
-                    raise SchemaError(f"table {table!r} has no attribute {bare!r}")
-
+        needed = needed_attrs(ast, lambda table: self._header(paths[table]))
         if ast.joins:
             result = self._execute_join(ast, paths, needed, stats)
         else:
@@ -155,39 +145,23 @@ class RawEngine:
         cols = self._ensure_columns(path, attrs, stats)
         qcols = {f"{table}.{bare}": col for bare, col in cols.items()}
         nrows = self._row_counts[path]
-
-        mask = None
-        for pred in ast.predicates:
-            m = predicate_mask(qcols[pred.attr], pred.op, pred.literal)
-            mask = m if mask is None else (mask & m)
-
+        indices = filter_rows(qcols, ast.predicates, nrows)
+        stats.rows_scanned = nrows
         if ast.is_count:
-            count = int(mask.sum()) if mask is not None else nrows
-            stats.rows_scanned = nrows
-            return ResultSet(columns=("count",), rows=[(count,)])
-
-        if mask is None:
-            indices = np.arange(nrows)
-        else:
-            indices = np.flatnonzero(mask)
-        if ast.limit is not None and len(indices) > 0:
-            if len(indices) >= ast.limit:
-                indices = indices[: ast.limit]
-                stats.rows_scanned = int(indices[-1]) + 1
-                stats.early_stop = stats.rows_scanned < nrows
-            else:
-                stats.rows_scanned = nrows
-        else:
-            if ast.limit is not None:
-                indices = indices[: ast.limit]
-            stats.rows_scanned = nrows
-        return _project(ast.projections, qcols, indices)
+            return ResultSet(columns=("count",), rows=[(len(indices),)])
+        if ast.limit is not None and len(indices) >= ast.limit:
+            indices = indices[: ast.limit]
+            stats.rows_scanned = int(indices[-1]) + 1
+            stats.early_stop = stats.rows_scanned < nrows
+        return project(ast.projections, qcols, {table: indices})
 
     def _ensure_columns(self, path, attrs, stats, pinned=None) -> dict[str, Column]:
         """Fetch the named columns, parsing the file once for any misses.
 
-        ``pinned`` widens eviction protection to the whole query working set
-        when a query spans several tables.
+        A file whose row count is not yet known is scanned for structure
+        even when no column is missing. ``pinned`` widens eviction
+        protection to the whole query working set when a query spans
+        several tables.
         """
         keys = {bare: (path, bare) for bare in attrs}
         cols: dict[str, Column] = {}
@@ -199,20 +173,15 @@ class RawEngine:
             else:
                 cols[bare] = col
         stats.cache_hit_columns += len(attrs) - len(missing)
-        if missing:
+        if missing or path not in self._row_counts:
             scan = scan_csv(path, wanted=missing)
             stats.bytes_read_from_disk += scan.file_bytes
-            self._maps[path] = PositionalMap(
-                path=path, row_offsets=tuple(scan.row_offsets.tolist())
-            )
             self._row_counts[path] = scan.row_count
             protect = set(keys.values()) | (pinned or set())
             for bare in missing:
                 col = scan.columns[bare]
                 self.cache.put(keys[bare], col, pinned=protect)
                 cols[bare] = col
-        elif path not in self._row_counts and attrs:
-            self._row_counts[path] = len(next(iter(cols.values())))
         return cols
 
     def _stream_limit_scan(self, ast, table, path, stats) -> ResultSet:
@@ -231,47 +200,24 @@ class RawEngine:
         proj_idx = [header.index(a[len(prefix):]) for a in ast.projections]
 
         rows: list[tuple] = []
-        consumed = 0
         row_no = 0
-        header_done = False
-        stop = False
         file_size = os.path.getsize(path)
-
         with open(path, "rb") as f:
-            buf = b""
-            while not stop:
-                chunk = f.read(_SCAN_CHUNK)
-                at_eof = not chunk
-                buf += chunk
-                while True:
-                    nl = buf.find(b"\n")
-                    if nl < 0:
-                        if at_eof and buf:
-                            line, buf = buf, b""
-                        else:
-                            break
-                    else:
-                        line, buf = buf[:nl], buf[nl + 1 :]
-                    consumed += len(line) + 1
-                    if not header_done:
-                        header_done = True
-                        continue
-                    if not line:
-                        continue
-                    row_no += 1
-                    fields = line.split(b",")
-                    if len(fields) != ncols:
-                        raise FormatError(
-                            f"{path}: data row {row_no} has {len(fields)} fields, "
-                            f"expected {ncols}"
-                        )
-                    if all(test(fields[i]) for i, test in tests):
-                        rows.append(tuple(parse_field(fields[i]) for i in proj_idx))
-                        if len(rows) >= ast.limit:
-                            stop = True
-                            break
-                if at_eof:
-                    break
+            consumed = len(f.readline())  # the header
+            for line, consumed in _data_lines(f, consumed):
+                row_no += 1
+                fields = line.split(b",")
+                if len(fields) != ncols:
+                    raise FormatError(
+                        f"{path}: data row {row_no} has {len(fields)} fields, "
+                        f"expected {ncols}"
+                    )
+                if all(test(fields[i]) for i, test in tests):
+                    rows.append(tuple(parse_field(fields[i]) for i in proj_idx))
+                    if len(rows) >= ast.limit:
+                        break
+            else:
+                consumed = file_size  # trailing blank lines are read too
 
         consumed = min(consumed, file_size)
         stats.bytes_read_from_disk += consumed
@@ -293,119 +239,88 @@ class RawEngine:
             for bare, col in cols.items():
                 qcols[f"{table}.{bare}"] = col
 
-        inter: dict[str, np.ndarray] = {ast.tables[0]: np.arange(counts[ast.tables[0]])}
-        inter_len = counts[ast.tables[0]]
+        first = ast.tables[0]
+        inter = {first: np.arange(counts[first])}
         work = 0
-        for i, join in enumerate(ast.joins):
-            new_table = ast.tables[i + 1]
-            work += inter_len * counts[new_table]
+        for new_table, join in zip(ast.tables[1:], ast.joins):
+            work += len(inter[first]) * counts[new_table]
             if work > self.join_guard_pairs:
                 raise JoinGuardError(work, self.join_guard_pairs)
-            inter, inter_len = _nested_loop_stage(
-                inter, inter_len, join, new_table, counts[new_table], qcols
+            inter = join_stage(
+                inter, join, new_table, np.arange(counts[new_table]), qcols,
+                _nested_loop_match,
             )
 
-        sel = np.arange(inter_len)
-        for pred in ast.predicates:
-            table = pred.attr.split(".", 1)[0]
-            gathered = _gather(qcols[pred.attr], inter[table][sel])
-            m = predicate_mask(gathered, pred.op, pred.literal)
-            sel = sel[m]
-
-        stats.rows_scanned = sum(counts[t] for t in ast.tables)
+        # Predicates run on the join output: the in-situ join is unfiltered.
+        at_inter = {
+            p.attr: qcols[p.attr].gather(inter[p.attr.split(".", 1)[0]])
+            for p in ast.predicates
+        }
+        sel = filter_rows(at_inter, ast.predicates, len(inter[first]))
+        stats.rows_scanned = sum(counts.values())
         if ast.is_count:
             return ResultSet(columns=("count",), rows=[(len(sel),)])
         if ast.limit is not None and len(sel) > ast.limit:
             sel = sel[: ast.limit]
             stats.early_stop = True
-        proj_cols = {
-            a: _gather(qcols[a], inter[a.split(".", 1)[0]][sel]) for a in ast.projections
-        }
-        return _project(ast.projections, proj_cols, np.arange(len(sel)))
+        return project(ast.projections, qcols, {t: idx[sel] for t, idx in inter.items()})
 
 
-def _needed_attrs(ast: QueryAst) -> dict[str, list[str]]:
-    """Bare attribute names needed per table, in first-reference order."""
-    needed: dict[str, list[str]] = {t: [] for t in ast.tables}
-    refs = [
-        *ast.projections,
-        *(s for j in ast.joins for s in (j.left, j.right)),
-        *(p.attr for p in ast.predicates),
-    ]
-    for ref in refs:
-        table, bare = ref.split(".", 1)
-        if bare not in needed[table]:
-            needed[table].append(bare)
-    return needed
+def _data_lines(f, offset: int):
+    """Yield each line of `f` with the byte offset just past it.
+
+    A line loses its newline and one "\\r" before it. Blank lines are held
+    back until a non-blank line follows, so trailing blank lines are never
+    yielded and a blank line inside the data is a one-field row.
+    """
+    buf = b""
+    held: list[int] = []
+    while True:
+        chunk = f.read(_SCAN_CHUNK)
+        buf += chunk
+        pos = 0
+        while True:
+            nl = buf.find(b"\n", pos)
+            if nl < 0:
+                if chunk or pos >= len(buf):
+                    break
+                nl = len(buf)  # last line, no newline
+            line = buf[pos:nl]
+            offset += nl + 1 - pos
+            pos = nl + 1
+            if line.endswith(b"\r"):
+                line = line[:-1]
+            if not line:
+                held.append(offset)
+                continue
+            for end in held:
+                yield b"", end
+            held.clear()
+            yield line, offset
+        buf = buf[pos:]
+        if not chunk:
+            return
 
 
-def _gather(col: Column, indices: np.ndarray) -> Column:
-    if col.is_numeric:
-        return Column(col.values[indices])
-    return Column([col.values[i] for i in indices])
+def _nested_loop_match(old: Column, new: Column):
+    """Join kernel: every old value against every new row, unindexed.
+    O(n*m) comparisons by design."""
+    if old.is_numeric and new.is_numeric:
+        new_arr = new.values
 
-
-def _project(projections, qcols, indices) -> ResultSet:
-    taken = [qcols[a].take(indices) for a in projections]
-    return ResultSet(columns=tuple(projections), rows=list(zip(*taken)) if taken else [])
-
-
-def _nested_loop_stage(inter, inter_len, join, new_table, new_count, qcols):
-    """One nested-loop stage: every intermediate tuple against every row of
-    the new table. O(n*m) comparisons by design."""
-    new_prefix = new_table + "."
-    if join.left.startswith(new_prefix) and not join.right.startswith(new_prefix):
-        new_attr, old_attr = join.left, join.right
+        def matches(v):
+            return np.flatnonzero(new_arr == v)
     else:
-        old_attr, new_attr = join.left, join.right
+        new_list = new.tolist()
 
-    if not new_attr.startswith(new_prefix):
-        # Degenerate condition not referencing the joined table: it acts as
-        # a per-tuple filter crossed with every new-table row.
-        old_l = _gather(qcols[old_attr], inter[old_attr.split(".", 1)[0]])
-        old_r = _gather(qcols[new_attr], inter[new_attr.split(".", 1)[0]])
-        keep = _pairwise_equal(old_l, old_r)
-        kept = np.flatnonzero(keep)
-        lefts = np.repeat(kept, new_count)
-        rights = np.tile(np.arange(new_count), len(kept))
-    else:
-        old_table = old_attr.split(".", 1)[0]
-        old_vals = _gather(qcols[old_attr], inter[old_table])
-        new_col = qcols[new_attr]
-        match_lists = []
-        counts_per_left = np.zeros(inter_len, dtype=np.int64)
-        if new_col.is_numeric and old_vals.is_numeric:
-            new_arr = new_col.values
-            vals = old_vals.values
-            for k in range(inter_len):
-                matches = np.flatnonzero(new_arr == vals[k])
-                if len(matches):
-                    match_lists.append(matches)
-                    counts_per_left[k] = len(matches)
-        else:
-            new_list = new_col.values if not new_col.is_numeric else new_col.values.tolist()
-            old_list = old_vals.values if not old_vals.is_numeric else old_vals.values.tolist()
-            for k in range(inter_len):
-                matches = np.asarray(
-                    [j for j, v in enumerate(new_list) if v == old_list[k]],
-                    dtype=np.int64,
-                )
-                if len(matches):
-                    match_lists.append(matches)
-                    counts_per_left[k] = len(matches)
-        lefts = np.repeat(np.arange(inter_len), counts_per_left)
-        rights = (
-            np.concatenate(match_lists) if match_lists else np.empty(0, dtype=np.int64)
-        )
+        def matches(v):
+            return np.asarray([j for j, w in enumerate(new_list) if w == v], dtype=np.int64)
 
-    new_inter = {t: idx[lefts] for t, idx in inter.items()}
-    new_inter[new_table] = rights
-    return new_inter, len(rights)
-
-
-def _pairwise_equal(a: Column, b: Column) -> np.ndarray:
-    if a.is_numeric and b.is_numeric:
-        return a.values == b.values
-    av = a.values.tolist() if a.is_numeric else a.values
-    bv = b.values.tolist() if b.is_numeric else b.values
-    return np.asarray([x == y for x, y in zip(av, bv)], dtype=bool)
+    counts = np.zeros(len(old), dtype=np.int64)
+    hits = []
+    for k, v in enumerate(old.tolist()):
+        m = matches(v)
+        if len(m):
+            counts[k] = len(m)
+            hits.append(m)
+    return counts, np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)

@@ -3,7 +3,8 @@
 Both query engines parse values with the same two-type rule (a column is
 float64 when every value parses as a number, text otherwise) so that their
 results compare exactly. Data files are plain comma-separated UTF-8 with a
-header row and no embedded commas or quotes in fields.
+header row, lines ending in LF or CRLF, and no embedded commas, quotes or
+newlines in fields.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import FormatError
 
 NEWLINE = 0x0A
+CR = 0x0D
 COMMA = 0x2C
 
 FLOAT_TYPE = "f64"
@@ -65,6 +67,16 @@ class Column:
             return self.values[indices].tolist()
         return [self.values[i] for i in indices]
 
+    def gather(self, indices) -> Column:
+        """Sub-column of the values at the given row indices."""
+        if self.is_numeric:
+            return Column(self.values[indices])
+        return Column([self.values[i] for i in indices])
+
+    def tolist(self) -> list:
+        """Every value as a plain Python object."""
+        return self.values.tolist() if self.is_numeric else self.values
+
 
 def column_from_strings(raw: list[bytes]) -> Column:
     """Apply the float-or-text rule to one column of raw field bytes."""
@@ -112,6 +124,7 @@ def scan_csv(path, wanted=None) -> CsvScan:
     `wanted` is a collection of header names (None parses every column,
     an empty collection parses none and just validates structure).
     Raises FormatError on ragged rows, naming the first bad data row.
+    A line ends at its newline, less one "\\r" before it (CRLF files).
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -124,12 +137,17 @@ def scan_csv(path, wanted=None) -> CsvScan:
     arr = np.frombuffer(raw, dtype=np.uint8)
     newlines = np.flatnonzero(arr == NEWLINE)
     line_starts = np.concatenate(([0], newlines[:-1] + 1))
-    # Drop blank trailing lines (e.g. file ending in "\n\n").
-    while len(line_starts) and line_starts[-1] == newlines[-1]:
-        line_starts = line_starts[:-1]
-        newlines = newlines[:-1]
+    # arr[-1] is a newline, so a newline at offset 0 looks back at no "\r".
+    line_ends = newlines - (arr[newlines - 1] == CR)
+    # Drop blank trailing lines (e.g. file ending in "\n\n"); keep the header.
+    nlines = len(newlines)
+    while nlines > 1 and line_starts[nlines - 1] == line_ends[nlines - 1]:
+        nlines -= 1
+    newlines, line_starts, line_ends = (
+        newlines[:nlines], line_starts[:nlines], line_ends[:nlines]
+    )
 
-    header = raw[: newlines[0]].decode("utf-8").rstrip("\r").split(",")
+    header = raw[: line_ends[0]].decode("utf-8").split(",")
     ncols = len(header)
     row_offsets = line_starts[1:].astype(np.int64)
     row_count = len(row_offsets)
@@ -161,7 +179,7 @@ def scan_csv(path, wanted=None) -> CsvScan:
         for name in wanted:
             j = header.index(name)
             starts = delims[ncols + j - 1 :: ncols] + 1
-            ends = delims[ncols + j :: ncols]
+            ends = line_ends[1:] if j == ncols - 1 else delims[ncols + j :: ncols]
             n = min(len(starts), row_count)
             fields = [raw[s:e] for s, e in zip(starts[:n].tolist(), ends[:n].tolist())]
             columns[name] = column_from_strings(fields)
@@ -195,6 +213,56 @@ def predicate_mask(column: Column, op: str, literal) -> np.ndarray:
         return cmp(column.values, lit)
     lit = _text_literal(literal)
     return np.fromiter((cmp(v, lit) for v in column.values), dtype=bool, count=len(column))
+
+
+def filter_rows(qcols, predicates, nrows: int) -> np.ndarray:
+    """Indices of the rows passing every predicate over `qcols`, keyed by
+    qualified attribute name."""
+    mask = np.ones(nrows, dtype=bool)
+    for pred in predicates:
+        mask &= predicate_mask(qcols[pred.attr], pred.op, pred.literal)
+    return np.flatnonzero(mask)
+
+
+def join_stage(inter, join, new_table, new_rows, qcols, match):
+    """One left-deep join stage over row-index vectors.
+
+    `inter` maps each joined table to its row index per intermediate tuple;
+    `new_rows` are the candidate rows of `new_table`. `match(old, new)`, the
+    engine's join kernel, compares two columns and returns the match count
+    per `old` value plus the matched `new` positions, grouped by `old`
+    value in order. Returns the next intermediate, in the same form.
+    """
+    new_prefix = new_table + "."
+    if join.left.startswith(new_prefix) and not join.right.startswith(new_prefix):
+        new_attr, old_attr = join.left, join.right
+    else:
+        old_attr, new_attr = join.left, join.right
+
+    def old_values(attr):
+        return qcols[attr].gather(inter[attr.split(".", 1)[0]])
+
+    if new_attr.startswith(new_prefix):
+        counts, positions = match(old_values(old_attr), qcols[new_attr].gather(new_rows))
+        lefts = np.repeat(np.arange(len(counts)), counts)
+        rights = new_rows[positions]
+    else:
+        # Degenerate condition not referencing the joined table: it acts as
+        # a per-tuple filter crossed with every candidate new-table row.
+        pairs = zip(old_values(old_attr).tolist(), old_values(new_attr).tolist())
+        kept = np.flatnonzero(np.asarray([x == y for x, y in pairs], dtype=bool))
+        lefts = np.repeat(kept, len(new_rows))
+        rights = np.tile(new_rows, len(kept))
+    nxt = {t: idx[lefts] for t, idx in inter.items()}
+    nxt[new_table] = rights
+    return nxt
+
+
+def project(projections, qcols, rows_of) -> ResultSet:
+    """Result rows of the projected attributes; `rows_of` maps each table
+    to the row index of every output row."""
+    taken = [qcols[a].take(rows_of[a.split(".", 1)[0]]) for a in projections]
+    return ResultSet(columns=tuple(projections), rows=list(zip(*taken)))
 
 
 def predicate_row_test(op: str, literal):

@@ -5,7 +5,7 @@ import pytest
 
 from insitu.datagen import generate_csv
 from insitu.db_engine import DbEngine
-from insitu.errors import LoadError, NotLoadedError, SchemaError
+from insitu.errors import FormatError, LoadError, NotLoadedError, SchemaError
 from insitu.query_model import parse_query
 from insitu.raw_engine import RawEngine
 from util import TableInfo, random_select, write_csv
@@ -121,21 +121,120 @@ class TestExecute:
         assert result.rows == [(10_000,)]
 
     def test_hash_join_matches_itertools_oracle(self, engine, tmp_path):
-        write_csv(tmp_path / "a.csv", ["objid", "x"], [[1, 10.0], [2, 20.0], [2, 21.0]])
+        write_csv(tmp_path / "a.csv", ["objid", "x", "k"],
+                  [[1, 10.0, 1], [2, 20.0, 5], [2, 21.0, 2]])
         write_csv(tmp_path / "b.csv", ["objid", "y"], [[2, 200.0], [2, 201.0], [3, 300.0]])
         engine.load_table(tmp_path / "a.csv", "a")
         engine.load_table(tmp_path / "b.csv", "b")
-        result, _ = engine.execute(
-            parse_query("SELECT a.x, b.y FROM a JOIN b ON a.objid = b.objid")
-        )
-        rows_a = [(1, 10.0), (2, 20.0), (2, 21.0)]
+        raw = RawEngine()
+        raw.register("a", tmp_path / "a.csv")
+        raw.register("b", tmp_path / "b.csv")
+        rows_a = [(1, 10.0, 1), (2, 20.0, 5), (2, 21.0, 2)]
         rows_b = [(2, 200.0), (2, 201.0), (3, 300.0)]
-        expected = [
-            (ra[1], rb[1])
-            for ra, rb in itertools.product(rows_a, rows_b)
-            if ra[0] == rb[0]
-        ]
-        assert sorted(result.rows) == sorted(expected)
+        conditions = {
+            "a.objid = b.objid": lambda ra, rb: ra[0] == rb[0],
+            "b.objid = a.objid": lambda ra, rb: ra[0] == rb[0],
+            # Degenerate: references only the table already joined.
+            "a.objid = a.k": lambda ra, rb: ra[0] == ra[2],
+        }
+        for on, cond in conditions.items():
+            expected = [
+                (ra[1], rb[1])
+                for ra, rb in itertools.product(rows_a, rows_b)
+                if cond(ra, rb)
+            ]
+            assert expected, on
+            ast = parse_query(f"SELECT a.x, b.y FROM a JOIN b ON {on}")
+            for eng in (engine, raw):
+                result, _ = eng.execute(ast)
+                assert sorted(result.rows) == sorted(expected), (on, eng)
+
+    def test_text_columns_round_trip_from_disk(self, tmp_path):
+        p = write_csv(tmp_path / "s.csv", ["objid", "name"],
+                      [[1, "x"], [2, ""], [3, "héllo wörld"], [4, ""]])
+        write_csv(tmp_path / "e.csv", ["objid", "name"], [[1, ""]])
+        first = DbEngine(tmp_path / "db")
+        first.load_table(p, "s")
+        first.load_table(tmp_path / "e.csv", "e")
+        q = "SELECT objid, name FROM {}"
+        second = DbEngine(tmp_path / "db")
+        result, _ = second.execute(parse_query(q.format("s")))
+        assert result.rows == [(1.0, "x"), (2.0, ""), (3.0, "héllo wörld"), (4.0, "")]
+        result, _ = second.execute(parse_query(q.format("e")))
+        assert result.rows == [(1.0, "")]
+
+        first.truncate_table("s")
+        result, _ = DbEngine(tmp_path / "db").execute(parse_query(q.format("s")))
+        assert result.rows == []
+
+        col = tmp_path / "db" / "e" / "name.col"
+        col.write_bytes(col.read_bytes().replace(b"txt 1\n", b"txt 2\n", 1))
+        with pytest.raises(LoadError, match="2 values"):
+            DbEngine(tmp_path / "db").execute(parse_query(q.format("e")))
+
+
+class TestBothEngines:
+    """Input handling that must not depend on the engine or the raw path."""
+
+    @staticmethod
+    def answers(tmp_path, csv_bytes, stmt):
+        """Rows of one query on raw cold, raw hot, the raw LIMIT stream and
+        the db engine, in that order."""
+        path = tmp_path / "t.csv"
+        path.write_bytes(csv_bytes)
+        ast = parse_query(stmt)
+        raw = RawEngine()
+        raw.register("t", path)
+        cold, _ = raw.execute(ast)
+        hot, _ = raw.execute(ast)
+        streamed, stats = RawEngine().execute(
+            parse_query(stmt + " LIMIT 1000"), files={"t": path}
+        )
+        assert stats.cache_hit_columns == 0 and not stats.early_stop
+        db = DbEngine(tmp_path / "db")
+        db.load_table(path, "t")
+        loaded, _ = db.execute(ast)
+        return [cold.rows, hot.rows, streamed.rows, loaded.rows]
+
+    @pytest.mark.parametrize("which", ["raw", "db"])
+    @pytest.mark.parametrize("where", ["", " WHERE t.objid > 1"])
+    def test_count_argument_is_checked(self, tmp_path, which, where):
+        path = write_csv(tmp_path / "t.csv", ["objid", "s"], [[1, "a"], [2, "b"], [3, "c"]])
+        if which == "raw":
+            engine = RawEngine()
+            engine.register("t", path)
+        else:
+            engine = DbEngine(tmp_path / "db")
+            engine.load_table(path, "t")
+        with pytest.raises(SchemaError, match="bogus"):
+            engine.execute(parse_query("SELECT COUNT(t.bogus) FROM t" + where))
+
+    @pytest.mark.parametrize("stmt, expected", [
+        ("SELECT t.objid, t.b FROM t WHERE t.b = 'y'", [(1.0, "y"), (3.0, "y")]),
+        ("SELECT t.b, t.x FROM t", [("y", 1.5), ("n", 2.5), ("y", 3.5)]),
+    ], ids=["where", "project"])
+    def test_crlf_rows_agree_on_every_path(self, tmp_path, stmt, expected):
+        data = b"objid,x,b\r\n1,1.5,y\r\n2,2.5,n\r\n3,3.5,y\r\n"
+        assert self.answers(tmp_path, data, stmt) == [expected] * 4
+
+    @pytest.mark.parametrize("data", [
+        b"objid,x\n1,1.5\n2,2.5\n\n\n",
+        b"objid,x\r\n1,1.5\r\n2,2.5\r\n\r\n",
+        b"objid,x\n1,1.5\n2,2.5",
+    ], ids=["lf", "crlf", "no-final-newline"])
+    def test_trailing_blank_lines_accepted(self, tmp_path, data):
+        rows = [(1.0, 1.5), (2.0, 2.5)]
+        assert self.answers(tmp_path, data, "SELECT t.objid, t.x FROM t") == [rows] * 4
+
+    def test_blank_line_inside_data_rejected_on_every_path(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"objid,x\n1,1.5\n\n2,2.5\n")
+        error = "data row 2 has 1 fields, expected 2"
+        for stmt in ("SELECT t.x FROM t LIMIT 5", "SELECT t.x FROM t"):
+            with pytest.raises(FormatError, match=error):
+                RawEngine().execute(parse_query(stmt), files={"t": path})
+        with pytest.raises(FormatError, match=error):
+            DbEngine(tmp_path / "db").load_table(path, "t")
 
 
 class TestEngineEquivalence:

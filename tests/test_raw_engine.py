@@ -145,6 +145,19 @@ class TestScansAndCache:
         assert result.rows == [(10_000,)]
         assert not stats.early_stop
 
+    def test_count_without_where_scans_structure_only(self, tmp_path):
+        p = write_csv(tmp_path / "t.csv", ["objid", "s"], [[1, "a"], [2, "b"], [3, "c"]])
+        engine = RawEngine()
+        engine.register("t", p)
+        q = parse_query("SELECT COUNT(t.s) FROM t")
+        result, cold = engine.execute(q)
+        assert result.rows == [(3,)]
+        assert cold.bytes_read_from_disk == os.path.getsize(p)
+        assert len(engine.cache) == 0  # no column was parsed
+        result, hot = engine.execute(q)
+        assert result.rows == [(3,)]
+        assert hot.bytes_read_from_disk == 0
+
     def test_hot_rerun_identical_and_free(self, small_table):
         engine = RawEngine()
         engine.register("t", small_table)
@@ -280,6 +293,15 @@ class TestJoins:
             files=join_files,
         )
         assert result.rows == [(4,)]
+
+    def test_degenerate_condition_on_unreferenced_table(self, join_files):
+        # No attribute of b is referenced, so b is only scanned for its rows.
+        engine = RawEngine()
+        result, _ = engine.execute(
+            parse_query("SELECT count(a.x) FROM a JOIN b ON a.objid = a.objid"),
+            files=join_files,
+        )
+        assert result.rows == [(16,)]
 
     def test_join_limit_truncates_in_order(self, join_files):
         engine = RawEngine()
