@@ -65,7 +65,7 @@ from .query_model import (
     parse_workload,
     render,
 )
-from .raw_engine import PositionalMap, RawEngine, build_positional_map
+from .raw_engine import RawEngine
 from .stat_sources import (
     ProcfsSource,
     ReplaySource,
@@ -96,7 +96,6 @@ __all__ = [
     "NotLoadedError",
     "ParseError",
     "PartitionPlan",
-    "PositionalMap",
     "ProcfsSource",
     "ProfileAccumulator",
     "QueryAst",
@@ -117,7 +116,6 @@ __all__ = [
     "WorkloadTask",
     "aggregate_profiles",
     "bandwidth_utilization",
-    "build_positional_map",
     "classify",
     "cold_hot_delta",
     "effective_ram_pct",

@@ -324,6 +324,16 @@ def _parse_select(p: _Parser) -> QueryAst:
         p.next()
         right = p.attr_ref()
         raw_joins.append((left, right))
+    # A join condition may name the joined table and tables before it, and
+    # must name at least one table before it.
+    for i, (left, right) in enumerate(raw_joins):
+        for table, _, pos in (left, right):
+            if table in tables[i + 2 :]:
+                raise ParseError(f"join condition names {table!r} before it is joined", pos)
+        if left[0] == right[0] == tables[i + 1]:
+            raise ParseError(
+                f"join condition on {tables[i + 1]!r} names no earlier table", left[2]
+            )
 
     raw_preds: list[tuple[tuple, str, float | str]] = []
     if p.at_keyword("where"):

@@ -1,9 +1,9 @@
 """In-situ query engine over CSV files.
 
 Tokenizes at query time, keeps parsed columns in a RAM-budgeted LRU cache,
-stops LIMIT scans at the row that completes the result, and runs joins as
+stops LIMIT scans at the chunk that completes the result, and runs joins as
 deliberately unindexed nested loops. The engine never writes to disk; all
-caching and indexing is in memory.
+caching is in memory.
 
 One query executes at a time per instance; instances may move between
 threads but are not safe for concurrent execution.
@@ -12,48 +12,29 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cache import ColumnCache
-from .errors import FormatError, JoinGuardError, SchemaError
+from .errors import JoinGuardError, SchemaError
 from .query_model import QueryAst, needed_attrs
 from .tabular import (
     Column,
     ExecStats,
     ResultSet,
+    column_from_strings,
     filter_rows,
     join_stage,
-    parse_field,
-    predicate_row_test,
     project,
     read_header,
     scan_csv,
+    tokenize_lines,
 )
 
 DEFAULT_CACHE_BUDGET = 1 << 30  # 1 GiB
 DEFAULT_JOIN_GUARD = 1_000_000_000
 
 _SCAN_CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class PositionalMap:
-    """Byte offsets of row starts in a raw file, built on first full scan."""
-
-    path: str
-    row_offsets: tuple[int, ...]
-
-    @property
-    def row_count(self) -> int:
-        return len(self.row_offsets)
-
-
-def build_positional_map(path) -> PositionalMap:
-    """Scan a CSV file and index every data-row start offset."""
-    scan = scan_csv(path, wanted=())
-    return PositionalMap(path=str(path), row_offsets=tuple(scan.row_offsets.tolist()))
 
 
 class RawEngine:
@@ -140,7 +121,7 @@ class RawEngine:
         if ast.limit is not None and not ast.is_count:
             cached = all((path, bare) in self.cache for bare in attrs)
             if not cached:
-                return self._stream_limit_scan(ast, table, path, stats)
+                return self._limit_scan(ast, table, path, attrs, stats)
 
         cols = self._ensure_columns(path, attrs, stats)
         qcols = {f"{table}.{bare}": col for bare, col in cols.items()}
@@ -184,46 +165,61 @@ class RawEngine:
                 cols[bare] = col
         return cols
 
-    def _stream_limit_scan(self, ast, table, path, stats) -> ResultSet:
-        """Row-at-a-time scan that stops at the row completing the LIMIT.
+    def _limit_scan(self, ast, table, path, attrs, stats) -> ResultSet:
+        """Tokenize the file in doubling chunks, stopping at the chunk that
+        completes the LIMIT.
 
-        Bytes are accounted at row granularity: the tally is the end offset
-        of the last examined line, not the read-ahead chunk size.
+        Each chunk is tokenized once; the rows read so far are typed and
+        filtered as a whole. Bytes are accounted at row granularity: the
+        tally is the end offset of the row completing the LIMIT, not the
+        read-ahead size.
         """
         header = self._header(path)
-        ncols = len(header)
-        prefix = table + "."
-        tests = [
-            (header.index(p.attr[len(prefix):]), predicate_row_test(p.op, p.literal))
-            for p in ast.predicates
-        ]
-        proj_idx = [header.index(a[len(prefix):]) for a in ast.projections]
-
-        rows: list[tuple] = []
-        row_no = 0
+        wanted = [header.index(bare) for bare in attrs]
+        fields: list[list[bytes]] = [[] for _ in attrs]
+        ends = []
+        nrows = 0
         file_size = os.path.getsize(path)
+        chunk = _SCAN_CHUNK
         with open(path, "rb") as f:
-            consumed = len(f.readline())  # the header
-            for line, consumed in _data_lines(f, consumed):
-                row_no += 1
-                fields = line.split(b",")
-                if len(fields) != ncols:
-                    raise FormatError(
-                        f"{path}: data row {row_no} has {len(fields)} fields, "
-                        f"expected {ncols}"
-                    )
-                if all(test(fields[i]) for i, test in tests):
-                    rows.append(tuple(parse_field(fields[i]) for i in proj_idx))
-                    if len(rows) >= ast.limit:
-                        break
-            else:
-                consumed = file_size  # trailing blank lines are read too
+            offset = len(f.readline())  # the header
+            buf = b""
+            while True:
+                buf += f.read(chunk)
+                chunk *= 2
+                at_eof = offset + len(buf) >= file_size
+                if at_eof and not buf.endswith(b"\n"):
+                    buf += b"\n"
+                new, row_ends = tokenize_lines(
+                    buf, 0, len(header), wanted, path, first_row=nrows + 1
+                )
+                if not (len(row_ends) or at_eof):
+                    continue
+                for acc, part in zip(fields, new):
+                    acc += part
+                ends.append(row_ends + offset)
+                nrows += len(row_ends)
+                qcols = {
+                    f"{table}.{bare}": column_from_strings(acc)
+                    for bare, acc in zip(attrs, fields)
+                }
+                hits = filter_rows(qcols, ast.predicates, nrows)
+                if at_eof or len(hits) >= ast.limit:
+                    break
+                # Blank lines ending the chunk stay in the buffer: only a
+                # later data line or the end of file tells what they are.
+                used = int(row_ends[-1])
+                buf = buf[used:]
+                offset += used
 
-        consumed = min(consumed, file_size)
-        stats.bytes_read_from_disk += consumed
-        stats.rows_scanned = row_no
-        stats.early_stop = consumed < file_size
-        return ResultSet(columns=tuple(ast.projections), rows=rows)
+        hits = hits[: ast.limit]
+        stats.rows_scanned, read = nrows, file_size
+        if len(hits) == ast.limit:
+            stats.rows_scanned = int(hits[-1]) + 1
+            read = min(int(np.concatenate(ends)[hits[-1]]), file_size)
+        stats.bytes_read_from_disk += read
+        stats.early_stop = read < file_size
+        return project(ast.projections, qcols, {table: hits})
 
     def _execute_join(self, ast, paths, needed, stats) -> ResultSet:
         all_keys = {
@@ -264,42 +260,6 @@ class RawEngine:
             sel = sel[: ast.limit]
             stats.early_stop = True
         return project(ast.projections, qcols, {t: idx[sel] for t, idx in inter.items()})
-
-
-def _data_lines(f, offset: int):
-    """Yield each line of `f` with the byte offset just past it.
-
-    A line loses its newline and one "\\r" before it. Blank lines are held
-    back until a non-blank line follows, so trailing blank lines are never
-    yielded and a blank line inside the data is a one-field row.
-    """
-    buf = b""
-    held: list[int] = []
-    while True:
-        chunk = f.read(_SCAN_CHUNK)
-        buf += chunk
-        pos = 0
-        while True:
-            nl = buf.find(b"\n", pos)
-            if nl < 0:
-                if chunk or pos >= len(buf):
-                    break
-                nl = len(buf)  # last line, no newline
-            line = buf[pos:nl]
-            offset += nl + 1 - pos
-            pos = nl + 1
-            if line.endswith(b"\r"):
-                line = line[:-1]
-            if not line:
-                held.append(offset)
-                continue
-            for end in held:
-                yield b"", end
-            held.clear()
-            yield line, offset
-        buf = buf[pos:]
-        if not chunk:
-            return
 
 
 def _nested_loop_match(old: Column, new: Column):

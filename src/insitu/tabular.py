@@ -1,10 +1,13 @@
 """Shared tabular primitives: typed columns, CSV scanning, result sets.
 
-Both query engines parse values with the same two-type rule (a column is
-float64 when every value parses as a number, text otherwise) so that their
-results compare exactly. Data files are plain comma-separated UTF-8 with a
-header row, lines ending in LF or CRLF, and no embedded commas, quotes or
-newlines in fields.
+Both query engines split lines with one tokenizer (`tokenize_lines`) and
+type values with one rule: a column is float64 when every value read parses
+as a number, text otherwise. So cold, hot and LIMIT scans and the two
+engines compare exactly, with one known divergence: a LIMIT scan that stops
+early types each column over the rows it read, so a column whose first text
+value lies past those bytes comes back numeric. Data files are plain
+comma-separated UTF-8 with a header row, lines ending in LF or CRLF, and no
+embedded commas, quotes or newlines in fields.
 """
 from __future__ import annotations
 
@@ -86,18 +89,6 @@ def column_from_strings(raw: list[bytes]) -> Column:
         return Column([f.decode("utf-8") for f in raw])
 
 
-def parse_field(raw: bytes):
-    """Row-wise version of the float-or-text rule, for streaming scans.
-
-    Assumes type-consistent columns, which the data generator guarantees;
-    on a mixed column this can disagree with the whole-column rule.
-    """
-    try:
-        return float(raw)
-    except ValueError:
-        return raw.decode("utf-8")
-
-
 @dataclass
 class CsvScan:
     """One pass over a data file: structure plus any requested columns."""
@@ -105,7 +96,6 @@ class CsvScan:
     path: str
     header: list[str]
     columns: dict[str, Column]
-    row_offsets: np.ndarray  # byte offset of each data row start
     row_count: int
     file_bytes: int
 
@@ -124,7 +114,6 @@ def scan_csv(path, wanted=None) -> CsvScan:
     `wanted` is a collection of header names (None parses every column,
     an empty collection parses none and just validates structure).
     Raises FormatError on ragged rows, naming the first bad data row.
-    A line ends at its newline, less one "\\r" before it (CRLF files).
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -133,76 +122,78 @@ def scan_csv(path, wanted=None) -> CsvScan:
     file_bytes = len(raw)
     if not raw.endswith(b"\n"):
         raw += b"\n"
-
-    arr = np.frombuffer(raw, dtype=np.uint8)
-    newlines = np.flatnonzero(arr == NEWLINE)
-    line_starts = np.concatenate(([0], newlines[:-1] + 1))
-    # arr[-1] is a newline, so a newline at offset 0 looks back at no "\r".
-    line_ends = newlines - (arr[newlines - 1] == CR)
-    # Drop blank trailing lines (e.g. file ending in "\n\n"); keep the header.
-    nlines = len(newlines)
-    while nlines > 1 and line_starts[nlines - 1] == line_ends[nlines - 1]:
-        nlines -= 1
-    newlines, line_starts, line_ends = (
-        newlines[:nlines], line_starts[:nlines], line_ends[:nlines]
-    )
-
-    header = raw[: line_ends[0]].decode("utf-8").split(",")
-    ncols = len(header)
-    row_offsets = line_starts[1:].astype(np.int64)
-    row_count = len(row_offsets)
-
-    # Ragged-row check: commas per line must equal ncols - 1 everywhere.
-    commas = np.flatnonzero(arr == COMMA)
-    counts = np.diff(np.searchsorted(commas, newlines), prepend=0)
-    bad = np.flatnonzero(counts != ncols - 1)
-    if len(bad):
-        line_no = int(bad[0])
-        found = int(counts[line_no]) + 1
-        raise FormatError(
-            f"{path}: data row {line_no} has {found} fields, expected {ncols}"
-        )
-
-    columns: dict[str, Column] = {}
+    nl = raw.find(b"\n")
+    head = raw[: nl - 1] if raw[nl - 1 : nl] == b"\r" else raw[:nl]
+    header = head.decode("utf-8").split(",")
     if wanted is None:
         wanted = header
     wanted = list(wanted)
     for name in wanted:
         if name not in header:
             raise FormatError(f"{path}: no column named {name!r}")
-    if wanted and row_count:
-        # Field (r, j) sits between consecutive delimiters in the flattened
-        # comma/newline grid; slicing per wanted column avoids materializing
-        # every field of the file.
-        delims = np.flatnonzero((arr == COMMA) | (arr == NEWLINE))
-        delims = delims[: (row_count + 1) * ncols]
-        for name in wanted:
-            j = header.index(name)
-            starts = delims[ncols + j - 1 :: ncols] + 1
-            ends = line_ends[1:] if j == ncols - 1 else delims[ncols + j :: ncols]
-            n = min(len(starts), row_count)
-            fields = [raw[s:e] for s, e in zip(starts[:n].tolist(), ends[:n].tolist())]
-            columns[name] = column_from_strings(fields)
-    elif wanted:
-        for name in wanted:
-            columns[name] = Column(np.empty(0, dtype=np.float64))
-
+    fields, row_ends = tokenize_lines(
+        raw, nl + 1, len(header), [header.index(n) for n in wanted], path
+    )
     return CsvScan(
         path=str(path),
         header=header,
-        columns=columns,
-        row_offsets=row_offsets,
-        row_count=row_count,
+        columns={name: column_from_strings(f) for name, f in zip(wanted, fields)},
+        row_count=len(row_ends),
         file_bytes=file_bytes,
     )
+
+
+def tokenize_lines(buf: bytes, start: int, ncols: int, wanted, path, first_row: int = 1):
+    """Split the data lines of `buf` from offset `start` into the fields of
+    the wanted column indices; the one tokenizer of both engines.
+
+    A line ends at its newline, less one "\\r" before it (CRLF files); bytes
+    after the last newline belong to no line. Blank lines at the end are
+    not rows; a blank line before a data line is a one-field row. Raises
+    FormatError on the first row whose field count is not `ncols`,
+    numbering rows from `first_row`. Returns an iterator over the raw field
+    bytes of each wanted column and the offset in `buf` just past each
+    row's newline.
+    """
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    body = arr[start:]
+    # Field (r, j) sits between consecutive delimiters in the flattened
+    # comma/newline grid; a line's comma count is its delimiter count less one.
+    delims = np.flatnonzero((body == COMMA) | (body == NEWLINE))
+    nl_at = np.flatnonzero(body[delims] == NEWLINE)
+    delims += start
+    newlines = delims[nl_at]
+    line_starts = np.concatenate(([start], newlines + 1))[:-1]
+    line_ends = newlines - ((newlines > line_starts) & (arr[newlines - 1] == CR))
+    filled = np.flatnonzero(line_starts != line_ends)
+    nrows = int(filled[-1]) + 1 if len(filled) else 0
+
+    commas = np.diff(nl_at[:nrows], prepend=-1) - 1
+    bad = np.flatnonzero(commas != ncols - 1)
+    if len(bad):
+        row = int(bad[0])
+        raise FormatError(
+            f"{path}: data row {first_row + row} has {int(commas[row]) + 1} fields, "
+            f"expected {ncols}"
+        )
+
+    grid = delims[: nrows * ncols].reshape(nrows, ncols)
+
+    def fields(j):
+        starts = grid[:, j - 1] + 1 if j else line_starts[:nrows]
+        ends = line_ends[:nrows] if j == ncols - 1 else grid[:, j]
+        return [buf[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+
+    # One column at a time, so a caller can type each before the next exists.
+    return (fields(j) for j in wanted), newlines[:nrows] + 1
 
 
 def predicate_mask(column: Column, op: str, literal) -> np.ndarray:
     """Boolean mask of rows passing `value op literal`.
 
     Numeric column with a non-numeric literal matches nothing; text column
-    compares against the literal rendered as text. Both engines and the
-    streaming scan share these rules.
+    compares against the literal rendered as text. Both engines share
+    these rules.
     """
     cmp = COMPARATORS[op]
     if column.is_numeric:
@@ -263,27 +254,6 @@ def project(projections, qcols, rows_of) -> ResultSet:
     to the row index of every output row."""
     taken = [qcols[a].take(rows_of[a.split(".", 1)[0]]) for a in projections]
     return ResultSet(columns=tuple(projections), rows=list(zip(*taken)))
-
-
-def predicate_row_test(op: str, literal):
-    """Per-value test matching predicate_mask, for streaming scans."""
-    cmp = COMPARATORS[op]
-    text_lit = _text_literal(literal)
-    try:
-        num_lit = float(literal)
-    except (TypeError, ValueError):
-        num_lit = None
-
-    def test(raw: bytes) -> bool:
-        try:
-            v = float(raw)
-        except ValueError:
-            return cmp(raw.decode("utf-8"), text_lit)
-        if num_lit is None:
-            return False
-        return cmp(v, num_lit)
-
-    return test
 
 
 def _text_literal(literal) -> str:

@@ -144,6 +144,22 @@ class TestRun:
                    "--source", "synthetic", "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("engine", ["raw", "db"])
+    @pytest.mark.parametrize("join", [
+        "JOIN b ON b.objid = b.ra",
+        "JOIN b ON a.objid = c.objid JOIN c ON b.objid = c.objid",
+    ], ids=["only-joined-table", "later-table"])
+    def test_bad_join_condition_is_input_error(self, tmp_path, dataset, engine, join):
+        wl = tmp_path / "wl.csv"
+        wl.write_text(
+            "T_ID,Statement\n"
+            + "".join(f"L{t},\"COPY {t} FROM '{dataset}';\"\n" for t in "abc")
+            + f'Q1,"SELECT a.ra FROM a {join};"\n'
+        )
+        rc = main(["run", "--workload", str(wl), "--engine", engine,
+                   "--source", "synthetic", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
+
     def test_crash_containment(self, tmp_path, workload, dataset):
         # Query over a missing attribute fails mid-workload; earlier results
         # and all flushed samples must survive on disk.

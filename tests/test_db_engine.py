@@ -226,6 +226,11 @@ class TestBothEngines:
         rows = [(1.0, 1.5), (2.0, 2.5)]
         assert self.answers(tmp_path, data, "SELECT t.objid, t.x FROM t") == [rows] * 4
 
+    def test_mixed_type_column_is_text_on_every_path(self, tmp_path):
+        data = b"objid,v\n1,1\n2,x\n"
+        stmt = "SELECT t.v FROM t WHERE t.v > 0"
+        assert self.answers(tmp_path, data, stmt) == [[("1",), ("x",)]] * 4
+
     def test_blank_line_inside_data_rejected_on_every_path(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"objid,x\n1,1.5\n\n2,2.5\n")

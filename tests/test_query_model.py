@@ -117,6 +117,22 @@ class TestParseQuery:
         with pytest.raises(ParseError, match="self-join"):
             parse_query("SELECT t.a FROM t JOIN t ON t.a = t.b")
 
+    @pytest.mark.parametrize("stmt, message", [
+        ("SELECT a.k FROM a JOIN b ON b.objid = b.y", "names no earlier table"),
+        ("SELECT a.k FROM a JOIN b ON a.objid = c.objid JOIN c ON b.objid = c.objid",
+         "names 'c' before it is joined"),
+        ("SELECT a.k FROM a JOIN b ON a.objid = b.objid JOIN c ON c.objid = c.k",
+         "names no earlier table"),
+    ], ids=["only-joined-table", "later-table", "second-stage"])
+    def test_join_condition_must_name_joined_tables(self, stmt, message):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_query(stmt)
+        assert exc.value.offset is not None
+
+    def test_degenerate_join_condition_parses(self):
+        ast = parse_query("SELECT a.k FROM a JOIN b ON a.objid = a.objid")
+        assert ast.joins == (JoinCondition("a.objid", "a.objid"),)
+
     def test_string_literal(self):
         ast = parse_query("SELECT a FROM t WHERE name = 'M31'")
         assert ast.predicates[0].literal == "M31"

@@ -1,8 +1,13 @@
 import itertools
 import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from insitu import raw_engine
 from insitu.datagen import generate_csv
 from insitu.errors import (
     BudgetExceededError,
@@ -11,7 +16,8 @@ from insitu.errors import (
     SchemaError,
 )
 from insitu.query_model import parse_query
-from insitu.raw_engine import RawEngine, build_positional_map
+from insitu.raw_engine import RawEngine
+from insitu.tabular import scan_csv
 from util import write_csv
 
 
@@ -52,31 +58,64 @@ def oracle_rows(path):
     return header, [tuple(t[i] for t in typed) for i in range(len(raw_rows))]
 
 
-class TestPositionalMap:
-    def test_offsets_match_byte_scan_oracle(self, tmp_path):
-        p = write_csv(tmp_path / "t.csv", ["a", "bb"], [[1, 22], [333, 4], [5, 6]])
-        pmap = build_positional_map(p)
-        assert list(pmap.row_offsets) == oracle_offsets(p)
-        assert pmap.row_count == 3
+def limit_stats(path, stmt):
+    _, stats = RawEngine().execute(parse_query(stmt), files={"t": path})
+    return stats
 
-    def test_offsets_on_generated_file(self, small_table):
-        pmap = build_positional_map(small_table)
-        assert list(pmap.row_offsets) == oracle_offsets(small_table)
+
+class TestRowBoundaries:
+    """A LIMIT scan with no predicate reads up to the end of row LIMIT."""
+
+    def test_limit_bytes_match_byte_scan_oracle(self, tmp_path):
+        p = write_csv(tmp_path / "t.csv", ["a", "bb"], [[1, 22], [333, 4], [5, 6]])
+        ends = oracle_offsets(p)[1:] + [os.path.getsize(p)]
+        for k, end in enumerate(ends, start=1):
+            stats = limit_stats(p, f"SELECT a FROM t LIMIT {k}")
+            assert (stats.rows_scanned, stats.bytes_read_from_disk) == (k, end)
+        assert scan_csv(p).row_count == 3
+
+    def test_limit_bytes_on_generated_file(self, small_table):
+        offsets = oracle_offsets(small_table)
+        for k in (1, 7, 3000, 9999):  # the larger ones span several chunks
+            stats = limit_stats(small_table, f"SELECT objid FROM t LIMIT {k}")
+            assert stats.bytes_read_from_disk == offsets[k]
 
     def test_header_only(self, tmp_path):
         p = write_csv(tmp_path / "t.csv", ["a", "b"], [])
-        pmap = build_positional_map(p)
-        assert pmap.row_offsets == () and pmap.row_count == 0
+        assert scan_csv(p).row_count == 0
+        result, stats = RawEngine().execute(
+            parse_query("SELECT a FROM t LIMIT 3"), files={"t": p}
+        )
+        assert result.rows == [] and stats.rows_scanned == 0
+        assert stats.bytes_read_from_disk == os.path.getsize(p)
 
     def test_ragged_row_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,2\n1,2,3\n")
         with pytest.raises(FormatError, match="row 2"):
-            build_positional_map(p)
+            limit_stats(p, "SELECT a FROM t LIMIT 5")
 
-    def test_strictly_increasing(self, small_table):
-        offs = build_positional_map(small_table).row_offsets
-        assert all(b > a for a, b in zip(offs, offs[1:]))
+    def test_limit_bytes_strictly_increasing(self, small_table):
+        seen = [
+            limit_stats(small_table, f"SELECT objid FROM t LIMIT {k}").bytes_read_from_disk
+            for k in range(1, 60)
+        ]
+        assert all(b > a for a, b in zip(seen, seen[1:]))
+
+    @pytest.mark.parametrize("bad", [b"00004095,1.2345,7\n", b"0004095,1.2345\n\n"],
+                             ids=["ragged-row-across", "blank-line-ending-chunk"])
+    def test_bad_line_on_chunk_boundary(self, tmp_path, bad):
+        # 16-byte rows after an 8-byte header: the first 64 KiB chunk ends
+        # exactly where row 4096 starts.
+        rows = [b"%08d,1.2345\n" % i for i in range(6000)]
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"objid,x\n" + b"".join(rows[:4095]) + bad + b"".join(rows[4096:]))
+        with pytest.raises(FormatError) as expected:
+            scan_csv(p)
+        assert "data row 409" in str(expected.value)
+        with pytest.raises(FormatError) as limited:
+            limit_stats(p, "SELECT x FROM t WHERE x < 0 LIMIT 5")
+        assert str(limited.value) == str(expected.value)
 
 
 class TestEarlyTermination:
@@ -124,6 +163,22 @@ class TestEarlyTermination:
         assert not stats.early_stop
         assert stats.bytes_read_from_disk == os.path.getsize(small_table)
 
+    def test_text_value_past_first_chunk_types_the_prefix(self, tmp_path):
+        # The first text value lies past the first 64 KiB chunk but before
+        # the row completing the LIMIT, so the column is text, as on a full scan.
+        p = write_csv(tmp_path / "t.csv", ["objid", "v"],
+                      [[i, "x" if i == 8000 else i] for i in range(30_000)])
+        assert os.path.getsize(p) > 2 * (1 << 16)
+        engine = RawEngine()
+        engine.register("t", p)
+        full, _ = engine.execute(parse_query("SELECT v FROM t"))
+        result, stats = RawEngine().execute(
+            parse_query("SELECT v FROM t LIMIT 9000"), files={"t": p}
+        )
+        assert stats.early_stop
+        assert result.rows == full.rows[:9000]
+        assert result.rows[8000] == ("x",) and result.rows[0] == ("0",)
+
     def test_hot_limit_query_reads_nothing(self, small_table):
         engine = RawEngine()
         engine.register("t", small_table)
@@ -135,6 +190,48 @@ class TestEarlyTermination:
         assert stats.cache_hit_columns == 2
         assert stats.early_stop
         assert len(result) == 10
+
+
+NUMBERS = st.integers(-50, 50).map(str) | st.floats(-50, 50).map("{:.2f}".format)
+WORDS = st.text(alphabet="abcxyz", min_size=1, max_size=3)  # never parse as numbers
+
+
+@st.composite
+def limit_cases(draw):
+    """A small type-consistent CSV, a single-table SELECT and a LIMIT."""
+    numeric = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    names = [f"c{j}" for j in range(len(numeric))]
+    rows = draw(st.lists(st.tuples(*(NUMBERS if n else WORDS for n in numeric)), max_size=12))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(",".join(r) for r in [names, *rows]) + draw(st.sampled_from([eol, ""]))
+    stmt = "SELECT " + ", ".join(draw(st.lists(st.sampled_from(names), min_size=1, max_size=3)))
+    preds = []
+    for j in draw(st.lists(st.integers(0, len(names) - 1), max_size=2)):
+        literal = draw(NUMBERS) if numeric[j] else "'" + draw(WORDS) + "'"
+        preds.append(f"{names[j]} {draw(st.sampled_from(['<', '>', '<=', '>=', '=']))} {literal}")
+    stmt += " FROM t" + (" WHERE " + " AND ".join(preds) if preds else "")
+    return text.encode(), stmt, draw(st.integers(1, 15)), draw(st.sampled_from([4, 16, 1 << 16]))
+
+
+class TestLimitProperty:
+    @settings(max_examples=120, derandomize=True, deadline=None, database=None)
+    @given(limit_cases())
+    def test_limit_answer_is_prefix_of_full_answer(self, case):
+        data, stmt, limit, chunk = case
+        limited = parse_query(f"{stmt} LIMIT {limit}")
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.csv")
+            with open(path, "wb") as f:
+                f.write(data)
+            engine = RawEngine()
+            engine.register("t", path)
+            full, _ = engine.execute(parse_query(stmt))
+            hot, hot_stats = engine.execute(limited)
+            # Small first chunks make every file span several chunks.
+            with mock.patch.object(raw_engine, "_SCAN_CHUNK", chunk):
+                cold, _ = RawEngine().execute(limited, files={"t": path})
+        assert hot_stats.bytes_read_from_disk == 0
+        assert cold.rows == full.rows[:limit] == hot.rows
 
 
 class TestScansAndCache:

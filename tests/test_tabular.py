@@ -3,7 +3,7 @@ import pytest
 
 from insitu.cache import ColumnCache
 from insitu.errors import BudgetExceededError, ConfigError, FormatError
-from insitu.tabular import Column, ResultSet, predicate_mask, predicate_row_test, scan_csv
+from insitu.tabular import Column, ResultSet, predicate_mask, scan_csv
 from util import write_csv
 
 
@@ -82,14 +82,6 @@ class TestScanCsv:
 
 
 class TestPredicates:
-    def test_mask_and_row_test_agree(self):
-        col = Column(np.array([1.0, 5.0, 9.0]))
-        raw = [b"1.0", b"5.0", b"9.0"]
-        for op in ["<", ">", "<=", ">=", "="]:
-            mask = predicate_mask(col, op, 5.0)
-            test = predicate_row_test(op, 5.0)
-            assert mask.tolist() == [test(r) for r in raw]
-
     def test_numeric_column_text_literal_matches_nothing(self):
         col = Column(np.array([1.0, 2.0]))
         assert predicate_mask(col, "=", "abc").tolist() == [False, False]
