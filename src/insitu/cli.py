@@ -148,17 +148,17 @@ def run(config: RunConfig) -> dict:
         # decoupled from wall-clock durations for reproducibility.
         timeline = [(float(i), t.task_id) for i, t in enumerate(tasks)]
         if config.source == "synthetic":
-            script = synthetic_script(
+            source = SyntheticSource(synthetic_script(
                 config.seed, duration_s=max(1, len(tasks)),
                 frequency_hz=config.frequency_hz, process_names=config.watched[:1],
-            )
-            source = SyntheticSource(script)
+            ))
         else:
             source = ReplaySource(
                 config.replay_path, watched_names=config.watched,
                 period_s=1.0 / config.frequency_hz,
             )
         samples, flush_report = run_scripted(monitor_config, source, timeline)
+        del source  # the script is not needed while the workload runs
         runner.execute_all(register)
 
     report = runner.build_report(samples, flush_report)
@@ -408,6 +408,8 @@ class _WorkloadRunner:
             "profiles": {t: profile_to_dict(p) for t, p in profiles.items()},
             "exec_profiles": {t: profile_to_dict(p) for t, p in exec_profiles.items()},
             "monitor": {
+                # Synthetic and replayed samples are scripted ahead of the run.
+                "measured": self.config.source == "procfs",
                 "samples_total": flush_report.samples_total,
                 "flush_count": flush_report.flush_count,
                 "dropped": flush_report.dropped,

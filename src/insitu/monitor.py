@@ -124,9 +124,14 @@ class FlushReport:
 def _fmt(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, float):
-        return repr(round(v, 6))
-    return str(v)
+    if not isinstance(v, float):
+        return str(v)
+    # round(v, 6) is v itself when repr(v) has at most six decimals (or v is
+    # an integer >= 1e16), so only the other floats pay for the rounding.
+    text = repr(v)
+    if "e-" in text or len(text) - text.find(".") > 7:
+        text = repr(round(v, 6))
+    return text
 
 
 class _SampleSink:
@@ -147,7 +152,6 @@ class _SampleSink:
         self._buffer.append(sample)
         self.samples.append(sample)
         self.report.samples_total += 1
-        self.report.max_buffered = max(self.report.max_buffered, len(self._buffer))
         if len(self._buffer) >= self.config.flush_threshold_records:
             self._flush()
 
@@ -156,24 +160,13 @@ class _SampleSink:
         self._fh.write(f"{ts_ms},{task_id},{SCOPE_TOTAL},{GAP_PROCESS},,,,,,\n")
 
     def _flush(self) -> None:
-        for s in self._buffer:
-            self._fh.write(
-                ",".join(
-                    (
-                        str(s.ts_ms),
-                        s.task_id,
-                        s.scope,
-                        s.process or "",
-                        _fmt(s.cpu_pct),
-                        _fmt(s.mem_pct),
-                        _fmt(s.rss_bytes),
-                        _fmt(s.read_Bps),
-                        _fmt(s.write_Bps),
-                        _fmt(s.io_wait_pct),
-                    )
-                )
-                + "\n"
-            )
+        self._fh.write("".join(
+            f"{s.ts_ms},{s.task_id},{s.scope},{s.process or ''},{_fmt(s.cpu_pct)},"
+            f"{_fmt(s.mem_pct)},{_fmt(s.rss_bytes)},{_fmt(s.read_Bps)},"
+            f"{_fmt(s.write_Bps)},{_fmt(s.io_wait_pct)}\n"
+            for s in self._buffer
+        ))
+        self.report.max_buffered = max(self.report.max_buffered, len(self._buffer))
         self._buffer.clear()
         self.report.flush_count += 1
 

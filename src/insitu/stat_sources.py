@@ -311,37 +311,33 @@ class SyntheticSource:
 
 def synthetic_script(seed: int, duration_s: float, frequency_hz: float,
                      process_names=("engine",)):
-    """Deterministic plausible-looking script for reproducible runs."""
+    """Deterministic plausible-looking script for reproducible runs: rounded
+    percentages, whole-number float IO rates and int RSS, drawn per field."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * frequency_hz))
     period = 1.0 / frequency_hz
-    script = []
-    for k in range(1, n + 1):
-        busy = float(np.round(20.0 + 60.0 * rng.random(), 2))
-        wait = float(np.round(10.0 * rng.random(), 2))
-        mem = float(np.round(30.0 + 40.0 * rng.random(), 2))
-        system = SystemReading(
-            cpu_busy_pct=busy,
-            io_wait_pct=wait,
-            mem_used_pct=mem,
-            read_Bps=float(rng.integers(0, 200 * 1024 * 1024)),
-            write_Bps=float(rng.integers(0, 100 * 1024 * 1024)),
-        )
-        procs = tuple(
-            ProcessReading(
-                name=name,
-                cpu_pct=float(np.round(90.0 * rng.random(), 2)),
-                mem_pct=float(np.round(5.0 * rng.random(), 3)),
-                rss_bytes=int(rng.integers(10 << 20, 200 << 20)),
-                read_Bps=float(rng.integers(0, 50 * 1024 * 1024)),
-                write_Bps=float(rng.integers(0, 10 * 1024 * 1024)),
-            )
-            for name in process_names
-        )
-        script.append((k * period, TickReading(system=system, processes=procs)))
-    return script
+
+    def pct(lo, span, places):
+        return np.round(lo + span * rng.random(n), places).tolist()
+
+    def rate(hi):
+        return rng.integers(0, hi, n).astype(np.float64).tolist()
+
+    systems = map(SystemReading, pct(20.0, 60.0, 2), pct(0.0, 10.0, 2),
+                  pct(30.0, 40.0, 2), rate(200 * 1024 * 1024), rate(100 * 1024 * 1024))
+    per_name = [
+        map(ProcessReading, [name] * n, pct(0.0, 90.0, 2), pct(0.0, 5.0, 3),
+            rng.integers(10 << 20, 200 << 20, n).tolist(),
+            rate(50 * 1024 * 1024), rate(10 * 1024 * 1024))
+        for name in process_names
+    ]
+    procs = zip(*per_name) if per_name else [()] * n
+    return [
+        (k * period, TickReading(system=system, processes=tuple(p)))
+        for k, system, p in zip(range(1, n + 1), systems, procs)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,13 @@ def read_header(path) -> list[str]:
         line = f.readline()
     if not line:
         raise FormatError(f"{path}: empty file")
-    return line.decode("utf-8").rstrip("\r\n").split(",")
+    return _header_names(line.removesuffix(b"\n"))
+
+
+def _header_names(line: bytes) -> list[str]:
+    """Column names of a header line without its newline; one "\\r" before
+    the newline goes with it, as for data lines."""
+    return line.removesuffix(b"\r").decode("utf-8").split(",")
 
 
 def scan_csv(path, wanted=None) -> CsvScan:
@@ -123,8 +129,7 @@ def scan_csv(path, wanted=None) -> CsvScan:
     if not raw.endswith(b"\n"):
         raw += b"\n"
     nl = raw.find(b"\n")
-    head = raw[: nl - 1] if raw[nl - 1 : nl] == b"\r" else raw[:nl]
-    header = head.decode("utf-8").split(",")
+    header = _header_names(raw[:nl])
     if wanted is None:
         wanted = header
     wanted = list(wanted)

@@ -205,6 +205,26 @@ class TestRun:
         assert "TOTAL" in text
         assert "COPY" in text  # load spans several sampling periods
 
+    @pytest.mark.parametrize("source, measured", [
+        ("synthetic", False), ("replay", False), ("procfs", True),
+    ])
+    def test_report_labels_scripted_profiles(self, tmp_path, workload, source, measured):
+        import os
+
+        from test_stat_sources import TOP_BLOCK
+
+        if source == "procfs" and not os.path.exists("/proc/stat"):
+            pytest.skip("no procfs")
+        if source == "replay":
+            log = tmp_path / "tools.log"
+            log.write_text(TOP_BLOCK * 3)
+            source = f"replay:{log}"
+        out = tmp_path / "out"
+        assert main(["run", "--workload", str(workload), "--engine", "raw",
+                     "--source", source, "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["monitor"]["measured"] is measured
+
 
 class TestClassifyCommand:
     def test_classify_output(self, tmp_path, workload, capsys):

@@ -8,6 +8,7 @@ from insitu.db_engine import DbEngine
 from insitu.errors import FormatError, LoadError, NotLoadedError, SchemaError
 from insitu.query_model import parse_query
 from insitu.raw_engine import RawEngine
+from insitu.tabular import read_header
 from util import TableInfo, random_select, write_csv
 
 
@@ -240,6 +241,19 @@ class TestBothEngines:
                 RawEngine().execute(parse_query(stmt), files={"t": path})
         with pytest.raises(FormatError, match=error):
             DbEngine(tmp_path / "db").load_table(path, "t")
+
+    def test_header_drops_exactly_one_cr_on_every_path(self, tmp_path):
+        # The last header name is "b\r": only one "\r" goes with the newline.
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\r\r\n1,2\r\n")
+        for stmt in ("SELECT b FROM t", "SELECT b FROM t LIMIT 1"):
+            with pytest.raises(SchemaError, match="'b'"):
+                RawEngine().execute(parse_query(stmt), files={"t": path})
+        db = DbEngine(tmp_path / "db")
+        db.load_table(path, "t")
+        with pytest.raises(SchemaError, match="'b'"):
+            db.execute(parse_query("SELECT b FROM t"))
+        assert read_header(path) == ["a", "b\r"]
 
 
 class TestEngineEquivalence:

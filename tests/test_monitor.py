@@ -2,10 +2,13 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from insitu.errors import ConfigError, MonitorError
 from insitu.monitor import (
     IDLE_TASK,
+    _fmt,
     MonitorConfig,
     TaskRegister,
     filter_line,
@@ -126,6 +129,49 @@ class TestScriptedRuns:
         assert len(samples) == 2
         text = (tmp_path / "s.csv").read_text()
         assert "source-gap" in text
+
+    def test_samples_csv_golden_bytes(self, tmp_path):
+        class Ticks:
+            def ticks(self):
+                yield 0.5, TickReading(
+                    SystemReading(cpu_busy_pct=1 / 3, io_wait_pct=0.0, mem_used_pct=50.0,
+                                  write_Bps=2048.0),
+                    (ProcessReading(name="engine", cpu_pct=12.5, rss_bytes=1 << 20,
+                                    read_Bps=1e7, write_Bps=0.1 + 0.2),),
+                )
+                yield 1.0, None  # a failed read: gap row
+                yield 1.5, TickReading(None, (
+                    ProcessReading(name="engine", cpu_pct=2.0000004, write_Bps=1.5e16),
+                    ProcessReading(name="other", cpu_pct=1.0),
+                ))
+                yield 2.0, TickReading(SystemReading(), ())
+
+        # Threshold 2: both samples of the first tick are flushed together.
+        config = MonitorConfig(
+            flush_threshold_records=2, output_path=tmp_path / "s.csv",
+            watched_process_names=("engine",),
+        )
+        samples, report = run_scripted(config, Ticks(), timeline=[(0.0, "Q1"), (1.0, "Q2")])
+        assert (tmp_path / "s.csv").read_bytes() == (
+            b"ts_ms,task_id,scope,process,cpu_pct,mem_pct,rss_bytes,read_Bps,"
+            b"write_Bps,io_wait_pct\n"
+            b"500,Q1,TOTAL,,0.333333,50.0,,,2048.0,0.0\n"
+            b"500,Q1,PROC,engine,12.5,,1048576,10000000.0,0.3,\n"
+            b"1000,Q2,TOTAL,source-gap,,,,,,\n"
+            b"1500,Q2,PROC,engine,2.0,,,,1.5e+16,\n"
+            b"2000,Q2,TOTAL,,,,,,,\n"
+        )
+        assert len(samples) == 4
+        assert (report.flush_count, report.gap_rows) == (3, 1)
+
+    @settings(max_examples=2000, derandomize=True, deadline=None, database=None)
+    @given(st.one_of(
+        st.floats(),
+        st.builds(round, st.floats(-1e12, 1e12), st.integers(0, 9)),
+        st.integers(-(1 << 60), 1 << 60).map(float),
+    ))
+    def test_float_field_is_repr_of_rounded_value(self, v):
+        assert _fmt(v) == repr(round(v, 6))
 
     def test_samples_roundtrip_through_csv(self, tmp_path):
         config = MonitorConfig(output_path=tmp_path / "s.csv")

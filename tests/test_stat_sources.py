@@ -152,6 +152,55 @@ class TestSyntheticSource:
         assert len(a) == 10
 
 
+class TestSyntheticScript:
+    def test_seed_decides_the_script(self):
+        a = synthetic_script(1, 4.0, 5.0, process_names=("p", "q"))
+        assert a == synthetic_script(1, 4.0, 5.0, process_names=("p", "q"))
+        assert a != synthetic_script(2, 4.0, 5.0, process_names=("p", "q"))
+
+    @pytest.mark.parametrize("duration_s, frequency_hz, n", [
+        (0.0, 50.0, 0), (1.0, 50.0, 50), (407.0, 50.0, 20350), (2.5, 3.0, 8),
+        (0.1, 1.0, 0), (1.0, 0.6, 1),
+    ])
+    def test_tick_count_and_times(self, duration_s, frequency_hz, n):
+        script = synthetic_script(3, duration_s, frequency_hz)
+        assert len(script) == n == round(duration_s * frequency_hz)
+        period = 1.0 / frequency_hz
+        assert [t for t, _ in script] == [k * period for k in range(1, n + 1)]
+        assert all(a < b for (a, _), (b, _) in zip(script, script[1:]))
+
+    @pytest.mark.parametrize("names", [(), ("engine",), ("insitu", "python")])
+    def test_field_types_and_ranges(self, names):
+        script = synthetic_script(5, 20.0, 10.0, process_names=names)
+        assert len(script) == 200
+
+        def check(value, lo, hi, kind, places=None):
+            assert type(value) is kind
+            assert lo <= value <= hi
+            if places is not None:
+                assert value == round(value, places)
+
+        for _, tick in script:
+            s = tick.system
+            check(s.cpu_busy_pct, 20.0, 80.0, float, 2)
+            check(s.io_wait_pct, 0.0, 10.0, float, 2)
+            check(s.mem_used_pct, 30.0, 70.0, float, 2)
+            check(s.read_Bps, 0.0, 200 * 1024 * 1024 - 1, float, 0)
+            check(s.write_Bps, 0.0, 100 * 1024 * 1024 - 1, float, 0)
+            assert tuple(p.name for p in tick.processes) == names
+            for p in tick.processes:
+                check(p.cpu_pct, 0.0, 90.0, float, 2)
+                check(p.mem_pct, 0.0, 5.0, float, 3)
+                check(p.rss_bytes, 10 << 20, (200 << 20) - 1, int)
+                check(p.read_Bps, 0.0, 50 * 1024 * 1024 - 1, float, 0)
+                check(p.write_Bps, 0.0, 10 * 1024 * 1024 - 1, float, 0)
+        # Values vary between ticks and between processes.
+        assert len({tick.system.cpu_busy_pct for _, tick in script}) > 100
+        if len(names) == 2:
+            assert any(a.rss_bytes != b.rss_bytes for a, b in
+                       (tick.processes for _, tick in script))
+
+
 class TestReplaySource:
     def test_block_splitting(self):
         text = TOP_BLOCK + IOTOP_BLOCK + TOP_BLOCK
