@@ -45,7 +45,7 @@ config = MonitorConfig(
 timeline = [(0.0, "COPY"), (10.0, "Q0")]
 samples, report = run_scripted(config, SyntheticSource(script), timeline)
 print(f"{report.samples_total} samples in {report.flush_count} flushes "
-      f"(max buffered {report.max_buffered}, dropped {report.dropped})")
+      f"(max buffered {report.max_buffered})")
 print(f"samples.csv -> {config.output_path}\n")
 
 for task_id, profile in aggregate_profiles(samples).items():

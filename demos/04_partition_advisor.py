@@ -14,7 +14,6 @@ from insitu import (
     SystemSpec,
     classify,
     generate_csv,
-    materialize_plan,
     parse_query,
     profiles_from_exec_stats,
     qca_partition,
@@ -22,6 +21,7 @@ from insitu import (
     route_query,
     rua_partition,
 )
+from insitu.advisor import load_db_side, write_raw_slices
 from insitu.tabular import read_header
 
 work = Path(tempfile.mkdtemp(prefix="insitu_demo_"))
@@ -29,6 +29,7 @@ wide_csv = work / "wide.csv"
 dim_csv = work / "dim.csv"
 generate_csv(wide_csv, rows=40_000, columns=20, seed=7)
 generate_csv(dim_csv, rows=5_000, columns=3, seed=8)
+sources = {"wide": wide_csv, "dim": dim_csv}
 
 statements = {
     "S0": "SELECT objid, ra FROM wide WHERE ra > 120 AND ra < 140",
@@ -65,20 +66,21 @@ for plan in (
           f"/ replicated {m.repl_pct:.1f}%")
     print(f"  routing: {plan.routing}")
 
+    out = work / plan.technique.lower()
     db = DbEngine(work / f"{plan.technique.lower()}_db")
-    mat = materialize_plan(plan, {"wide": wide_csv, "dim": dim_csv},
-                           work / plan.technique.lower(), db)
+    raw_paths, _ = write_raw_slices(plan, sources, out)
+    load_ms = sum(s.duration_ms for s in load_db_side(plan, sources, out, db).values())
     raw = RawEngine()
-    for table, path in mat.raw_csv_paths.items():
+    for table, path in raw_paths.items():
         raw.register(table, path)
-    total = mat.load_ms
+    total = load_ms
     for k, ast in asts.items():
         side = route_query(classes[k], plan, query_id=k)
         engine = raw if side == "raw" else db
         _, stats = engine.execute(ast)
         total += stats.duration_ms
     print(f"  WET on the partitioned layout: {total:.0f} ms "
-          f"(db-side load {mat.load_ms:.0f} ms)")
+          f"(db-side load {load_ms:.0f} ms)")
 
 spec = SystemSpec(ram_bytes=16e9)
 for gb in (4.6, 7.1):

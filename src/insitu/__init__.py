@@ -8,9 +8,7 @@ queries between the engines.
 
 from .advisor import (
     CapacityCheck,
-    MaterializedPlan,
     PartitionPlan,
-    materialize_plan,
     qca_partition,
     raw_capacity_check,
     route_query,
@@ -90,7 +88,6 @@ __all__ = [
     "JoinGuardError",
     "LoadError",
     "LoadStats",
-    "MaterializedPlan",
     "MonitorConfig",
     "MonitorError",
     "NotLoadedError",
@@ -122,7 +119,6 @@ __all__ = [
     "filter_line",
     "generate_csv",
     "io_amplification",
-    "materialize_plan",
     "parse_iotop_block",
     "parse_query",
     "parse_top_block",

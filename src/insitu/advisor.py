@@ -23,7 +23,7 @@ from pathlib import Path
 from .analyzer import ResourceProfile, SystemSpec
 from .errors import ConfigError, SchemaError, UncoveredQueryError
 from .query_model import KIND_COMPLEX, QueryClass
-from .tabular import LoadStats
+from .tabular import LoadStats, read_csv, tokenize_lines
 
 TECHNIQUE_QCA = "QCA"
 TECHNIQUE_RUA = "RUA"
@@ -219,29 +219,11 @@ def route_query(cls: QueryClass, plan: PartitionPlan, query_id: str | None = Non
     )
 
 
-@dataclass
-class MaterializedPlan:
-    raw_csv_paths: dict[str, str]
-    load_stats: dict[str, LoadStats]
-    slice_write_ms: float
-
-    @property
-    def load_ms(self) -> float:
-        return sum(s.duration_ms for s in self.load_stats.values())
-
-
-def _normalize_sources(source_csv) -> dict[str, Path]:
-    if isinstance(source_csv, dict):
-        return {t: Path(p) for t, p in source_csv.items()}
-    path = Path(source_csv)
-    return {path.stem: path}
-
-
 def write_raw_slices(plan: PartitionPlan, source_csv, data_dir) -> tuple[dict[str, str], float]:
     """Write the raw-side vertical slice CSV per table; returns paths and
-    the write duration in ms. Slices keep the source's column order and
-    field text verbatim."""
-    sources = _normalize_sources(source_csv)
+    the write duration in ms. ``source_csv`` maps each table to its CSV.
+    Slices keep the source's column order and field text verbatim."""
+    sources = {t: Path(p) for t, p in source_csv.items()}
     by_table = _split_by_table(plan.raw_attrs, sources)
     raw_dir = Path(data_dir) / "raw_partition"
     raw_dir.mkdir(parents=True, exist_ok=True)
@@ -256,8 +238,9 @@ def write_raw_slices(plan: PartitionPlan, source_csv, data_dir) -> tuple[dict[st
 
 def load_db_side(plan: PartitionPlan, source_csv, data_dir, db_engine,
                  journal: bool = False) -> dict[str, LoadStats]:
-    """Slice the db-side attributes per table and bulk-load each slice."""
-    sources = _normalize_sources(source_csv)
+    """Slice the db-side attributes per table and bulk-load each slice;
+    ``source_csv`` maps each table to its CSV."""
+    sources = {t: Path(p) for t, p in source_csv.items()}
     by_table = _split_by_table(plan.db_attrs, sources)
     db_src_dir = Path(data_dir) / "db_partition_src"
     db_src_dir.mkdir(parents=True, exist_ok=True)
@@ -269,33 +252,13 @@ def load_db_side(plan: PartitionPlan, source_csv, data_dir, db_engine,
     return load_stats
 
 
-def materialize_plan(plan: PartitionPlan, source_csv, data_dir, db_engine,
-                     journal: bool = False) -> MaterializedPlan:
-    """Write the raw-side vertical slices and load the db-side columns.
-
-    ``source_csv`` is one CSV path (single-table plans) or a mapping
-    table -> path. Replicated attributes land on both sides.
-    """
-    raw_paths, slice_ms = write_raw_slices(plan, source_csv, data_dir)
-    load_stats = load_db_side(plan, source_csv, data_dir, db_engine, journal=journal)
-    return MaterializedPlan(
-        raw_csv_paths=raw_paths, load_stats=load_stats, slice_write_ms=slice_ms
-    )
-
-
 def _split_by_table(attrs, sources) -> dict[str, list[str]]:
-    """Group qualified (or bare, single-table) attrs into per-table bare names."""
-    single = next(iter(sources)) if len(sources) == 1 else None
+    """Group table-qualified attrs into per-table bare names."""
     out: dict[str, list[str]] = {}
     for attr in sorted(attrs):
-        if "." in attr:
-            table, bare = attr.split(".", 1)
-        elif single is not None:
-            table, bare = single, attr
-        else:
-            raise SchemaError(
-                f"attribute {attr!r} must be table-qualified for a multi-table plan"
-            )
+        table, dot, bare = attr.partition(".")
+        if not dot:
+            raise SchemaError(f"plan attribute {attr!r} is not table-qualified")
         if table not in sources:
             raise SchemaError(f"no source file for table {table!r}")
         out.setdefault(table, []).append(bare)
@@ -303,22 +266,13 @@ def _split_by_table(attrs, sources) -> dict[str, list[str]]:
 
 
 def _write_slice(source: Path, out: Path, attrs) -> None:
-    """Project a CSV onto the named columns, preserving header order and
-    field bytes; the header is validated against the requested names."""
-    with open(source, "rb") as f:
-        header = f.readline().decode("utf-8").rstrip("\r\n").split(",")
-        body = f.read()
-    missing = [a for a in attrs if a not in header]
-    if missing:
-        raise SchemaError(f"{source}: no column named {missing[0]!r}")
-    keep = [i for i, name in enumerate(header) if name in set(attrs)]
-    ncols = len(header)
-    flat = body.replace(b"\n", b",").split(b",") if body else []
-    if flat and flat[-1] == b"":
-        flat.pop()
-    nrows = len(flat) // ncols if ncols else 0
+    """Project a CSV onto the named columns in header order, field bytes
+    verbatim. Rows go through the one tokenizer, so a file outside the CSV
+    contract raises what `scan_csv` raises on it."""
+    raw, _, header, attrs, start = read_csv(source, attrs)
+    kept = set(attrs)
+    keep = [i for i, name in enumerate(header) if name in kept]
+    fields, _ = tokenize_lines(raw, start, len(header), keep, source)
     with open(out, "wb") as o:
         o.write((",".join(header[i] for i in keep) + "\n").encode("utf-8"))
-        for r in range(nrows):
-            base = r * ncols
-            o.write(b",".join(flat[base + i] for i in keep) + b"\n")
+        o.writelines(b",".join(row) + b"\n" for row in zip(*fields))

@@ -27,7 +27,6 @@ import argparse
 import json
 import os
 import sys
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -99,7 +98,6 @@ class RunConfig:
     join_guard: int = DEFAULT_JOIN_GUARD
     journal: bool = False
     seed: int = 0
-    parallel_load: bool = False
     spec: SystemSpec = field(default_factory=SystemSpec)
 
     def validate(self) -> None:
@@ -183,8 +181,6 @@ class _WorkloadRunner:
         self.error: WorkbenchError | None = None
         self.failed_task: str | None = None
         self._table_files: dict[str, Path] = {}
-        self._loader_thread: threading.Thread | None = None
-        self._loader_error: list[Exception] = []
 
         self.raw_engine = RawEngine(
             cache_budget_bytes=config.cache_budget, join_guard_pairs=config.join_guard
@@ -210,8 +206,8 @@ class _WorkloadRunner:
     # -- plan materialization --------------------------------------------
 
     def _materialize_plan(self) -> None:
-        """Write raw slices now; load the db side inline or in a background
-        loader thread (``--parallel-load``) that db-routed queries join."""
+        """Write the raw slices and load the db side, recorded as one
+        PLAN_LOAD task before the first query."""
         tables = {
             a.split(".", 1)[0]
             for a in (self.plan.raw_attrs | self.plan.db_attrs)
@@ -225,39 +221,13 @@ class _WorkloadRunner:
                 tables.update(stmt.tables)
         sources = {t: self._table_file(t) for t in sorted(tables)}
 
-        raw_paths, self._slice_ms = write_raw_slices(
-            self.plan, sources, self.out_dir / "partition"
-        )
+        raw_paths, _ = write_raw_slices(self.plan, sources, self.out_dir / "partition")
         for table, path in raw_paths.items():
             self.raw_engine.register(table, path)
-
-        def do_load():
-            try:
-                self._plan_load_stats = load_db_side(
-                    self.plan, sources, self.out_dir / "partition",
-                    self.db_engine, journal=self.config.journal,
-                )
-            except Exception as exc:  # surfaced when joined
-                self._loader_error.append(exc)
-
-        if self.config.parallel_load:
-            self._loader_thread = threading.Thread(target=do_load, name="plan-loader")
-            self._loader_thread.start()
-        else:
-            do_load()
-            self._finish_plan_load()
-
-    def _finish_plan_load(self) -> None:
-        if self._loader_thread is not None:
-            self._loader_thread.join()
-            self._loader_thread = None
-        if self._loader_error:
-            exc = self._loader_error[0]
-            self._loader_error.clear()
-            raise exc
-        stats = getattr(self, "_plan_load_stats", None)
-        if stats is None or PLAN_LOAD_TASK in {r["task_id"] for r in self.records}:
-            return
+        stats = load_db_side(
+            self.plan, sources, self.out_dir / "partition",
+            self.db_engine, journal=self.config.journal,
+        )
         self.records.append(
             {
                 "task_id": PLAN_LOAD_TASK,
@@ -279,12 +249,6 @@ class _WorkloadRunner:
                 self._execute_task(task)
         except WorkbenchError as exc:
             self.error = exc
-        finally:
-            if self._loader_thread is not None:
-                try:
-                    self._finish_plan_load()
-                except WorkbenchError as exc:
-                    self.error = self.error or exc
 
     def _execute_task(self, task) -> None:
         stmt = self.statements[task.task_id]
@@ -334,8 +298,6 @@ class _WorkloadRunner:
         engine_name = self.config.engine
         if self.plan is not None:
             engine_name = route_query(classify(ast), self.plan, query_id=task_id)
-            if engine_name == ENGINE_DB and self._loader_thread is not None:
-                self._finish_plan_load()
         if engine_name == ENGINE_RAW:
             if self.plan is not None:
                 result, stats = self.raw_engine.execute(ast)  # registered slices
@@ -412,7 +374,6 @@ class _WorkloadRunner:
                 "measured": self.config.source == "procfs",
                 "samples_total": flush_report.samples_total,
                 "flush_count": flush_report.flush_count,
-                "dropped": flush_report.dropped,
                 "gap_rows": flush_report.gap_rows,
                 "max_buffered": flush_report.max_buffered,
             },
@@ -451,7 +412,6 @@ def _cmd_run(args) -> int:
         cache_budget=args.cache_budget,
         journal=args.journal == "on",
         seed=args.seed,
-        parallel_load=args.parallel_load,
     )
     report = run(config)
     print(f"run complete: {report['status']}; outputs in {args.out}")
@@ -596,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--watched", default=None,
                        help="comma-separated process name filters")
-    p_run.add_argument("--parallel-load", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 
     p_gen = sub.add_parser("gen-data", help="generate a deterministic dataset")

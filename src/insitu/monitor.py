@@ -115,7 +115,6 @@ class MonitorConfig:
 class FlushReport:
     samples_total: int = 0
     flush_count: int = 0
-    dropped: int = 0
     gap_rows: int = 0
     max_buffered: int = 0
     output_path: str = ""
@@ -149,15 +148,20 @@ class _SampleSink:
         self.report = FlushReport(output_path=str(config.output_path))
 
     def add(self, sample: Sample) -> None:
-        self._buffer.append(sample)
         self.samples.append(sample)
         self.report.samples_total += 1
-        if len(self._buffer) >= self.config.flush_threshold_records:
-            self._flush()
+        self._buffer_row(sample)
 
     def add_gap(self, ts_ms: int, task_id: str) -> None:
+        # A gap row is no sample, but it shares the buffer so that the file
+        # stays in time order.
         self.report.gap_rows += 1
-        self._fh.write(f"{ts_ms},{task_id},{SCOPE_TOTAL},{GAP_PROCESS},,,,,,\n")
+        self._buffer_row(Sample(ts_ms, task_id, SCOPE_TOTAL, GAP_PROCESS))
+
+    def _buffer_row(self, row: Sample) -> None:
+        self._buffer.append(row)
+        if len(self._buffer) >= self.config.flush_threshold_records:
+            self._flush()
 
     def _flush(self) -> None:
         self._fh.write("".join(

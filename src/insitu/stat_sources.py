@@ -283,18 +283,12 @@ class SyntheticSource:
     keeps producing samples until stopped.
     """
 
-    has_io_wait = True
-    has_process_io = True
-
     def __init__(self, script):
         script = list(script)
         times = [t for t, _ in script]
         if times != sorted(times):
             raise ConfigError("synthetic script must be sorted by time")
         self.script = script
-        self._next = 0
-
-    def rewind(self) -> None:
         self._next = 0
 
     def read_tick(self) -> TickReading:
@@ -363,9 +357,6 @@ class ReplaySource:
     Cumulative iotop per-process counters become rates by differencing
     consecutive blocks over the replay period.
     """
-
-    has_io_wait = True
-    has_process_io = True
 
     def __init__(self, text_or_path, watched_names=(), period_s: float = 1.0):
         if isinstance(text_or_path, (str, Path)) and os.path.exists(str(text_or_path)):
@@ -462,9 +453,6 @@ class ProcfsSource:
     not reported.
     """
 
-    has_io_wait = True
-    has_process_io = True
-
     def __init__(self, watched_names=(), proc_root="/proc", rediscover_every_s=1.0,
                  pids=None):
         self.watched = tuple(watched_names)
@@ -476,7 +464,6 @@ class ProcfsSource:
         self._clk = os.sysconf("SC_CLK_TCK")
         self._page = os.sysconf("SC_PAGE_SIZE")
         self._prev_cpu: tuple[float, float, float] | None = None  # busy, iowait, total
-        self._prev_time: float | None = None
         # Per-pid (t, jiffies, rchar, wchar) history. Process rates are taken
         # against a reading at least a few kernel ticks back: at sampling
         # frequencies above CLK_TCK a single-period delta quantizes to 0-or-
@@ -620,7 +607,6 @@ class ProcfsSource:
 
         mem_pct = self._read_mem_pct()
         mem_total_b = self._mem_total_bytes()
-        self._prev_time = now
 
         processes = []
         if self.watched or self.fixed_pids is not None:

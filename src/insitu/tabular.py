@@ -1,13 +1,14 @@
 """Shared tabular primitives: typed columns, CSV scanning, result sets.
 
-Both query engines split lines with one tokenizer (`tokenize_lines`) and
-type values with one rule: a column is float64 when every value read parses
-as a number, text otherwise. So cold, hot and LIMIT scans and the two
-engines compare exactly, with one known divergence: a LIMIT scan that stops
-early types each column over the rows it read, so a column whose first text
-value lies past those bytes comes back numeric. Data files are plain
-comma-separated UTF-8 with a header row, lines ending in LF or CRLF, and no
-embedded commas, quotes or newlines in fields.
+Both query engines and the plan slicer split lines with one tokenizer
+(`tokenize_lines`); the engines type values with one rule: a column is
+float64 when every value read parses as a number, text otherwise. So cold,
+hot and LIMIT scans and the two engines compare exactly, with one known
+divergence: a LIMIT scan that stops early types each column over the rows
+it read, so a column whose first text value lies past those bytes comes
+back numeric. Data files are plain comma-separated UTF-8 with a header
+row, lines ending in LF or CRLF, and no embedded commas, quotes or
+newlines in fields.
 """
 from __future__ import annotations
 
@@ -114,12 +115,14 @@ def _header_names(line: bytes) -> list[str]:
     return line.removesuffix(b"\r").decode("utf-8").split(",")
 
 
-def scan_csv(path, wanted=None) -> CsvScan:
-    """Scan a CSV file in one pass, parsing only the wanted columns.
+def read_csv(path, wanted=None):
+    """Read a data file whole and check its header; the prelude of
+    `scan_csv` and of the plan slicer.
 
-    `wanted` is a collection of header names (None parses every column,
-    an empty collection parses none and just validates structure).
-    Raises FormatError on ragged rows, naming the first bad data row.
+    Returns the file bytes (a final newline added when missing), the file
+    size, the header names, the wanted names (every column for None) and
+    the offset of the first data line. Raises FormatError on an empty file
+    or a wanted name missing from the header.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -130,14 +133,23 @@ def scan_csv(path, wanted=None) -> CsvScan:
         raw += b"\n"
     nl = raw.find(b"\n")
     header = _header_names(raw[:nl])
-    if wanted is None:
-        wanted = header
-    wanted = list(wanted)
+    wanted = header if wanted is None else list(wanted)
     for name in wanted:
         if name not in header:
             raise FormatError(f"{path}: no column named {name!r}")
+    return raw, file_bytes, header, wanted, nl + 1
+
+
+def scan_csv(path, wanted=None) -> CsvScan:
+    """Scan a CSV file in one pass, parsing only the wanted columns.
+
+    `wanted` is a collection of header names (None parses every column,
+    an empty collection parses none and just validates structure).
+    Raises FormatError on ragged rows, naming the first bad data row.
+    """
+    raw, file_bytes, header, wanted, start = read_csv(path, wanted)
     fields, row_ends = tokenize_lines(
-        raw, nl + 1, len(header), [header.index(n) for n in wanted], path
+        raw, start, len(header), [header.index(n) for n in wanted], path
     )
     return CsvScan(
         path=str(path),

@@ -4,20 +4,41 @@ import pytest
 
 from insitu.advisor import (
     PartitionPlan,
-    materialize_plan,
+    load_db_side,
     qca_partition,
     raw_capacity_check,
     route_query,
     rua_partition,
+    write_raw_slices,
 )
 from insitu.analyzer import ResourceProfile, SystemSpec
 from insitu.db_engine import DbEngine
-from insitu.errors import ConfigError, SchemaError, UncoveredQueryError
+from insitu.errors import ConfigError, SchemaError, UncoveredQueryError, WorkbenchError
 from insitu.query_model import QueryClass, classify, parse_query
 from insitu.raw_engine import RawEngine
+from insitu.tabular import ResultSet, read_header, scan_csv
 from util import write_csv
 
 MB = 1024 * 1024
+
+
+# Data files in and out of the CSV contract (README), as table t.
+CONTRACT_INPUTS = {
+    "ragged": b"a,b\n1,2\n3\n4,5\n6,7\n",
+    "blank-inside": b"a,b\n1,2\n\n3,4\n",
+    "trailing-blanks": b"a,b\n1,2\n\n\n",
+    "cr-cr-lf-header": b"a,b\r\r\n1,2\r\n",
+    "crlf": b"a,b\r\n1,x\r\n3,4\r\n",
+    "no-final-newline": b"a,b\n1,2\n3,4",
+}
+
+
+def outcome(fn, answer):
+    """`answer(fn())`, or the class of the workbench error it raises."""
+    try:
+        return answer(fn())
+    except WorkbenchError as exc:
+        return type(exc)
 
 
 def qc(join_count=0, sampling=False, attrs=()):
@@ -231,8 +252,9 @@ class TestMaterialize:
             raw_attrs=frozenset({"t.a", "t.b"}), db_attrs=frozenset({"t.b", "t.c"}),
         )
         db = DbEngine(tmp_path / "db")
-        mat = materialize_plan(plan, src, tmp_path / "out", db)
-        raw_text = open(mat.raw_csv_paths["t"]).read()
+        raw_paths, _ = write_raw_slices(plan, {"t": src}, tmp_path / "out")
+        load_db_side(plan, {"t": src}, tmp_path / "out", db)
+        raw_text = open(raw_paths["t"]).read()
         assert raw_text == "a,b\n1,2\n4,5\n"
         store = db.stores["t"]
         assert store.attrs == ["b", "c"]
@@ -244,9 +266,8 @@ class TestMaterialize:
             technique="QCA", schema=("t.a", "t.b"),
             raw_attrs=frozenset(), db_attrs=frozenset({"t.a"}),
         )
-        db = DbEngine(tmp_path / "db")
-        mat = materialize_plan(plan, src, tmp_path / "out", db)
-        assert mat.raw_csv_paths == {}
+        raw_paths, _ = write_raw_slices(plan, {"t": src}, tmp_path / "out")
+        assert raw_paths == {}
 
     def test_slice_sizes_follow_column_widths(self, tmp_path):
         rows = [[i, f"{i * 1.5:.10f}", f"{i * 2.5:.10f}"] for i in range(500)]
@@ -255,8 +276,7 @@ class TestMaterialize:
             technique="QCA", schema=("t.a", "t.b", "t.c"),
             raw_attrs=frozenset({"t.a", "t.b"}), db_attrs=frozenset({"t.b", "t.c"}),
         )
-        db = DbEngine(tmp_path / "db")
-        mat = materialize_plan(plan, src, tmp_path / "out", db)
+        raw_paths, _ = write_raw_slices(plan, {"t": src}, tmp_path / "out")
         import os
 
         # Oracle: field text widths plus separators, column by column.
@@ -269,7 +289,7 @@ class TestMaterialize:
                     widths[h] += len(fld)
                 n += 1
         expect_raw = len("a,b\n") + widths["a"] + widths["b"] + 2 * n
-        assert os.path.getsize(mat.raw_csv_paths["t"]) == expect_raw
+        assert os.path.getsize(raw_paths["t"]) == expect_raw
 
     def test_plan_json_roundtrip(self, tmp_path):
         plan = PartitionPlan(
@@ -307,13 +327,15 @@ class TestResultPreservation:
             plan = qca_partition(classes, schema)
 
             db = DbEngine(tdir / "db")
-            mat = materialize_plan(plan, {"t": t_csv, "u": u_csv}, tdir / "out", db)
+            sources = {"t": t_csv, "u": u_csv}
+            raw_paths, _ = write_raw_slices(plan, sources, tdir / "out")
+            load_db_side(plan, sources, tdir / "out", db)
 
             baseline = RawEngine()
             baseline.register("t", t_csv)
             baseline.register("u", u_csv)
             raw_part = RawEngine()
-            for table, p in mat.raw_csv_paths.items():
+            for table, p in raw_paths.items():
                 raw_part.register(table, p)
 
             for qid, ast in asts.items():
@@ -324,3 +346,62 @@ class TestResultPreservation:
                 else:
                     got, _ = db.execute(ast)
                 assert got.multiset() == want.multiset(), (trial, qid)
+
+
+class TestSliceContract:
+    @pytest.mark.parametrize("name", sorted(CONTRACT_INPUTS))
+    def test_slice_scans_like_source(self, tmp_path, name):
+        src = tmp_path / "t.csv"
+        src.write_bytes(CONTRACT_INPUTS[name])
+        plan = PartitionPlan(
+            technique="QCA", schema=("t.a", "t.b"),
+            raw_attrs=frozenset({"t.a", "t.b"}), db_attrs=frozenset(),
+        )
+
+        def columns(scan):
+            return {n: c.tolist() for n, c in scan.columns.items()}
+
+        want = outcome(lambda: scan_csv(src, ["a", "b"]), columns)
+        got = outcome(
+            lambda: scan_csv(write_raw_slices(plan, {"t": src}, tmp_path)[0]["t"], ["a", "b"]),
+            columns,
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("name", sorted(CONTRACT_INPUTS))
+    def test_plan_sides_answer_like_raw_engine(self, tmp_path, name):
+        src = tmp_path / "t.csv"
+        src.write_bytes(CONTRACT_INPUTS[name])
+        sources = {"t": src, "u": write_csv(tmp_path / "u.csv", ["c"], [[1], [3], [4]])}
+        asts = {
+            "q0": parse_query("SELECT a, b FROM t WHERE a > 0"),
+            "q1": parse_query("SELECT t.b, u.c FROM t JOIN u ON t.a = u.c"),
+        }
+        classes = {q: classify(a) for q, a in asts.items()}
+        baseline = RawEngine()
+        for table, path in sources.items():
+            baseline.register(table, path)
+        want = {q: outcome(lambda: baseline.execute(a)[0], ResultSet.multiset)
+                for q, a in asts.items()}
+
+        def materialize():
+            schema = [f"{t}.{a}" for t, p in sources.items() for a in read_header(p)]
+            plan = qca_partition(classes, schema)
+            assert set(plan.routing.values()) == {"raw", "db"}
+            raw_part = RawEngine()
+            for table, path in write_raw_slices(plan, sources, tmp_path / "out")[0].items():
+                raw_part.register(table, path)
+            db = DbEngine(tmp_path / "db")
+            load_db_side(plan, sources, tmp_path / "out", db)
+            return {"raw": raw_part, "db": db}, plan
+
+        try:
+            sides, plan = materialize()
+        except WorkbenchError as exc:
+            # Planning or slicing failed: a plan run stops before any query.
+            got = {q: type(exc) for q in asts}
+        else:
+            got = {q: outcome(lambda: sides[plan.routing[q]].execute(a)[0],
+                              ResultSet.multiset)
+                   for q, a in asts.items()}
+        assert got == want

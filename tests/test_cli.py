@@ -263,15 +263,12 @@ class TestAdviseAndPlanRun:
         assert "dim.ra" in plan["db_attrs"]
         assert plan["routing"] == {"Q0": "raw", "Q1": "raw", "Q2": "db"}
 
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_plan_run_routes_and_matches(self, tmp_path, dataset, advised, parallel):
+    def test_plan_run_routes_and_matches(self, tmp_path, dataset, advised):
         wl, plan_path, side = advised
-        out = tmp_path / ("out_par" if parallel else "out_seq")
+        out = tmp_path / "out_seq"
         argv = ["run", "--workload", str(wl), "--engine", f"plan:{plan_path}",
                 "--source", "synthetic", "--data-dir", str(tmp_path),
                 "--out", str(out)]
-        if parallel:
-            argv.append("--parallel-load")
         assert main(argv) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         engines = {t["task_id"]: t.get("engine") for t in report["tasks"]
@@ -280,7 +277,7 @@ class TestAdviseAndPlanRun:
         assert any(t["task_id"] == "PLAN_LOAD" for t in report["tasks"])
 
         # Results must match a plain raw run over the original data.
-        out_raw = tmp_path / ("ref_par" if parallel else "ref_seq")
+        out_raw = tmp_path / "ref_seq"
         assert main(["run", "--workload", str(wl), "--engine", "raw",
                      "--source", "synthetic", "--data-dir", str(tmp_path),
                      "--out", str(out_raw)]) == EXIT_OK
@@ -289,6 +286,20 @@ class TestAdviseAndPlanRun:
         ref_counts = {t["task_id"]: t["result_rows"] for t in ref["tasks"]}
         for q in ("Q0", "Q1", "Q2"):
             assert counts[q] == ref_counts[q]
+
+    def test_plan_run_on_ragged_table_is_input_error(self, tmp_path):
+        (tmp_path / "t.csv").write_text("a,b\n1,2\n3\n4,5\n6,7\n")
+        wl = tmp_path / "wl.csv"
+        wl.write_text('T_ID,Statement\nQ0,"SELECT a, b FROM t WHERE a > 0;"\n')
+        plan_path = tmp_path / "plan.json"
+        assert main(["advise", "qca", "--workload", str(wl),
+                     "--schema-csv", str(tmp_path / "t.csv"),
+                     "--out", str(plan_path)]) == EXIT_OK
+        for engine in ("raw", f"plan:{plan_path}"):
+            rc = main(["run", "--workload", str(wl), "--engine", engine,
+                       "--source", "synthetic", "--data-dir", str(tmp_path),
+                       "--out", str(tmp_path / "out")])
+            assert rc == EXIT_INPUT, engine
 
     def test_rua_requires_report(self, tmp_path, advised, dataset):
         wl, _, side = advised

@@ -267,7 +267,9 @@ class TestProcfsSource:
         )
         child = subprocess.Popen([sys.executable, "-c", code])
         try:
-            src = ProcfsSource(watched_names=["python"], rediscover_every_s=0.0)
+            # The blob path is in the child's command line only, not in
+            # pytest's, whose own reads would count otherwise.
+            src = ProcfsSource(watched_names=[str(blob)], rediscover_every_s=0.0)
             src.read_tick()
             total = 0.0
             t_prev = time.monotonic()
