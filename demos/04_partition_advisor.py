@@ -68,8 +68,8 @@ for plan in (
 
     out = work / plan.technique.lower()
     db = DbEngine(work / f"{plan.technique.lower()}_db")
-    raw_paths, _ = write_raw_slices(plan, sources, out)
-    load_ms = sum(s.duration_ms for s in load_db_side(plan, sources, out, db).values())
+    raw_paths = write_raw_slices(plan, sources, out)
+    load_ms = sum(s.duration_ms for s in load_db_side(plan, sources, db).values())
     raw = RawEngine()
     for table, path in raw_paths.items():
         raw.register(table, path)

@@ -16,13 +16,12 @@ the covered share of the schema.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analyzer import ResourceProfile, SystemSpec
 from .errors import ConfigError, SchemaError, UncoveredQueryError
-from .query_model import KIND_COMPLEX, QueryClass
+from .query_model import KIND_COMPLEX, QueryClass, is_name
 from .tabular import LoadStats, read_csv, tokenize_lines
 
 TECHNIQUE_QCA = "QCA"
@@ -219,46 +218,43 @@ def route_query(cls: QueryClass, plan: PartitionPlan, query_id: str | None = Non
     )
 
 
-def write_raw_slices(plan: PartitionPlan, source_csv, data_dir) -> tuple[dict[str, str], float]:
-    """Write the raw-side vertical slice CSV per table; returns paths and
-    the write duration in ms. ``source_csv`` maps each table to its CSV.
-    Slices keep the source's column order and field text verbatim."""
+def write_raw_slices(plan: PartitionPlan, source_csv, data_dir) -> dict[str, str]:
+    """Write the raw-side vertical slice CSV per table; returns their paths.
+    ``source_csv`` maps each table to its CSV. Slices keep the source's
+    column order and field text verbatim."""
     sources = {t: Path(p) for t, p in source_csv.items()}
     by_table = _split_by_table(plan.raw_attrs, sources)
     raw_dir = Path(data_dir) / "raw_partition"
     raw_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
     raw_paths: dict[str, str] = {}
     for table, attrs in by_table.items():
         out = raw_dir / f"{table}.csv"
         _write_slice(sources[table], out, attrs)
         raw_paths[table] = str(out)
-    return raw_paths, (time.perf_counter() - t0) * 1000.0
+    return raw_paths
 
 
-def load_db_side(plan: PartitionPlan, source_csv, data_dir, db_engine,
+def load_db_side(plan: PartitionPlan, source_csv, db_engine,
                  journal: bool = False) -> dict[str, LoadStats]:
-    """Slice the db-side attributes per table and bulk-load each slice;
+    """Bulk-load each table's db-side columns straight from its source CSV;
     ``source_csv`` maps each table to its CSV."""
     sources = {t: Path(p) for t, p in source_csv.items()}
-    by_table = _split_by_table(plan.db_attrs, sources)
-    db_src_dir = Path(data_dir) / "db_partition_src"
-    db_src_dir.mkdir(parents=True, exist_ok=True)
-    load_stats: dict[str, LoadStats] = {}
-    for table, attrs in by_table.items():
-        sliced = db_src_dir / f"{table}.csv"
-        _write_slice(sources[table], sliced, attrs)
-        load_stats[table] = db_engine.load_table(sliced, table, journal=journal)
-    return load_stats
+    return {
+        table: db_engine.load_table(sources[table], table, journal=journal, columns=attrs)
+        for table, attrs in _split_by_table(plan.db_attrs, sources).items()
+    }
 
 
 def _split_by_table(attrs, sources) -> dict[str, list[str]]:
-    """Group table-qualified attrs into per-table bare names."""
+    """Group table-qualified attrs into per-table bare names. Both parts
+    must be names a query can produce, since they become file names."""
     out: dict[str, list[str]] = {}
     for attr in sorted(attrs):
         table, dot, bare = attr.partition(".")
-        if not dot:
-            raise SchemaError(f"plan attribute {attr!r} is not table-qualified")
+        if not (dot and is_name(table) and is_name(bare)):
+            raise SchemaError(
+                f"plan attribute {attr!r} is not a table-qualified name a query can produce"
+            )
         if table not in sources:
             raise SchemaError(f"no source file for table {table!r}")
         out.setdefault(table, []).append(bare)
@@ -272,7 +268,7 @@ def _write_slice(source: Path, out: Path, attrs) -> None:
     raw, _, header, attrs, start = read_csv(source, attrs)
     kept = set(attrs)
     keep = [i for i, name in enumerate(header) if name in kept]
-    fields, _ = tokenize_lines(raw, start, len(header), keep, source)
+    fields, _, _ = tokenize_lines(raw, start, len(header), keep, source)
     with open(out, "wb") as o:
         o.write((",".join(header[i] for i in keep) + "\n").encode("utf-8"))
         o.writelines(b",".join(row) + b"\n" for row in zip(*fields))

@@ -27,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -208,6 +209,7 @@ class _WorkloadRunner:
     def _materialize_plan(self) -> None:
         """Write the raw slices and load the db side, recorded as one
         PLAN_LOAD task before the first query."""
+        start = time.perf_counter()
         tables = {
             a.split(".", 1)[0]
             for a in (self.plan.raw_attrs | self.plan.db_attrs)
@@ -221,18 +223,15 @@ class _WorkloadRunner:
                 tables.update(stmt.tables)
         sources = {t: self._table_file(t) for t in sorted(tables)}
 
-        raw_paths, _ = write_raw_slices(self.plan, sources, self.out_dir / "partition")
+        raw_paths = write_raw_slices(self.plan, sources, self.out_dir / "partition")
         for table, path in raw_paths.items():
             self.raw_engine.register(table, path)
-        stats = load_db_side(
-            self.plan, sources, self.out_dir / "partition",
-            self.db_engine, journal=self.config.journal,
-        )
+        stats = load_db_side(self.plan, sources, self.db_engine, journal=self.config.journal)
         self.records.append(
             {
                 "task_id": PLAN_LOAD_TASK,
                 "kind": "load",
-                "duration_ms": sum(s.duration_ms for s in stats.values()),
+                "duration_ms": (time.perf_counter() - start) * 1000.0,
                 "result_rows": sum(s.rows_loaded for s in stats.values()),
             }
         )

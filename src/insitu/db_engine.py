@@ -5,11 +5,17 @@ journaling every input record verbatim first), records per-column min/max,
 and answers queries over the loaded columns with in-memory caching, min/max
 pruning, and hash joins.
 
-On-disk layout per table: `<data_dir>/<table>/<attr>.col` files, a text
-`meta` file (row count, per-column type and min/max), and `journal.log`
-when journaling is on. A `.col` file is a `<type> <count>` ASCII line, then
-either `count` little-endian float64 values or the text values as one
-newline-joined UTF-8 blob (the CSV contract forbids newlines in fields).
+On-disk layout per table, under `<data_dir>/<table>/`:
+
+* `meta`: UTF-8 lines split on LF only; the row count, then one
+  `<attr>,<type>,<min>,<max>` line per loaded column, in header order;
+* `<i>.col`: the `i`-th column line of `meta`, counting from 0, named by
+  position so no header text reaches a file name. A `<type> <count>` ASCII
+  line, then either `count` little-endian float64 values or the text
+  values as one newline-joined UTF-8 blob (the CSV contract forbids
+  newlines in fields);
+* `journal.log`, when journaling is on: the source's data records
+  verbatim, whichever columns were loaded.
 """
 from __future__ import annotations
 
@@ -53,7 +59,7 @@ class TableStore:
     minmax: dict[str, tuple | None] = field(default_factory=dict)
 
     def col_path(self, attr: str) -> Path:
-        return self.directory / f"{attr}.col"
+        return self.directory / f"{self.attrs.index(attr)}.col"
 
     @property
     def meta_path(self) -> Path:
@@ -82,18 +88,29 @@ class DbEngine:
     def has_table(self, table: str) -> bool:
         return table in self.stores or (self.data_dir / table / "meta").exists()
 
-    def load_table(self, csv_path, table: str, journal: bool = False) -> LoadStats:
+    def load_table(self, csv_path, table: str, journal: bool = False,
+                   columns=None) -> LoadStats:
         """Bulk-load a CSV file into typed binary column files.
 
-        A table that already holds rows must be truncated first.
+        `columns` names the columns to load (None loads every one); they are
+        stored in header order. A subset load counts as input the size of
+        those columns as CSV text (header, fields, commas and LF), a full
+        load the file size. The journal holds the file's data records
+        verbatim either way. A table that already holds rows must be
+        truncated first.
         """
         existing = self.stores.get(table)
         if existing is not None and existing.row_count > 0:
             raise LoadError(f"table {table!r} is already loaded; truncate it first")
 
         start = time.perf_counter()
-        scan = scan_csv(csv_path)
-        attrs = scan.header
+        scan = scan_csv(csv_path, columns)
+        if columns is None:
+            attrs, input_bytes = scan.header, scan.file_bytes
+        else:
+            attrs = [name for name in scan.header if name in scan.columns]
+            input_bytes = (len((",".join(attrs) + "\n").encode("utf-8"))
+                           + scan.field_bytes + scan.row_count * len(attrs))
 
         directory = self.data_dir / table
         tmp_dir = self.data_dir / f".{table}.loading"
@@ -101,28 +118,18 @@ class DbEngine:
             shutil.rmtree(tmp_dir)
         tmp_dir.mkdir(parents=True)
 
-        stats = LoadStats(rows_loaded=scan.row_count, input_bytes=scan.file_bytes)
+        stats = LoadStats(rows_loaded=scan.row_count, input_bytes=input_bytes)
+        store = TableStore(table=table, directory=tmp_dir, attrs=attrs, types={},
+                           row_count=scan.row_count)
         try:
             if journal:
-                stats.journal_bytes = _write_journal(tmp_dir / "journal.log", csv_path)
-            types: dict[str, str] = {}
-            minmax: dict[str, tuple | None] = {}
-            binary = 0
+                stats.journal_bytes = _write_journal(store.journal_path, csv_path)
             for attr in attrs:
                 col = self._coerce_for_load(scan.columns[attr], attr)
-                types[attr] = col.type
-                minmax[attr] = _column_minmax(col)
-                binary += _write_column(tmp_dir / f"{attr}.col", col)
-            stats.binary_bytes = binary
-            store = TableStore(
-                table=table,
-                directory=directory,
-                attrs=attrs,
-                types=types,
-                row_count=scan.row_count,
-                minmax=minmax,
-            )
-            _write_meta(tmp_dir / "meta", store)
+                store.types[attr] = col.type
+                store.minmax[attr] = _column_minmax(col)
+                stats.binary_bytes += _write_column(store.col_path(attr), col)
+            _write_meta(store.meta_path, store)
         except Exception:
             shutil.rmtree(tmp_dir, ignore_errors=True)
             raise
@@ -385,7 +392,7 @@ def _write_meta(path, store: TableStore) -> None:
             if store.types[attr] == FLOAT_TYPE:
                 lo, hi = repr(lo), repr(hi)
         lines.append(f"{attr},{store.types[attr]},{lo},{hi}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _read_meta(directory) -> TableStore | None:
@@ -393,7 +400,9 @@ def _read_meta(directory) -> TableStore | None:
     meta = directory / "meta"
     if not meta.exists():
         return None
-    lines = meta.read_text(encoding="utf-8").splitlines()
+    # LF only: a column name may hold "\r" or another line break of
+    # `str.splitlines`, and text mode would translate a lone "\r".
+    lines = meta.read_bytes().decode("utf-8").removesuffix("\n").split("\n")
     row_count = int(lines[0])
     attrs: list[str] = []
     types: dict[str, str] = {}

@@ -167,6 +167,14 @@ _TOKEN_RE = re.compile(
 )
 
 
+def is_name(text: str) -> bool:
+    """Whether a query can produce `text` as a table or attribute name: a
+    lower-cased identifier that is not a keyword."""
+    m = _TOKEN_RE.fullmatch(text)
+    return (m is not None and m.lastgroup == "ident"
+            and text == text.lower() and text not in _KEYWORDS)
+
+
 @dataclass(frozen=True)
 class _Token:
     kind: str

@@ -190,7 +190,7 @@ class RawEngine:
                 at_eof = offset + len(buf) >= file_size
                 if at_eof and not buf.endswith(b"\n"):
                     buf += b"\n"
-                new, row_ends = tokenize_lines(
+                new, row_ends, _ = tokenize_lines(
                     buf, 0, len(header), wanted, path, first_row=nrows + 1
                 )
                 if not (len(row_ends) or at_eof):

@@ -99,6 +99,7 @@ class CsvScan:
     columns: dict[str, Column]
     row_count: int
     file_bytes: int
+    field_bytes: int  # text of the parsed columns' fields, without separators
 
 
 def read_header(path) -> list[str]:
@@ -148,7 +149,7 @@ def scan_csv(path, wanted=None) -> CsvScan:
     Raises FormatError on ragged rows, naming the first bad data row.
     """
     raw, file_bytes, header, wanted, start = read_csv(path, wanted)
-    fields, row_ends = tokenize_lines(
+    fields, row_ends, field_bytes = tokenize_lines(
         raw, start, len(header), [header.index(n) for n in wanted], path
     )
     return CsvScan(
@@ -157,6 +158,7 @@ def scan_csv(path, wanted=None) -> CsvScan:
         columns={name: column_from_strings(f) for name, f in zip(wanted, fields)},
         row_count=len(row_ends),
         file_bytes=file_bytes,
+        field_bytes=field_bytes,
     )
 
 
@@ -169,8 +171,8 @@ def tokenize_lines(buf: bytes, start: int, ncols: int, wanted, path, first_row: 
     not rows; a blank line before a data line is a one-field row. Raises
     FormatError on the first row whose field count is not `ncols`,
     numbering rows from `first_row`. Returns an iterator over the raw field
-    bytes of each wanted column and the offset in `buf` just past each
-    row's newline.
+    bytes of each wanted column, the offset in `buf` just past each row's
+    newline and the total length of the wanted columns' fields.
     """
     arr = np.frombuffer(buf, dtype=np.uint8)
     body = arr[start:]
@@ -196,13 +198,18 @@ def tokenize_lines(buf: bytes, start: int, ncols: int, wanted, path, first_row: 
 
     grid = delims[: nrows * ncols].reshape(nrows, ncols)
 
-    def fields(j):
+    def bounds(j):
         starts = grid[:, j - 1] + 1 if j else line_starts[:nrows]
         ends = line_ends[:nrows] if j == ncols - 1 else grid[:, j]
+        return starts, ends
+
+    def fields(j):
+        starts, ends = bounds(j)
         return [buf[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
 
+    field_bytes = sum(int((ends - starts).sum()) for starts, ends in map(bounds, wanted))
     # One column at a time, so a caller can type each before the next exists.
-    return (fields(j) for j in wanted), newlines[:nrows] + 1
+    return (fields(j) for j in wanted), newlines[:nrows] + 1, field_bytes
 
 
 def predicate_mask(column: Column, op: str, literal) -> np.ndarray:

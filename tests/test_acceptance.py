@@ -486,8 +486,8 @@ def test_criterion_09_partition_metrics(workdir):
         plan = qca_partition(classes, schema)
         db = DbEngine(case / "db")
         sources = {"t": t_csv, "u": u_csv}
-        raw_paths, _ = write_raw_slices(plan, sources, case / "out")
-        load_db_side(plan, sources, case / "out", db)
+        raw_paths = write_raw_slices(plan, sources, case / "out")
+        load_db_side(plan, sources, db)
         baseline = RawEngine()
         baseline.register("t", t_csv)
         baseline.register("u", u_csv)
@@ -558,8 +558,8 @@ def test_criterion_10_partition_wet_reduction(workdir):
     plan = qca_partition(classes, schema)
     qca_db = DbEngine(d / "qca_db")
     sources = {"wide": wide_csv, "u": u_csv}
-    raw_paths, _slice_ms = write_raw_slices(plan, sources, d / "qca_out")
-    load_stats = load_db_side(plan, sources, d / "qca_out", qca_db)
+    raw_paths = write_raw_slices(plan, sources, d / "qca_out")
+    load_stats = load_db_side(plan, sources, qca_db)
     qca_raw = RawEngine()
     for table, p in raw_paths.items():
         qca_raw.register(table, p)
@@ -599,8 +599,8 @@ def test_criterion_10_partition_wet_reduction(workdir):
     assert all(rua_plan.routing[qid] == "db" for qid, _ in complex_q)
 
     rua_db = DbEngine(d / "rua_db")
-    rua_raw_paths, _ = write_raw_slices(rua_plan, sources, d / "rua_out")
-    rua_load = load_db_side(rua_plan, sources, d / "rua_out", rua_db)
+    rua_raw_paths = write_raw_slices(rua_plan, sources, d / "rua_out")
+    rua_load = load_db_side(rua_plan, sources, rua_db)
     rua_raw = RawEngine()
     for table, p in rua_raw_paths.items():
         rua_raw.register(table, p)

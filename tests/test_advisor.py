@@ -12,6 +12,7 @@ from insitu.advisor import (
     write_raw_slices,
 )
 from insitu.analyzer import ResourceProfile, SystemSpec
+from insitu.datagen import generate_csv
 from insitu.db_engine import DbEngine
 from insitu.errors import ConfigError, SchemaError, UncoveredQueryError, WorkbenchError
 from insitu.query_model import QueryClass, classify, parse_query
@@ -252,8 +253,8 @@ class TestMaterialize:
             raw_attrs=frozenset({"t.a", "t.b"}), db_attrs=frozenset({"t.b", "t.c"}),
         )
         db = DbEngine(tmp_path / "db")
-        raw_paths, _ = write_raw_slices(plan, {"t": src}, tmp_path / "out")
-        load_db_side(plan, {"t": src}, tmp_path / "out", db)
+        raw_paths = write_raw_slices(plan, {"t": src}, tmp_path / "out")
+        load_db_side(plan, {"t": src}, db)
         raw_text = open(raw_paths["t"]).read()
         assert raw_text == "a,b\n1,2\n4,5\n"
         store = db.stores["t"]
@@ -266,7 +267,7 @@ class TestMaterialize:
             technique="QCA", schema=("t.a", "t.b"),
             raw_attrs=frozenset(), db_attrs=frozenset({"t.a"}),
         )
-        raw_paths, _ = write_raw_slices(plan, {"t": src}, tmp_path / "out")
+        raw_paths = write_raw_slices(plan, {"t": src}, tmp_path / "out")
         assert raw_paths == {}
 
     def test_slice_sizes_follow_column_widths(self, tmp_path):
@@ -276,7 +277,7 @@ class TestMaterialize:
             technique="QCA", schema=("t.a", "t.b", "t.c"),
             raw_attrs=frozenset({"t.a", "t.b"}), db_attrs=frozenset({"t.b", "t.c"}),
         )
-        raw_paths, _ = write_raw_slices(plan, {"t": src}, tmp_path / "out")
+        raw_paths = write_raw_slices(plan, {"t": src}, tmp_path / "out")
         import os
 
         # Oracle: field text widths plus separators, column by column.
@@ -328,8 +329,8 @@ class TestResultPreservation:
 
             db = DbEngine(tdir / "db")
             sources = {"t": t_csv, "u": u_csv}
-            raw_paths, _ = write_raw_slices(plan, sources, tdir / "out")
-            load_db_side(plan, sources, tdir / "out", db)
+            raw_paths = write_raw_slices(plan, sources, tdir / "out")
+            load_db_side(plan, sources, db)
 
             baseline = RawEngine()
             baseline.register("t", t_csv)
@@ -363,7 +364,7 @@ class TestSliceContract:
 
         want = outcome(lambda: scan_csv(src, ["a", "b"]), columns)
         got = outcome(
-            lambda: scan_csv(write_raw_slices(plan, {"t": src}, tmp_path)[0]["t"], ["a", "b"]),
+            lambda: scan_csv(write_raw_slices(plan, {"t": src}, tmp_path)["t"], ["a", "b"]),
             columns,
         )
         assert got == want
@@ -389,10 +390,10 @@ class TestSliceContract:
             plan = qca_partition(classes, schema)
             assert set(plan.routing.values()) == {"raw", "db"}
             raw_part = RawEngine()
-            for table, path in write_raw_slices(plan, sources, tmp_path / "out")[0].items():
+            for table, path in write_raw_slices(plan, sources, tmp_path / "out").items():
                 raw_part.register(table, path)
             db = DbEngine(tmp_path / "db")
-            load_db_side(plan, sources, tmp_path / "out", db)
+            load_db_side(plan, sources, db)
             return {"raw": raw_part, "db": db}, plan
 
         try:
@@ -405,3 +406,91 @@ class TestSliceContract:
                               ResultSet.multiset)
                    for q, a in asts.items()}
         assert got == want
+
+
+class TestDbSideFromSource:
+    """The db side loads straight from the source; the oracle is the older
+    path, a full load of the raw slice of the same columns."""
+
+    INPUTS = sorted(CONTRACT_INPUTS) + ["generated"]
+
+    @staticmethod
+    def source(tmp_path, name):
+        src = tmp_path / "t.csv"
+        if name == "generated":
+            generate_csv(src, rows=500, columns=6, seed=13)
+        else:
+            src.write_bytes(CONTRACT_INPUTS[name])
+        return src
+
+    @pytest.mark.parametrize("pick", ["first", "last", "several"])
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_matches_load_of_slice(self, tmp_path, name, pick):
+        src = self.source(tmp_path, name)
+        header = read_header(src) if name == "generated" else ["a", "b"]
+        several = ["ra", "v03", "v05"] if name == "generated" else header
+        kept = {"first": header[:1], "last": header[-1:], "several": several}[pick]
+        attrs = frozenset(f"t.{a}" for a in kept)
+        schema = tuple(f"t.{a}" for a in header)
+
+        def store(db, stats):
+            s = db.stores["t"]
+            return {
+                "attrs": s.attrs,
+                "row_count": s.row_count,
+                "meta": s.meta_path.read_bytes(),
+                "cols": [s.col_path(a).read_bytes() for a in s.attrs],
+                "input_bytes": stats.input_bytes,
+            }
+
+        def oracle():
+            plan = PartitionPlan("QCA", schema, raw_attrs=attrs, db_attrs=frozenset())
+            sliced = write_raw_slices(plan, {"t": src}, tmp_path / "out")["t"]
+            db = DbEngine(tmp_path / "oracle")
+            return store(db, db.load_table(sliced, "t"))
+
+        def from_source():
+            plan = PartitionPlan("QCA", schema, raw_attrs=frozenset(), db_attrs=attrs)
+            db = DbEngine(tmp_path / "db")
+            return store(db, load_db_side(plan, {"t": src}, db)["t"])
+
+        want = outcome(oracle, lambda s: s)
+        assert outcome(from_source, lambda s: s) == want
+        if name in ("crlf", "generated"):
+            assert isinstance(want, dict)  # not every case may be an error
+
+
+class TestPlanAttributeNames:
+    def test_path_as_table_name_touches_nothing(self, tmp_path):
+        victim = tmp_path / "victim"
+        victim.mkdir()
+        (victim / "keep.txt").write_text("precious")
+        src = write_csv(tmp_path / "victim.csv", ["a"], [[1]])
+        attr = f"{victim}.a"
+        plan = PartitionPlan("QCA", (attr,), raw_attrs=frozenset(), db_attrs=frozenset({attr}))
+        db = DbEngine(tmp_path / "db")
+        with pytest.raises(SchemaError, match="name a query can produce"):
+            load_db_side(plan, {str(victim): src}, db)
+        raw_plan = PartitionPlan("QCA", (attr,), raw_attrs=frozenset({attr}),
+                                 db_attrs=frozenset())
+        with pytest.raises(SchemaError, match="name a query can produce"):
+            write_raw_slices(raw_plan, {str(victim): src}, tmp_path / "out")
+        assert (victim / "keep.txt").read_text() == "precious"
+        assert src.read_text() == "a\n1\n"
+        assert not (tmp_path / "out").exists()
+        assert list((tmp_path / "db").iterdir()) == []
+
+    @pytest.mark.parametrize("bad", ["t.b\r", "t.B", "t.select", "T.a", "t.b.c", "t.1b"])
+    def test_column_part_must_be_query_name(self, tmp_path, bad):
+        src = tmp_path / "t.csv"
+        src.write_bytes(b"a,b\r\r\n1,2\r\n")
+        attrs = frozenset({"t.a", bad})
+        sources = {"t": src, "T": src}
+        raw_plan = PartitionPlan("QCA", tuple(attrs), raw_attrs=attrs, db_attrs=frozenset())
+        with pytest.raises(SchemaError, match="name a query can produce"):
+            write_raw_slices(raw_plan, sources, tmp_path / "out")
+        db_plan = PartitionPlan("QCA", tuple(attrs), raw_attrs=frozenset(), db_attrs=attrs)
+        with pytest.raises(SchemaError, match="name a query can produce"):
+            load_db_side(db_plan, sources, DbEngine(tmp_path / "db"))
+        assert not (tmp_path / "out").exists()
+        assert list((tmp_path / "db").iterdir()) == []

@@ -1,0 +1,65 @@
+"""Smoke test of the benchmark's tracer (perfbench/layers.py): it wraps
+`insitu` functions by name, so a rename or a changed return value breaks it
+without failing any engine test. It runs in a subprocess so the wrappers do
+not leak into this session."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = r"""
+import json, os, sys
+from pathlib import Path
+
+import layers
+from spans import SpanRecorder
+from insitu import cli
+from insitu.datagen import generate_csv
+
+work = Path(sys.argv[1])
+generate_csv(work / "t.csv", rows=400, columns=5, seed=2)
+generate_csv(work / "u.csv", rows=50, columns=3, seed=3)
+wl = work / "wl.csv"
+wl.write_text(
+    "T_ID,Statement\n"
+    'Q0,"SELECT ra, dec FROM t WHERE ra < 100;"\n'
+    'Q1,"SELECT t.v03, u.ra FROM t JOIN u ON t.objid = u.objid;"\n'
+)
+plan = work / "plan.json"
+assert cli.main(["advise", "qca", "--workload", str(wl), "--schema-csv",
+                 str(work / "t.csv"), str(work / "u.csv"), "--out", str(plan)]) == 0
+
+rec = SpanRecorder()
+traced_main = layers.install(rec)
+out = work / "out"
+code = traced_main(["run", "--workload", str(wl), "--engine", f"plan:{plan}",
+                    "--source", "synthetic", "--data-dir", str(work), "--out", str(out)])
+
+
+def dir_bytes(path):
+    return sum(os.path.getsize(os.path.join(d, f))
+               for d, _, files in os.walk(path) for f in files)
+
+
+report = json.loads((out / "report.json").read_text())
+store = {"db": dir_bytes(out / "db_store"), "partition": dir_bytes(out / "partition")}
+print(json.dumps({"code": code, "metrics": layers.layer_metrics(rec.spans, report, store)}))
+"""
+
+
+def test_layers_trace_a_plan_run(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(tmp_path)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["code"] == 0
+    assert result["metrics"]["db_engine.load_calls"] >= 1

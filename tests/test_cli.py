@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from insitu import cli
 from insitu.cli import (
     EXIT_CONFIG,
     EXIT_ENGINE,
@@ -300,6 +302,26 @@ class TestAdviseAndPlanRun:
                        "--source", "synthetic", "--data-dir", str(tmp_path),
                        "--out", str(tmp_path / "out")])
             assert rc == EXIT_INPUT, engine
+
+    def test_plan_load_times_slicing_and_leaves_no_db_slice(
+        self, tmp_path, advised, monkeypatch
+    ):
+        write_raw_slices = cli.write_raw_slices
+
+        def slow_slices(*args, **kwargs):
+            time.sleep(0.05)
+            return write_raw_slices(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "write_raw_slices", slow_slices)
+        wl, plan_path, _ = advised
+        out = tmp_path / "out"
+        assert main(["run", "--workload", str(wl), "--engine", f"plan:{plan_path}",
+                     "--source", "synthetic", "--data-dir", str(tmp_path),
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        (plan_load,) = [t for t in report["tasks"] if t["task_id"] == "PLAN_LOAD"]
+        assert plan_load["duration_ms"] >= 50.0
+        assert [p.name for p in (out / "partition").iterdir()] == ["raw_partition"]
 
     def test_rua_requires_report(self, tmp_path, advised, dataset):
         wl, _, side = advised

@@ -168,10 +168,33 @@ class TestExecute:
         result, _ = DbEngine(tmp_path / "db").execute(parse_query(q.format("s")))
         assert result.rows == []
 
-        col = tmp_path / "db" / "e" / "name.col"
+        col = first.stores["e"].col_path("name")
         col.write_bytes(col.read_bytes().replace(b"txt 1\n", b"txt 2\n", 1))
         with pytest.raises(LoadError, match="2 values"):
             DbEngine(tmp_path / "db").execute(parse_query(q.format("e")))
+
+    @pytest.mark.parametrize("data", [
+        b"a,b\r\r\n1,2\r\n",
+        b"a,b\x0c\n1,2\n",
+        "a,b\u2028\n1,2\n".encode("utf-8"),
+    ], ids=["cr", "form-feed", "line-separator"])
+    def test_reopened_engine_reads_line_break_in_name(self, tmp_path, data):
+        src = tmp_path / "t.csv"
+        src.write_bytes(data)
+        DbEngine(tmp_path / "db").load_table(src, "t")
+        result, _ = DbEngine(tmp_path / "db").execute(parse_query("SELECT a FROM t"))
+        assert result.rows == [(1.0,)]
+
+    def test_column_files_stay_in_table_directory(self, tmp_path):
+        src = write_csv(tmp_path / "t.csv", ["a", "../../escaped"], [[1, 2]])
+        before = set(tmp_path.rglob("*"))
+        DbEngine(tmp_path / "db" / "store").load_table(src, "t")
+        table_dir = tmp_path / "db" / "store" / "t"
+        written = set(tmp_path.rglob("*")) - before
+        assert written == {tmp_path / "db", tmp_path / "db" / "store", table_dir,
+                           *table_dir.iterdir()}
+        result, _ = DbEngine(tmp_path / "db" / "store").execute(parse_query("SELECT a FROM t"))
+        assert result.rows == [(1.0,)]
 
 
 class TestBothEngines:
