@@ -39,7 +39,6 @@ for k in range(1, 41):
 config = MonitorConfig(
     frequency_hz=2.0,
     flush_threshold_records=16,
-    watched_process_names=("engine",),
     output_path=work / "samples.csv",
 )
 timeline = [(0.0, "COPY"), (10.0, "Q0")]

@@ -1,12 +1,17 @@
 """Parse captured top/iotop batch output and replay it as samples.
 
 The block parsers normalize tool text (KiB-based units, cumulative
-per-process counters) into fragments; ReplaySource feeds them tick by tick
-so captured logs can be analyzed with the same pipeline as live runs.
+per-process counters) into fragments; replay_script turns a log into one
+tick per refresh block, keeping only the watched processes, and
+SyntheticSource plays it so captured logs can be analyzed with the same
+pipeline as live runs.
 """
-from insitu import MonitorConfig, filter_line, parse_iotop_block, parse_top_block
+import tempfile
+from pathlib import Path
+
+from insitu import (MonitorConfig, SyntheticSource, parse_iotop_block, parse_top_block,
+                    replay_script)
 from insitu.monitor import run_scripted
-from insitu.stat_sources import ReplaySource
 
 TOP = """\
 top - 23:43:41 up 1:42, 1 user, load average: 1.20, 0.67, 0.46
@@ -38,22 +43,15 @@ io = parse_iotop_block(IOTOP)
 print(f"iotop totals: read {io.total_read_Bps / 1024:.2f} K/s, "
       f"write {io.total_write_Bps / 1024:.2f} K/s")
 
-# Line-level filtering, the way a streaming reader consumes tool output.
-for line in TOP.splitlines():
-    fragment = filter_line(line, watched=["postgres"])
-    if fragment is not None:
-        print("kept:", fragment)
+# The script keeps the watched processes only; the monitor records them all.
+(_, tick), = replay_script(TOP, watched_names=["postgres"])
+print("kept:", [p.name for p in tick.processes])
 
 # A second iotop block turns cumulative per-process counters into rates.
 later = IOTOP.replace("328704.00 K", "430944.00 K")  # +99.8 MiB
-source = ReplaySource(IOTOP + later, watched_names=["postgres"], period_s=1.0)
-import tempfile
-from pathlib import Path
-
+script = replay_script(IOTOP + later, watched_names=["postgres"], period_s=1.0)
 out = Path(tempfile.mkdtemp(prefix="insitu_demo_")) / "replayed.csv"
-samples, report = run_scripted(MonitorConfig(output_path=out,
-                                             watched_process_names=("postgres",)),
-                               source)
+samples, report = run_scripted(MonitorConfig(output_path=out), SyntheticSource(script))
 proc = [s for s in samples if s.scope == "PROC"]
 print(f"\nreplayed {report.samples_total} samples; postgres read rate on tick 2: "
       f"{proc[-1].read_Bps / 1024 / 1024:.1f} MiB/s")

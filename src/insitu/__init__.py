@@ -48,7 +48,6 @@ from .monitor import (
     MonitorConfig,
     Sample,
     TaskRegister,
-    filter_line,
     run_scripted,
     start_monitor,
 )
@@ -66,10 +65,10 @@ from .query_model import (
 from .raw_engine import RawEngine
 from .stat_sources import (
     ProcfsSource,
-    ReplaySource,
     SyntheticSource,
     parse_iotop_block,
     parse_top_block,
+    replay_script,
 )
 from .tabular import Column, ExecStats, LoadStats, ResultSet
 
@@ -98,7 +97,6 @@ __all__ = [
     "QueryAst",
     "QueryClass",
     "RawEngine",
-    "ReplaySource",
     "ResourceProfile",
     "ResultSet",
     "Sample",
@@ -116,7 +114,6 @@ __all__ = [
     "classify",
     "cold_hot_delta",
     "effective_ram_pct",
-    "filter_line",
     "generate_csv",
     "io_amplification",
     "parse_iotop_block",
@@ -127,6 +124,7 @@ __all__ = [
     "qca_partition",
     "raw_capacity_check",
     "render",
+    "replay_script",
     "route_query",
     "rua_partition",
     "run_scripted",

@@ -68,7 +68,7 @@ from .monitor import (
 )
 from .query_model import CopyOp, QueryAst, TruncateOp, classify, parse_query, parse_workload
 from .raw_engine import DEFAULT_JOIN_GUARD, RawEngine
-from .stat_sources import ProcfsSource, ReplaySource, SyntheticSource, synthetic_script
+from .stat_sources import ProcfsSource, SyntheticSource, replay_script, synthetic_script
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -128,7 +128,6 @@ def run(config: RunConfig) -> dict:
     monitor_config = MonitorConfig(
         frequency_hz=config.frequency_hz,
         flush_threshold_records=config.flush_threshold,
-        watched_process_names=config.watched,
         output_path=samples_path,
     )
 
@@ -147,17 +146,17 @@ def run(config: RunConfig) -> dict:
         # decoupled from wall-clock durations for reproducibility.
         timeline = [(float(i), t.task_id) for i, t in enumerate(tasks)]
         if config.source == "synthetic":
-            source = SyntheticSource(synthetic_script(
+            script = synthetic_script(
                 config.seed, duration_s=max(1, len(tasks)),
                 frequency_hz=config.frequency_hz, process_names=config.watched[:1],
-            ))
-        else:
-            source = ReplaySource(
-                config.replay_path, watched_names=config.watched,
-                period_s=1.0 / config.frequency_hz,
             )
-        samples, flush_report = run_scripted(monitor_config, source, timeline)
-        del source  # the script is not needed while the workload runs
+        else:
+            script = replay_script(
+                Path(config.replay_path).read_text(encoding="utf-8"),
+                watched_names=config.watched, period_s=1.0 / config.frequency_hz,
+            )
+        samples, flush_report = run_scripted(monitor_config, SyntheticSource(script), timeline)
+        del script  # not needed while the workload runs
         runner.execute_all(register)
 
     report = runner.build_report(samples, flush_report)
@@ -520,14 +519,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    source = ReplaySource(args.file, watched_names=tuple(args.watched.split(",")),
-                          period_s=1.0 / args.freq)
-    config = MonitorConfig(
-        frequency_hz=args.freq,
-        watched_process_names=tuple(args.watched.split(",")),
-        output_path=args.out,
-    )
-    samples, report = run_scripted(config, source)
+    script = replay_script(Path(args.file).read_text(encoding="utf-8"),
+                           watched_names=args.watched.split(","), period_s=1.0 / args.freq)
+    config = MonitorConfig(frequency_hz=args.freq, output_path=args.out)
+    _, report = run_scripted(config, SyntheticSource(script))
     print(f"replayed {report.samples_total} samples to {args.out}")
     return EXIT_OK
 
@@ -554,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--journal", choices=["on", "off"], default="off")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--watched", default=None,
-                       help="comma-separated process name filters")
+                       help="comma-separated substrings the stat source watches for "
+                            "(procfs: comm or command line)")
     p_run.set_defaults(func=_cmd_run)
 
     p_gen = sub.add_parser("gen-data", help="generate a deterministic dataset")

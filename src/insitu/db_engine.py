@@ -36,6 +36,7 @@ from .tabular import (
     FLOAT_TYPE,
     LoadStats,
     ResultSet,
+    _text_literal,
     filter_rows,
     join_stage,
     project,
@@ -74,12 +75,11 @@ class DbEngine:
     def __init__(
         self,
         data_dir,
-        cache: ColumnCache | None = None,
         cache_budget_bytes: int = DEFAULT_CACHE_BUDGET,
     ):
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.cache = cache if cache is not None else ColumnCache(cache_budget_bytes)
+        self.cache = ColumnCache(cache_budget_bytes)
         self.stores: dict[str, TableStore] = {}
         self.total_bytes_written = 0
 
@@ -302,7 +302,7 @@ def _prunes(store: TableStore, pred) -> bool:
         except (TypeError, ValueError):
             return True  # numeric column never matches a non-numeric literal
     else:
-        lit = pred.literal if isinstance(pred.literal, str) else repr(float(pred.literal))
+        lit = _text_literal(pred.literal)
     op = pred.op
     if op == ">":
         return hi <= lit

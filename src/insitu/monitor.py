@@ -1,12 +1,16 @@
 """Per-task resource monitoring.
 
-Sampler loops read a stat source at a fixed frequency, tag each sample with
+Sampler loops read a stat source at a fixed frequency, tag each tick with
 the task ID currently in the shared register (tag-at-read: attribution races
 are bounded by one sampling period), buffer, and append to a CSV result file
 whenever a record threshold is reached. The workload runner interrupts the
 sampler; remaining buffered samples are drained on stop.
 
-Two drive modes share the tagging/buffering/flush machinery:
+The stat source decides what a tick holds: which processes are watched is
+settled when the source reads (see ``stat_sources``), and the monitor records
+every reading it is given. Each tick becomes one TOTAL sample for the system
+fragment plus one PROC sample per process reading, through one path
+(``_SampleSink.add_tick``) in both drive modes:
 
 * ``start_monitor`` spawns one background sampler thread (live sources);
 * ``run_scripted`` replays a scripted source and register timeline
@@ -14,9 +18,10 @@ Two drive modes share the tagging/buffering/flush machinery:
 
 Output CSV columns, in order:
 ``ts_ms,task_id,scope,process,cpu_pct,mem_pct,rss_bytes,read_Bps,write_Bps,io_wait_pct``
-with scope TOTAL or PROC and missing fields left empty. A mid-run source
-failure is recorded as a gap marker row (scope TOTAL, process ``source-gap``,
-all metrics empty) and sampling continues.
+with scope TOTAL or PROC and missing fields left empty; a PROC row's
+``process`` is the name the source reported (``comm`` for procfs). A mid-run
+source failure is recorded as a gap marker row (scope TOTAL, process
+``source-gap``, all metrics empty) and sampling continues.
 """
 from __future__ import annotations
 
@@ -26,16 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, FormatError, MonitorError
-from .stat_sources import (
-    ProcessReading,
-    SystemReading,
-    TickReading,
-    parse_iotop_process_row,
-    parse_iotop_totals,
-    parse_top_cpu_line,
-    parse_top_mem_line,
-    parse_top_process_row,
-)
+from .stat_sources import TickReading
 
 IDLE_TASK = "IDLE"
 
@@ -64,21 +60,14 @@ class TaskRegister:
     def __init__(self):
         self._lock = threading.Lock()
         self._task_id = IDLE_TASK
-        self._generation = 0
 
     def set(self, task_id: str) -> None:
         with self._lock:
             self._task_id = task_id
-            self._generation += 1
 
     def get(self) -> str:
         with self._lock:
             return self._task_id
-
-    @property
-    def generation(self) -> int:
-        with self._lock:
-            return self._generation
 
 
 @dataclass(frozen=True)
@@ -99,7 +88,6 @@ class Sample:
 class MonitorConfig:
     frequency_hz: float = 1.0
     flush_threshold_records: int = 512
-    watched_process_names: tuple[str, ...] = ("engine", "insitu")
     output_path: str | Path = "samples.csv"
 
     def validate(self) -> None:
@@ -147,16 +135,28 @@ class _SampleSink:
         self.samples: list[Sample] = []
         self.report = FlushReport(output_path=str(config.output_path))
 
-    def add(self, sample: Sample) -> None:
+    def add_tick(self, ts_ms: int, task_id: str, reading: TickReading | None) -> None:
+        """Record one tick: a TOTAL sample for the system fragment and a PROC
+        sample per process reading, or a gap row when the read failed."""
+        if reading is None:
+            # A gap row is no sample, but it shares the buffer so that the
+            # file stays in time order.
+            self.report.gap_rows += 1
+            self._buffer_row(Sample(ts_ms, task_id, SCOPE_TOTAL, GAP_PROCESS))
+            return
+        sys_r = reading.system
+        if sys_r is not None:
+            self._add(Sample(ts_ms, task_id, SCOPE_TOTAL, None, sys_r.cpu_busy_pct,
+                             sys_r.mem_used_pct, None, sys_r.read_Bps, sys_r.write_Bps,
+                             sys_r.io_wait_pct))
+        for p in reading.processes:
+            self._add(Sample(ts_ms, task_id, SCOPE_PROC, p.name, p.cpu_pct, p.mem_pct,
+                             p.rss_bytes, p.read_Bps, p.write_Bps))
+
+    def _add(self, sample: Sample) -> None:
         self.samples.append(sample)
         self.report.samples_total += 1
         self._buffer_row(sample)
-
-    def add_gap(self, ts_ms: int, task_id: str) -> None:
-        # A gap row is no sample, but it shares the buffer so that the file
-        # stays in time order.
-        self.report.gap_rows += 1
-        self._buffer_row(Sample(ts_ms, task_id, SCOPE_TOTAL, GAP_PROCESS))
 
     def _buffer_row(self, row: Sample) -> None:
         self._buffer.append(row)
@@ -179,42 +179,6 @@ class _SampleSink:
         self._fh.flush()
         self._fh.close()
         return self.report
-
-
-def assemble_samples(ts_ms: int, task_id: str, reading: TickReading, watched) -> list[Sample]:
-    """One TOTAL sample plus one PROC sample per watched process found."""
-    out: list[Sample] = []
-    sys_r = reading.system
-    if sys_r is not None:
-        out.append(
-            Sample(
-                ts_ms=ts_ms,
-                task_id=task_id,
-                scope=SCOPE_TOTAL,
-                cpu_pct=sys_r.cpu_busy_pct,
-                mem_pct=sys_r.mem_used_pct,
-                read_Bps=sys_r.read_Bps,
-                write_Bps=sys_r.write_Bps,
-                io_wait_pct=sys_r.io_wait_pct,
-            )
-        )
-    for proc in reading.processes:
-        if watched and not any(w in proc.name for w in watched):
-            continue
-        out.append(
-            Sample(
-                ts_ms=ts_ms,
-                task_id=task_id,
-                scope=SCOPE_PROC,
-                process=proc.name,
-                cpu_pct=proc.cpu_pct,
-                mem_pct=proc.mem_pct,
-                rss_bytes=proc.rss_bytes,
-                read_Bps=proc.read_Bps,
-                write_Bps=proc.write_Bps,
-            )
-        )
-    return out
 
 
 class MonitorHandle:
@@ -253,12 +217,8 @@ class MonitorHandle:
             try:
                 reading = self.source.read_tick()
             except Exception:
-                self._sink.add_gap(ts_ms, task)
-            else:
-                for sample in assemble_samples(
-                    ts_ms, task, reading, self.config.watched_process_names
-                ):
-                    self._sink.add(sample)
+                reading = None
+            self._sink.add_tick(ts_ms, task, reading)
             # Skip missed ticks rather than trying to catch up.
             k = max(k + 1, int(self._elapsed() / period) + 1)
 
@@ -293,53 +253,9 @@ def run_scripted(config: MonitorConfig, source, timeline=()) -> tuple[list[Sampl
         while ei < len(events) and events[ei][0] <= t:
             register.set(events[ei][1])
             ei += 1
-        ts_ms = int(round(t * 1000.0))
-        if reading is None:
-            sink.add_gap(ts_ms, register.get())
-            continue
-        for sample in assemble_samples(
-            ts_ms, register.get(), reading, config.watched_process_names
-        ):
-            sink.add(sample)
+        sink.add_tick(int(round(t * 1000.0)), register.get(), reading)
     report = sink.close()
     return sink.samples, report
-
-
-def filter_line(raw_line: str, watched) -> SystemReading | ProcessReading | None:
-    """Filter one line of top/iotop output down to a monitoring fragment.
-
-    Summary lines yield SystemReading fragments; process rows yield
-    ProcessReading fragments for watched names only. Everything else (the
-    bulk of tool output) is dropped by returning None.
-    """
-    cpu = parse_top_cpu_line(raw_line)
-    if cpu is not None:
-        return SystemReading(cpu_busy_pct=100.0 - cpu["id"], io_wait_pct=cpu["wa"])
-    mem = parse_top_mem_line(raw_line)
-    if mem is not None:
-        total, _free, used, _buff = mem
-        return SystemReading(mem_used_pct=used / total * 100.0)
-    totals = parse_iotop_totals(raw_line)
-    if totals is not None:
-        return SystemReading(read_Bps=totals[0], write_Bps=totals[1])
-    top_row = parse_top_process_row(raw_line)
-    if top_row is not None:
-        if any(w in top_row.command for w in watched):
-            return ProcessReading(
-                name=top_row.command,
-                cpu_pct=top_row.cpu_pct,
-                mem_pct=top_row.mem_pct,
-                rss_bytes=int(top_row.rss_kib * 1024),
-            )
-        return None
-    io_row = parse_iotop_process_row(raw_line)
-    if io_row is not None and any(w in io_row.command for w in watched):
-        return ProcessReading(
-            name=io_row.command,
-            read_Bps=None if io_row.cumulative else io_row.read_value,
-            write_Bps=None if io_row.cumulative else io_row.write_value,
-        )
-    return None
 
 
 def read_samples_csv(path) -> list[Sample]:

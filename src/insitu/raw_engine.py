@@ -40,11 +40,10 @@ _SCAN_CHUNK = 1 << 16
 class RawEngine:
     def __init__(
         self,
-        cache: ColumnCache | None = None,
         cache_budget_bytes: int = DEFAULT_CACHE_BUDGET,
         join_guard_pairs: int = DEFAULT_JOIN_GUARD,
     ):
-        self.cache = cache if cache is not None else ColumnCache(cache_budget_bytes)
+        self.cache = ColumnCache(cache_budget_bytes)
         self.join_guard_pairs = int(join_guard_pairs)
         self.files: dict[str, str] = {}
         self.total_bytes_written = 0  # in-situ contract: stays 0

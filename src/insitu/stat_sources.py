@@ -1,10 +1,13 @@
 """Pluggable stat sources for the resource monitor.
 
 Three families: a live procfs reader, text parsers for captured `top` and
-`iotop` batch output (replayable tick by tick), and a deterministic
-synthetic source for tests and reproducible runs. All IO figures are
-normalized to bytes or bytes/second internally; a "K" in tool output is
-1024 bytes.
+`iotop` batch output (turned into a replay script), and a deterministic
+synthetic script for tests and reproducible runs; `SyntheticSource` plays
+either script. A source alone decides which processes a tick holds: procfs
+matches the watched names against `comm` or the command line, replay against
+the tool's command column, and a synthetic script holds the names it was
+drawn for. All IO figures are normalized to bytes or bytes/second
+internally; a "K" in tool output is 1024 bytes.
 """
 from __future__ import annotations
 
@@ -277,7 +280,8 @@ def parse_iotop_block(text: str) -> IotopSnapshot:
 
 
 class SyntheticSource:
-    """Replays a script of (time_s, TickReading) pairs exactly.
+    """Replays a script of (time_s, TickReading) pairs exactly, as made by
+    `synthetic_script` or `replay_script`.
 
     An exhausted or empty script yields all-zero fragments so threaded use
     keeps producing samples until stopped.
@@ -335,7 +339,7 @@ def synthetic_script(seed: int, duration_s: float, frequency_hz: float,
 
 
 # ---------------------------------------------------------------------------
-# Replay source (captured tool logs)
+# Replay script (captured tool logs)
 
 
 _BLOCK_START_RE = re.compile(r"^top - |^Total DISK READ")
@@ -351,93 +355,59 @@ def split_tool_blocks(text: str) -> list[str]:
     return ["\n".join(b) for b in blocks if any(l.strip() for l in b)]
 
 
-class ReplaySource:
-    """Feeds captured top/iotop refresh blocks tick by tick.
+def replay_script(text: str, watched_names=(), period_s: float = 1.0):
+    """Captured top/iotop output as a script of (time_s, TickReading) pairs,
+    one tick per refresh block, ``period_s`` apart; `SyntheticSource`
+    replays it.
 
-    Cumulative iotop per-process counters become rates by differencing
-    consecutive blocks over the replay period.
+    A process is kept when its command contains a watched name (every
+    process when none is given). Cumulative iotop per-process counters
+    become rates by differencing consecutive blocks over the period.
     """
+    watched = tuple(watched_names)
 
-    def __init__(self, text_or_path, watched_names=(), period_s: float = 1.0):
-        if isinstance(text_or_path, (str, Path)) and os.path.exists(str(text_or_path)):
-            text = Path(text_or_path).read_text(encoding="utf-8")
+    def watch(command: str) -> bool:
+        return not watched or any(w in command for w in watched)
+
+    script = []
+    prev_io: dict[int, tuple[float, float]] = {}
+    for k, block in enumerate(split_tool_blocks(text), 1):
+        if block.lstrip().startswith("top"):
+            snap = parse_top_block(block)
+            system = SystemReading(
+                cpu_busy_pct=snap.cpu_busy_pct,
+                io_wait_pct=snap.io_wait_pct,
+                mem_used_pct=snap.mem_used_pct,
+            )
+            procs = [
+                ProcessReading(
+                    name=p.command,
+                    cpu_pct=p.cpu_pct,
+                    mem_pct=p.mem_pct,
+                    rss_bytes=int(p.rss_kib * KIB),
+                )
+                for p in snap.processes
+                if watch(p.command)
+            ]
         else:
-            text = str(text_or_path)
-        self.watched = tuple(watched_names)
-        self.period_s = float(period_s)
-        self.readings = self._build(split_tool_blocks(text))
-        self._next = 0
-
-    def _build(self, blocks: list[str]) -> list[TickReading]:
-        readings: list[TickReading] = []
-        prev_io: dict[int, tuple[float, float]] = {}
-        for block in blocks:
-            if block.lstrip().startswith("top"):
-                snap = parse_top_block(block)
-                procs = tuple(
-                    ProcessReading(
-                        name=p.command,
-                        cpu_pct=p.cpu_pct,
-                        mem_pct=p.mem_pct,
-                        rss_bytes=int(p.rss_kib * KIB),
-                    )
-                    for p in snap.processes
-                    if self._watch(p.command)
-                )
-                readings.append(
-                    TickReading(
-                        system=SystemReading(
-                            cpu_busy_pct=snap.cpu_busy_pct,
-                            io_wait_pct=snap.io_wait_pct,
-                            mem_used_pct=snap.mem_used_pct,
-                        ),
-                        processes=procs,
-                    )
-                )
-            else:
-                snap = parse_iotop_block(block)
-                procs = []
-                for p in snap.processes:
-                    if not self._watch(p.command):
-                        continue
-                    if p.cumulative:
-                        before = prev_io.get(p.pid)
-                        prev_io[p.pid] = (p.read_value, p.write_value)
-                        if before is None:
-                            continue  # first sighting: no rate yet
-                        read = max(0.0, p.read_value - before[0]) / self.period_s
-                        write = max(0.0, p.write_value - before[1]) / self.period_s
-                    else:
-                        read, write = p.read_value, p.write_value
-                    procs.append(
-                        ProcessReading(name=p.command, read_Bps=read, write_Bps=write)
-                    )
-                readings.append(
-                    TickReading(
-                        system=SystemReading(
-                            read_Bps=snap.total_read_Bps,
-                            write_Bps=snap.total_write_Bps,
-                        ),
-                        processes=tuple(procs),
-                    )
-                )
-        return readings
-
-    def _watch(self, command: str) -> bool:
-        if not self.watched:
-            return True
-        return any(w in command for w in self.watched)
-
-    def read_tick(self) -> TickReading:
-        if self._next >= len(self.readings):
-            return ZERO_TICK
-        reading = self.readings[self._next]
-        self._next += 1
-        return reading
-
-    def ticks(self):
-        for i, reading in enumerate(self.readings):
-            yield (i + 1) * self.period_s, reading
+            snap = parse_iotop_block(block)
+            system = SystemReading(read_Bps=snap.total_read_Bps, write_Bps=snap.total_write_Bps)
+            procs = []
+            for p in snap.processes:
+                if not watch(p.command):
+                    continue
+                if p.cumulative:
+                    before = prev_io.get(p.pid)
+                    prev_io[p.pid] = (p.read_value, p.write_value)
+                    if before is None:
+                        continue  # first sighting: no rate yet
+                    read = max(0.0, p.read_value - before[0]) / period_s
+                    write = max(0.0, p.write_value - before[1]) / period_s
+                else:
+                    read, write = p.read_value, p.write_value
+                procs.append(ProcessReading(name=p.command, read_Bps=read, write_Bps=write))
+        script.append((k * period_s, TickReading(system=system, processes=tuple(procs))))
+    return script
 
 
 # ---------------------------------------------------------------------------

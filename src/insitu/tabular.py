@@ -107,13 +107,18 @@ def read_header(path) -> list[str]:
         line = f.readline()
     if not line:
         raise FormatError(f"{path}: empty file")
-    return _header_names(line.removesuffix(b"\n"))
+    return _header_names(line.removesuffix(b"\n"), path)
 
 
-def _header_names(line: bytes) -> list[str]:
+def _header_names(line: bytes, path) -> list[str]:
     """Column names of a header line without its newline; one "\\r" before
-    the newline goes with it, as for data lines."""
-    return line.removesuffix(b"\r").decode("utf-8").split(",")
+    the newline goes with it, as for data lines. A repeated name is a
+    FormatError: a query could reach only the first of its columns."""
+    names = line.removesuffix(b"\r").decode("utf-8").split(",")
+    if len(set(names)) < len(names):
+        dup = next(n for i, n in enumerate(names) if n in names[:i])
+        raise FormatError(f"{path}: header repeats the column name {dup!r}")
+    return names
 
 
 def read_csv(path, wanted=None):
@@ -122,8 +127,8 @@ def read_csv(path, wanted=None):
 
     Returns the file bytes (a final newline added when missing), the file
     size, the header names, the wanted names (every column for None) and
-    the offset of the first data line. Raises FormatError on an empty file
-    or a wanted name missing from the header.
+    the offset of the first data line. Raises FormatError on an empty file,
+    a repeated header name or a wanted name missing from the header.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -133,7 +138,7 @@ def read_csv(path, wanted=None):
     if not raw.endswith(b"\n"):
         raw += b"\n"
     nl = raw.find(b"\n")
-    header = _header_names(raw[:nl])
+    header = _header_names(raw[:nl], path)
     wanted = header if wanted is None else list(wanted)
     for name in wanted:
         if name not in header:

@@ -328,7 +328,6 @@ def test_criterion_05_monitor_correlation(workdir):
     config = MonitorConfig(
         frequency_hz=freq,
         flush_threshold_records=threshold,
-        watched_process_names=("engine",),
         output_path=workdir / "correlation.csv",
     )
     source = SyntheticSource(make_script(int(duration_s * freq), period=1.0 / freq))
@@ -362,7 +361,6 @@ def test_criterion_06_monitor_overhead(workdir):
         config = MonitorConfig(
             frequency_hz=freq,
             output_path=workdir / f"overhead_{int(freq)}.csv",
-            watched_process_names=(),
         )
         source = ProcfsSource(pids=[os.getpid()])
         handle = start_monitor(config, source, TaskRegister())

@@ -14,7 +14,13 @@ from insitu.advisor import (
 from insitu.analyzer import ResourceProfile, SystemSpec
 from insitu.datagen import generate_csv
 from insitu.db_engine import DbEngine
-from insitu.errors import ConfigError, SchemaError, UncoveredQueryError, WorkbenchError
+from insitu.errors import (
+    ConfigError,
+    FormatError,
+    SchemaError,
+    UncoveredQueryError,
+    WorkbenchError,
+)
 from insitu.query_model import QueryClass, classify, parse_query
 from insitu.raw_engine import RawEngine
 from insitu.tabular import ResultSet, read_header, scan_csv
@@ -406,6 +412,28 @@ class TestSliceContract:
                               ResultSet.multiset)
                    for q, a in asts.items()}
         assert got == want
+
+
+    def test_repeated_header_name_is_format_error(self, tmp_path):
+        # Only the first of two same-named columns could ever be read.
+        src = tmp_path / "t.csv"
+        src.write_bytes(b"a,a\n1,2\n")
+        plan = PartitionPlan("QCA", ("t.a",), raw_attrs=frozenset({"t.a"}),
+                             db_attrs=frozenset())
+        paths = {
+            "raw cold": lambda: RawEngine().execute(parse_query("SELECT a FROM t"),
+                                                    files={"t": src}),
+            "raw LIMIT": lambda: RawEngine().execute(parse_query("SELECT a FROM t LIMIT 1"),
+                                                     files={"t": src}),
+            "db load": lambda: DbEngine(tmp_path / "db").load_table(src, "t"),
+            "raw slice": lambda: write_raw_slices(plan, {"t": src}, tmp_path / "out"),
+        }
+        got = {}
+        for name, attempt in paths.items():
+            with pytest.raises(FormatError) as exc:
+                attempt()
+            got[name] = str(exc.value)
+        assert all("repeats the column name 'a'" in m for m in got.values()), got
 
 
 class TestDbSideFromSource:

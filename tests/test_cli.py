@@ -207,6 +207,36 @@ class TestRun:
         assert "TOTAL" in text
         assert "COPY" in text  # load spans several sampling periods
 
+    def test_procfs_watches_by_command_line(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        if not os.path.exists("/proc/stat"):
+            pytest.skip("no procfs")
+        table = tmp_path / "t.csv"
+        generate_csv(table, rows=20_000, columns=6, seed=4)  # a load of several ticks
+        wl = tmp_path / "wl.csv"
+        wl.write_text(f"T_ID,Statement\nCOPY,\"COPY t FROM '{table}';\"\n")
+        # The marker is in the child's command line only, never in its comm.
+        marker = f"insitu-marker-{tmp_path.name}"
+        child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)", marker])
+        try:
+            comm = open(f"/proc/{child.pid}/comm").read().strip()
+            out = tmp_path / "out"
+            rc = main(["run", "--workload", str(wl), "--engine", "db",
+                       "--source", "procfs", "--freq", "200", "--watched", marker,
+                       "--out", str(out)])
+        finally:
+            child.kill()
+            child.wait()
+        assert rc == EXIT_OK
+        assert marker not in comm
+        rows = [r.split(",") for r in (out / "samples.csv").read_text().splitlines()[1:]]
+        procs = [r for r in rows if r[2] == "PROC"]
+        assert len(procs) >= 2
+        assert {r[3] for r in procs} == {comm}
+
     @pytest.mark.parametrize("source, measured", [
         ("synthetic", False), ("replay", False), ("procfs", True),
     ])
@@ -348,6 +378,18 @@ class TestAdviseAndPlanRun:
 
 
 class TestReplayAndReport:
+    @pytest.mark.parametrize("command", ["run", "replay"])
+    def test_missing_replay_log_is_io_error(self, tmp_path, workload, command, capsys):
+        missing = tmp_path / "no-such.log"
+        if command == "run":
+            argv = ["run", "--workload", str(workload), "--engine", "raw",
+                    "--source", f"replay:{missing}", "--out", str(tmp_path / "o")]
+        else:
+            argv = ["replay", "--file", str(missing), "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == EXIT_ENGINE
+        err = capsys.readouterr().err
+        assert err.startswith("io error:") and str(missing) in err
+
     def test_replay_then_report(self, tmp_path, capsys):
         from test_stat_sources import IOTOP_BLOCK, TOP_BLOCK
 

@@ -11,7 +11,6 @@ from insitu.monitor import (
     _fmt,
     MonitorConfig,
     TaskRegister,
-    filter_line,
     read_samples_csv,
     run_scripted,
     start_monitor,
@@ -45,7 +44,6 @@ class TestTaskRegister:
         reg.set("Q1")
         reg.set("Q2")
         assert reg.get() == "Q2"
-        assert reg.generation == 2
 
 
 class TestScriptedRuns:
@@ -53,7 +51,7 @@ class TestScriptedRuns:
         # A on [0, 3), B on [3, 6) at 10 Hz.
         config = MonitorConfig(
             frequency_hz=10, flush_threshold_records=32,
-            output_path=tmp_path / "s.csv", watched_process_names=("engine",),
+            output_path=tmp_path / "s.csv",
         )
         source = SyntheticSource(make_script(60, period=0.1))
         samples, report = run_scripted(
@@ -77,21 +75,11 @@ class TestScriptedRuns:
         assert len(procs) == 10
         assert report.samples_total == 20
 
-    def test_unwatched_processes_filtered(self, tmp_path):
-        config = MonitorConfig(
-            frequency_hz=10, output_path=tmp_path / "s.csv",
-            watched_process_names=("engine",),
-        )
-        source = SyntheticSource(make_script(5, proc_names=("other",)))
-        samples, _ = run_scripted(config, source)
-        assert [s for s in samples if s.scope == "PROC"] == []
-        assert len([s for s in samples if s.scope == "TOTAL"]) == 5
-
     def test_flush_threshold_arithmetic(self, tmp_path):
         # 250 samples with threshold 100: two threshold flushes + final 50.
         config = MonitorConfig(
             frequency_hz=10, flush_threshold_records=100,
-            output_path=tmp_path / "s.csv", watched_process_names=(),
+            output_path=tmp_path / "s.csv",
         )
         script = make_script(250, proc_names=())
         samples, report = run_scripted(config, SyntheticSource(script))
@@ -154,15 +142,11 @@ class TestScriptedRuns:
                 yield 1.0, None  # a failed read: gap row
                 yield 1.5, TickReading(None, (
                     ProcessReading(name="engine", cpu_pct=2.0000004, write_Bps=1.5e16),
-                    ProcessReading(name="other", cpu_pct=1.0),
                 ))
                 yield 2.0, TickReading(SystemReading(), ())
 
         # Threshold 2: both samples of the first tick are flushed together.
-        config = MonitorConfig(
-            flush_threshold_records=2, output_path=tmp_path / "s.csv",
-            watched_process_names=("engine",),
-        )
+        config = MonitorConfig(flush_threshold_records=2, output_path=tmp_path / "s.csv")
         samples, report = run_scripted(config, Ticks(), timeline=[(0.0, "Q1"), (1.0, "Q2")])
         assert (tmp_path / "s.csv").read_bytes() == (
             b"ts_ms,task_id,scope,process,cpu_pct,mem_pct,rss_bytes,read_Bps,"
@@ -199,7 +183,6 @@ class TestThreadedMonitor:
         # One observation per second: a 10 s run yields 10 +/- 1 samples.
         config = MonitorConfig(
             frequency_hz=1, output_path=tmp_path / "s.csv",
-            watched_process_names=(),
         )
         source = SyntheticSource(make_script(60, period=1.0, proc_names=()))
         register = TaskRegister()
@@ -212,7 +195,6 @@ class TestThreadedMonitor:
     def test_live_sampling_counts(self, tmp_path):
         config = MonitorConfig(
             frequency_hz=50, output_path=tmp_path / "s.csv",
-            watched_process_names=(),
         )
         source = SyntheticSource(make_script(1000, period=0.02, proc_names=()))
         register = TaskRegister()
@@ -234,7 +216,6 @@ class TestThreadedMonitor:
     def test_register_readback_from_runner_thread(self, tmp_path):
         config = MonitorConfig(
             frequency_hz=100, output_path=tmp_path / "s.csv",
-            watched_process_names=(),
         )
         source = SyntheticSource(make_script(2000, period=0.01, proc_names=()))
         register = TaskRegister()
@@ -262,33 +243,3 @@ class TestThreadedMonitor:
         config = MonitorConfig(frequency_hz=0, output_path=tmp_path / "s.csv")
         with pytest.raises(ConfigError):
             start_monitor(config, SyntheticSource([]), TaskRegister())
-
-
-class TestFilterLine:
-    def test_cpu_summary_line(self):
-        frag = filter_line(
-            "%cpu(s): 21.8 us, 2.9 sy, 0.0 ni, 59.6 id, 13.7 wa, 0.0 hi, 2.0 si, 0.0 st",
-            watched=["postgres"],
-        )
-        assert frag.cpu_busy_pct == pytest.approx(40.4)
-        assert frag.io_wait_pct == 13.7
-
-    def test_watched_top_process_row(self):
-        frag = filter_line(
-            " 3553  om        20   0  174716 45092 43396  R   82.4   0.3   0:33.39 postgres",
-            watched=["postgres"],
-        )
-        assert frag.name == "postgres"
-        assert frag.cpu_pct == 82.4
-        assert frag.mem_pct == 0.3
-
-    def test_unwatched_process_dropped(self):
-        frag = filter_line(
-            " 2438  om        20   0  2291336 215472 45972  S    8.3   1.3  14:12.69 anydesk",
-            watched=["postgres", "java"],
-        )
-        assert frag is None
-
-    def test_noise_lines_dropped(self):
-        assert filter_line("Tasks: 268 total, 2 running", watched=["postgres"]) is None
-        assert filter_line("", watched=["postgres"]) is None

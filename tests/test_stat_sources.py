@@ -8,13 +8,13 @@ import pytest
 from insitu.errors import ConfigError, FormatError
 from insitu.stat_sources import (
     ProcfsSource,
-    ReplaySource,
     SyntheticSource,
     SystemReading,
     TickReading,
     ZERO_TICK,
     parse_iotop_block,
     parse_top_block,
+    replay_script,
     split_tool_blocks,
     synthetic_script,
 )
@@ -201,7 +201,7 @@ class TestSyntheticScript:
                        (tick.processes for _, tick in script))
 
 
-class TestReplaySource:
+class TestReplayScript:
     def test_block_splitting(self):
         text = TOP_BLOCK + IOTOP_BLOCK + TOP_BLOCK
         blocks = split_tool_blocks(text)
@@ -209,7 +209,9 @@ class TestReplaySource:
 
     def test_cumulative_counters_become_rates(self):
         later = IOTOP_BLOCK.replace("328704.00 K", "329728.00 K")  # +1024 KiB
-        src = ReplaySource(IOTOP_BLOCK + later, watched_names=["postgres"], period_s=1.0)
+        src = SyntheticSource(
+            replay_script(IOTOP_BLOCK + later, watched_names=["postgres"], period_s=1.0)
+        )
         first = src.read_tick()
         second = src.read_tick()
         assert first.processes == ()  # no rate before a baseline exists
@@ -217,7 +219,7 @@ class TestReplaySource:
         assert pg.read_Bps == 1024 * 1024.0
 
     def test_top_blocks_replay_watched(self):
-        src = ReplaySource(TOP_BLOCK, watched_names=["postgres"])
+        src = SyntheticSource(replay_script(TOP_BLOCK, watched_names=["postgres"]))
         tick = src.read_tick()
         assert tick.system.cpu_busy_pct == pytest.approx(40.4)
         assert [p.name for p in tick.processes] == ["postgres"]
