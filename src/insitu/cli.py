@@ -43,6 +43,7 @@ from .advisor import (
 from .analyzer import (
     SystemSpec,
     aggregate_profiles,
+    io_amplification,
     profile_to_dict,
     profiles_from_exec_stats,
     wet,
@@ -316,6 +317,8 @@ class _WorkloadRunner:
                 "cache_hit_columns": stats.cache_hit_columns,
                 "early_stop": stats.early_stop,
                 "peak_cache_bytes": stats.peak_cache_bytes,
+                "structure_scans": stats.structure_scans,
+                "rowmap_bytes": stats.rowmap_bytes,
             },
         }
 
@@ -333,6 +336,7 @@ class _WorkloadRunner:
         for path in {str(p) for p in self._table_files.values()}:
             if os.path.exists(path):
                 dataset_bytes += os.path.getsize(path)
+        amp = io_amplification(total_read, total_written, dataset_bytes) if dataset_bytes else None
 
         profiles = aggregate_profiles(samples, self.tasks)
         exec_profiles = profiles_from_exec_stats(self.exec_stats, self.config.spec)
@@ -362,8 +366,8 @@ class _WorkloadRunner:
                 "total_read_bytes": total_read,
                 "total_written_bytes": total_written,
                 "dataset_bytes": dataset_bytes,
-                "read_x": (total_read / dataset_bytes) if dataset_bytes else None,
-                "write_x": (total_written / dataset_bytes) if dataset_bytes else None,
+                "read_x": amp.read_x if amp else None,
+                "write_x": amp.write_x if amp else None,
             },
             "profiles": {t: profile_to_dict(p) for t, p in profiles.items()},
             "exec_profiles": {t: profile_to_dict(p) for t, p in exec_profiles.items()},
@@ -545,7 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="procfs | synthetic | replay:<file>")
     p_run.add_argument("--freq", type=float, default=1.0)
     p_run.add_argument("--flush-threshold", type=int, default=512)
-    p_run.add_argument("--cache-budget", type=int, default=1 << 30)
+    p_run.add_argument("--cache-budget", type=int, default=1 << 30,
+                       help="bytes of parsed columns an engine caches; the raw "
+                            "engine's positional maps are not counted")
     p_run.add_argument("--journal", choices=["on", "off"], default="off")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--watched", default=None,

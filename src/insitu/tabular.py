@@ -1,7 +1,12 @@
 """Shared tabular primitives: typed columns, CSV scanning, result sets.
 
 Both query engines and the plan slicer split lines with one tokenizer
-(`tokenize_lines`); the engines type values with one rule: a column is
+(`tokenize_lines`), in two steps: a structure step (`split_lines`) finds
+every line and field end, a cut step (`cut_fields`) copies out the wanted
+fields. The in-situ engine keeps the structure of each file it has
+tokenized as a compact positional map (`RowMap`, as in NoDB) and hands it
+back to `scan_csv`, which then cuts fields from the map and skips the
+structure step. The engines type values with one rule: a column is
 float64 when every value read parses as a number, text otherwise. So cold,
 hot and LIMIT scans and the two engines compare exactly, with one known
 divergence: a LIMIT scan that stops early types each column over the rows
@@ -100,6 +105,45 @@ class CsvScan:
     row_count: int
     file_bytes: int
     field_bytes: int  # text of the parsed columns' fields, without separators
+    rowmap: RowMap | None = None  # asked for with keep_map, or handed in
+
+
+class RowMap:
+    """Positional map of a data file (as in NoDB): where its fields lie.
+
+    `line_starts[r]` is the file offset of data line r, and `ends[r, j]`
+    the end of its field j counted from that start; the last field ends at
+    the line end, before any "\\r". Each array has the narrowest unsigned
+    dtype that holds its values, so a file whose lines are all shorter than
+    256 bytes costs one byte per field plus one offset per line. The number
+    of lines is the file's row count. A map describes the bytes it was
+    built from and nothing else: whoever keeps one must drop it when the
+    file changes.
+    """
+
+    __slots__ = ("line_starts", "ends")
+
+    def __init__(self, line_starts: np.ndarray, grid: np.ndarray, buf_len: int):
+        """Narrow the structure step's output (`split_lines`) of a buffer of
+        `buf_len` bytes."""
+        self.line_starts = line_starts.astype(np.min_scalar_type(buf_len))
+        widest = int((grid[:, -1] - line_starts).max(initial=0))
+        self.ends = np.subtract(
+            grid, line_starts[:, None], out=np.empty(grid.shape, np.min_scalar_type(widest)),
+            casting="unsafe",
+        )
+
+    def __len__(self) -> int:
+        return len(self.line_starts)
+
+    @property
+    def nbytes(self) -> int:
+        return self.line_starts.nbytes + self.ends.nbytes
+
+    def bounds(self, j):
+        """Start and end offsets of field j on every line."""
+        base = self.line_starts
+        return (base + self.ends[:, j - 1] + 1 if j else base), base + self.ends[:, j]
 
 
 def read_header(path) -> list[str]:
@@ -146,38 +190,62 @@ def read_csv(path, wanted=None):
     return raw, file_bytes, header, wanted, nl + 1
 
 
-def scan_csv(path, wanted=None) -> CsvScan:
+def scan_csv(path, wanted=None, rowmap: RowMap | None = None, keep_map=False) -> CsvScan:
     """Scan a CSV file in one pass, parsing only the wanted columns.
 
     `wanted` is a collection of header names (None parses every column,
     an empty collection parses none and just validates structure).
     Raises FormatError on ragged rows, naming the first bad data row.
+
+    `rowmap` is the positional map of an earlier scan of the same, unchanged
+    file: the fields are cut straight from it, skipping the structure step.
+    Without one, `keep_map` builds the map of this scan and returns it in
+    `CsvScan.rowmap`. Either way the file is read whole and the result is
+    the same.
     """
     raw, file_bytes, header, wanted, start = read_csv(path, wanted)
-    fields, row_ends, field_bytes = tokenize_lines(
-        raw, start, len(header), [header.index(n) for n in wanted], path
-    )
+    if rowmap is None:
+        line_starts, grid, _ = split_lines(raw, start, len(header), path)
+        if keep_map:
+            rowmap = RowMap(line_starts, grid, len(raw))
+    bounds = grid_bounds(line_starts, grid) if rowmap is None else rowmap.bounds
+    fields, field_bytes = cut_fields(raw, bounds, [header.index(n) for n in wanted])
     return CsvScan(
         path=str(path),
         header=header,
         columns={name: column_from_strings(f) for name, f in zip(wanted, fields)},
-        row_count=len(row_ends),
+        row_count=len(line_starts) if rowmap is None else len(rowmap),
         file_bytes=file_bytes,
         field_bytes=field_bytes,
+        rowmap=rowmap,
     )
 
 
 def tokenize_lines(buf: bytes, start: int, ncols: int, wanted, path, first_row: int = 1):
     """Split the data lines of `buf` from offset `start` into the fields of
-    the wanted column indices; the one tokenizer of both engines.
+    the wanted column indices; the one tokenizer of both engines, the
+    LIMIT path and the plan slicer: `split_lines`, then `cut_fields`.
+
+    Returns an iterator over the raw field bytes of each wanted column, the
+    offset in `buf` just past each row's newline and the total length of
+    the wanted columns' fields.
+    """
+    line_starts, grid, row_ends = split_lines(buf, start, ncols, path, first_row)
+    fields, field_bytes = cut_fields(buf, grid_bounds(line_starts, grid), wanted)
+    return fields, row_ends, field_bytes
+
+
+def split_lines(buf: bytes, start: int, ncols: int, path, first_row: int = 1):
+    """Structure step of the tokenizer: find every data line of `buf` from
+    offset `start` and the end of each of its fields.
 
     A line ends at its newline, less one "\\r" before it (CRLF files); bytes
     after the last newline belong to no line. Blank lines at the end are
     not rows; a blank line before a data line is a one-field row. Raises
     FormatError on the first row whose field count is not `ncols`,
-    numbering rows from `first_row`. Returns an iterator over the raw field
-    bytes of each wanted column, the offset in `buf` just past each row's
-    newline and the total length of the wanted columns' fields.
+    numbering rows from `first_row`. Returns each line's start offset, an
+    (nrows, ncols) grid of the offset where each field ends, and the offset
+    just past each row's newline.
     """
     arr = np.frombuffer(buf, dtype=np.uint8)
     body = arr[start:]
@@ -202,11 +270,25 @@ def tokenize_lines(buf: bytes, start: int, ncols: int, wanted, path, first_row: 
         )
 
     grid = delims[: nrows * ncols].reshape(nrows, ncols)
+    grid[:, -1] = line_ends[:nrows]  # the newline, less its "\r"
+    return line_starts[:nrows], grid, newlines[:nrows] + 1
+
+
+def grid_bounds(line_starts, grid):
+    """`bounds(j)` of `split_lines`' output: start and end offsets of field
+    j on every line."""
 
     def bounds(j):
-        starts = grid[:, j - 1] + 1 if j else line_starts[:nrows]
-        ends = line_ends[:nrows] if j == ncols - 1 else grid[:, j]
-        return starts, ends
+        return (grid[:, j - 1] + 1 if j else line_starts), grid[:, j]
+
+    return bounds
+
+
+def cut_fields(buf: bytes, bounds, wanted):
+    """Cut step of the tokenizer: the raw field bytes of the wanted column
+    indices, where `bounds(j)` gives the start and end offsets of column j
+    on every line. Returns an iterator over the wanted columns and the
+    total length of their fields."""
 
     def fields(j):
         starts, ends = bounds(j)
@@ -214,7 +296,7 @@ def tokenize_lines(buf: bytes, start: int, ncols: int, wanted, path, first_row: 
 
     field_bytes = sum(int((ends - starts).sum()) for starts, ends in map(bounds, wanted))
     # One column at a time, so a caller can type each before the next exists.
-    return (fields(j) for j in wanted), newlines[:nrows] + 1, field_bytes
+    return (fields(j) for j in wanted), field_bytes
 
 
 def predicate_mask(column: Column, op: str, literal) -> np.ndarray:
@@ -328,6 +410,8 @@ class ExecStats:
     cache_hit_columns: int = 0
     early_stop: bool = False
     peak_cache_bytes: int = 0
+    structure_scans: int = 0  # files this query tokenized for structure
+    rowmap_bytes: int = 0  # positional map bytes the engine holds afterwards
 
 
 @dataclass

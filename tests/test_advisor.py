@@ -24,20 +24,9 @@ from insitu.errors import (
 from insitu.query_model import QueryClass, classify, parse_query
 from insitu.raw_engine import RawEngine
 from insitu.tabular import ResultSet, read_header, scan_csv
-from util import write_csv
+from util import CONTRACT_INPUTS, write_csv
 
 MB = 1024 * 1024
-
-
-# Data files in and out of the CSV contract (README), as table t.
-CONTRACT_INPUTS = {
-    "ragged": b"a,b\n1,2\n3\n4,5\n6,7\n",
-    "blank-inside": b"a,b\n1,2\n\n3,4\n",
-    "trailing-blanks": b"a,b\n1,2\n\n\n",
-    "cr-cr-lf-header": b"a,b\r\r\n1,2\r\n",
-    "crlf": b"a,b\r\n1,x\r\n3,4\r\n",
-    "no-final-newline": b"a,b\n1,2\n3,4",
-}
 
 
 def outcome(fn, answer):

@@ -103,6 +103,20 @@ class TestRun:
         assert db_counts["Q1"] == raw_counts["Q1"] == 50
         assert db_counts["Q2"] == raw_counts["Q2"]
 
+    def test_exec_reports_structure_scans_and_map_bytes(self, tmp_path, workload):
+        scans = {}
+        for engine in ("db", "raw"):
+            out = tmp_path / engine
+            assert main(["run", "--workload", str(workload), "--engine", engine,
+                         "--source", "synthetic", "--out", str(out)]) == EXIT_OK
+            tasks = json.loads((out / "report.json").read_text())["tasks"]
+            scans[engine] = [(t["exec"]["structure_scans"], t["exec"]["rowmap_bytes"] > 0)
+                             for t in tasks if t["kind"] == "query"]
+        assert scans["db"] == [(0, False)] * 3
+        # Q0 counts from a structure scan; the LIMIT of Q1 streams; Q2 cuts
+        # its columns from the map Q0 left.
+        assert scans["raw"] == [(1, True), (0, True), (0, True)]
+
     def test_determinism_modulo_durations(self, tmp_path, workload):
         outs = []
         for name in ("a", "b"):

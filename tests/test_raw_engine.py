@@ -342,6 +342,117 @@ class TestScansAndCache:
         assert set(os.listdir(tmp_path)) == before
 
 
+class TestPositionalMap:
+    """Misses on a file tokenized once are cut from its positional map."""
+
+    @pytest.fixture
+    def six_columns(self, tmp_path):
+        rows = [[i, f"s{i % 7}", i * 0.5, (i * 37) % 200, -i, i % 3] for i in range(200)]
+        return write_csv(tmp_path / "t.csv", ["objid", "s", "a", "b", "c", "d"], rows)
+
+    def test_remisses_match_a_fresh_engine(self, six_columns):
+        # Two text columns fit (200 x 10 B each), so every pair of the
+        # sequence fits pinned and each query evicts the previous pair.
+        engine = RawEngine(cache_budget_bytes=4000)
+        engine.register("t", six_columns)
+        size = os.path.getsize(six_columns)
+        sequence = [
+            ("SELECT objid, a FROM t WHERE a < 40", 1),
+            ("SELECT s FROM t WHERE b >= 100", 0),
+            ("SELECT c, d FROM t WHERE d = 1", 0),
+            ("SELECT objid, a FROM t WHERE a < 40", 0),
+            ("SELECT count(objid) FROM t WHERE s = 's3'", 0),
+            ("SELECT b FROM t WHERE b < 50 LIMIT 4", 0),
+            ("SELECT count(objid) FROM t", 0),
+            ("SELECT s FROM t WHERE c > -20", 0),
+        ]
+        for stmt, structure_scans in sequence:
+            q = parse_query(stmt)
+            result, stats = engine.execute(q)
+            fresh, _ = RawEngine().execute(q, files={"t": six_columns})
+            assert result.rows == fresh.rows, stmt
+            assert stats.structure_scans == structure_scans, stmt
+            # A miss reads the whole file, map or not; LIMIT reads a prefix.
+            assert stats.bytes_read_from_disk in (0, size) or stats.early_stop, stmt
+            assert stats.rowmap_bytes == 200 * (2 + 6), stmt  # uint16 starts, uint8 ends
+        assert engine.cache.total_bytes <= 4000
+
+    def test_cold_miss_builds_the_map_and_remiss_uses_it(self, six_columns):
+        engine = RawEngine(cache_budget_bytes=1600)  # one numeric column
+        engine.register("t", six_columns)
+        q = parse_query("SELECT a FROM t WHERE a > 90")
+        cold, cold_stats = engine.execute(q)
+        engine.execute(parse_query("SELECT c FROM t"))  # evicts a
+        again, again_stats = engine.execute(q)
+        assert (cold_stats.structure_scans, again_stats.structure_scans) == (1, 0)
+        assert again_stats.cache_hit_columns == 0
+        assert again.rows == cold.rows
+        assert again_stats.bytes_read_from_disk == cold_stats.bytes_read_from_disk
+
+    def test_limit_stream_builds_no_map(self, six_columns):
+        engine = RawEngine()
+        engine.register("t", six_columns)
+        _, stats = engine.execute(parse_query("SELECT a FROM t LIMIT 3"))
+        assert (stats.structure_scans, stats.rowmap_bytes) == (0, 0)
+        assert stats.early_stop
+
+    def test_truncate_drops_the_map(self, six_columns):
+        engine = RawEngine()
+        engine.register("t", six_columns)
+        q = parse_query("SELECT count(a) FROM t")
+        assert engine.execute(q)[1].structure_scans == 1
+        engine.truncate_table("t")
+        assert engine.execute(q)[1].structure_scans == 1
+        engine.clear_cache()
+        assert engine.execute(q)[1].structure_scans == 1
+        assert engine.execute(q)[1].structure_scans == 0
+
+
+class TestFreshness:
+    """A data file that changed after the engine saw it is read anew."""
+
+    QUERIES = ["SELECT t.v FROM t", "SELECT t.objid, t.v FROM t", "SELECT count(t.v) FROM t"]
+
+    def answers(self, engine, path):
+        out = []
+        for stmt in self.QUERIES:
+            q = parse_query(stmt)
+            assert engine.execute(q)[0].rows == RawEngine().execute(q, files={"t": path})[0].rows
+            out.append(engine.execute(q)[0].rows)
+        return out
+
+    def test_rewritten_file_is_read_again(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("objid,v\n1,10\n2,20\n")
+        engine = RawEngine()
+        engine.register("t", p)
+        assert engine.execute(parse_query("SELECT t.v FROM t"))[0].rows == [(10.0,), (20.0,)]
+        p.write_text("objid,v\n1,10\n2,20\n3,30\n")
+        assert self.answers(engine, p)[1] == [(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)]
+
+    def test_same_size_rewrite_is_read_again(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("objid,v\n1,10\n2,20\n")
+        engine = RawEngine()
+        engine.register("t", p)
+        assert self.answers(engine, p)[1] == [(1.0, 10.0), (2.0, 20.0)]
+        before = os.stat(p)
+        p.write_text("objid,v\n100,2\n3,4\n")  # same size, other field offsets
+        # A later write, whatever the file system's timestamp granularity.
+        os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns + 1_000_000_000))
+        assert os.path.getsize(p) == before.st_size
+        assert self.answers(engine, p)[1] == [(100.0, 2.0), (3.0, 4.0)]
+
+    def test_deleted_file_is_schema_error(self, tmp_path):
+        p = write_csv(tmp_path / "t.csv", ["objid", "v"], [[1, 10]])
+        engine = RawEngine()
+        engine.register("t", p)
+        engine.execute(parse_query("SELECT t.v FROM t"))
+        os.remove(p)
+        with pytest.raises(SchemaError, match="does not exist"):
+            engine.execute(parse_query("SELECT t.v FROM t"))
+
+
 class TestJoins:
     @pytest.fixture
     def join_files(self, tmp_path):

@@ -1,10 +1,16 @@
+import itertools
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from insitu.cache import ColumnCache
 from insitu.errors import BudgetExceededError, ConfigError, FormatError
 from insitu.tabular import Column, ResultSet, predicate_mask, scan_csv
-from util import write_csv
+from util import CONTRACT_INPUTS, write_csv
 
 
 def make_col(n):
@@ -79,6 +85,82 @@ class TestScanCsv:
         p = write_csv(tmp_path / "t.csv", ["a"], [[1]])
         with pytest.raises(FormatError, match="zz"):
             scan_csv(p, wanted=["zz"])
+
+
+FIELDS = st.sampled_from(["", "0", "-1.5", "2e3", "x", "ab", "nan"])
+
+
+@st.composite
+def csv_files(draw):
+    """A data file with text, numeric, mixed and empty fields, LF or CRLF
+    lines, with or without a final newline and trailing blank lines, and
+    at most one long field: 300 bytes needs 16-bit map offsets, 70,000
+    bytes 32-bit ones."""
+    ncols = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(FIELDS, min_size=ncols, max_size=ncols), max_size=8))
+    if rows:
+        r, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, ncols - 1))
+        rows[r][j] += "w" * draw(st.sampled_from([0, 300, 70_000]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(f"c{j}" for j in range(ncols)), *(",".join(r) for r in rows)]
+    return (eol.join(lines) + draw(st.sampled_from(["", eol, eol * 3]))).encode()
+
+
+def scanned(scan):
+    """Everything a scan returns, float values as their bits."""
+    cols = {
+        name: (col.type, col.values.tobytes() if col.is_numeric else col.values)
+        for name, col in scan.columns.items()
+    }
+    return scan.header, cols, scan.row_count, scan.file_bytes, scan.field_bytes
+
+
+class TestRowMap:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(csv_files())
+    @example(b"a,b\n")  # header only
+    @example(b"a,b,c\n,,\n1,,x\n,2,\n")  # empty fields
+    @example(b"a,b\n" + b"1," + b"9" * 300 + b"\n2,3\n")
+    @example(b"a,b\r\n" + b"x" * 70_000 + b",1\r\n2,3")
+    @example(CONTRACT_INPUTS["crlf"])  # a mixed column
+    @example(CONTRACT_INPUTS["no-final-newline"])
+    @example(CONTRACT_INPUTS["trailing-blanks"])
+    @example(CONTRACT_INPUTS["cr-cr-lf-header"])
+    def test_cut_from_map_equals_cold_scan(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.csv")
+            with open(path, "wb") as f:
+                f.write(data)
+            first = scan_csv(path, [], keep_map=True)
+            rowmap = first.rowmap
+            assert len(rowmap) == first.row_count
+            names = first.header
+            for k in range(len(names) + 1):
+                for subset in itertools.combinations(names, k):
+                    cold = scan_csv(path, subset)
+                    assert cold.rowmap is None
+                    assert scanned(scan_csv(path, subset, rowmap=rowmap)) == scanned(cold)
+                    assert scanned(scan_csv(path, subset, keep_map=True)) == scanned(cold)
+
+    @pytest.mark.parametrize("name", ["ragged", "blank-inside"])
+    def test_no_map_outside_the_contract(self, tmp_path, name):
+        p = tmp_path / "t.csv"
+        p.write_bytes(CONTRACT_INPUTS[name])
+        with pytest.raises(FormatError) as cold:
+            scan_csv(p, [])
+        with pytest.raises(FormatError) as mapped:
+            scan_csv(p, [], keep_map=True)
+        assert str(mapped.value) == str(cold.value)
+
+    @pytest.mark.parametrize("width,dtype", [(10, np.uint8), (255, np.uint8),
+                                             (256, np.uint16), (65_536, np.uint32)])
+    def test_offsets_take_the_narrowest_dtype(self, tmp_path, width, dtype):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"a,b\n" + b"1," + b"2" * (width - 2) + b"\r\n3,4\n")
+        rowmap = scan_csv(p, [], keep_map=True).rowmap
+        assert rowmap.ends.dtype == dtype
+        assert rowmap.ends.tolist() == [[1, width], [1, 3]]
+        assert rowmap.nbytes == rowmap.line_starts.nbytes + 2 * 2 * np.dtype(dtype).itemsize
 
 
 class TestPredicates:

@@ -7,6 +7,17 @@ import random
 from insitu.query_model import parse_query
 
 
+# Data files in and out of the CSV contract (README), as table t.
+CONTRACT_INPUTS = {
+    "ragged": b"a,b\n1,2\n3\n4,5\n6,7\n",
+    "blank-inside": b"a,b\n1,2\n\n3,4\n",
+    "trailing-blanks": b"a,b\n1,2\n\n\n",
+    "cr-cr-lf-header": b"a,b\r\r\n1,2\r\n",
+    "crlf": b"a,b\r\n1,x\r\n3,4\r\n",
+    "no-final-newline": b"a,b\n1,2\n3,4",
+}
+
+
 def write_csv(path, header, rows):
     """Write a small CSV from string fields; returns the path."""
     with open(path, "w", encoding="utf-8", newline="") as f:
