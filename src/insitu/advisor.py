@@ -22,7 +22,7 @@ from pathlib import Path
 from .analyzer import ResourceProfile, SystemSpec
 from .errors import ConfigError, SchemaError, UncoveredQueryError
 from .query_model import KIND_COMPLEX, QueryClass, is_name
-from .tabular import LoadStats, read_csv, tokenize_lines
+from .tabular import LoadStats, cut_fields, read_csv, split_lines
 
 TECHNIQUE_QCA = "QCA"
 TECHNIQUE_RUA = "RUA"
@@ -268,7 +268,8 @@ def _write_slice(source: Path, out: Path, attrs) -> None:
     raw, _, header, attrs, start = read_csv(source, attrs)
     kept = set(attrs)
     keep = [i for i, name in enumerate(header) if name in kept]
-    fields, _, _ = tokenize_lines(raw, start, len(header), keep, source)
+    rowmap, _ = split_lines(raw, start, len(header), source)
+    fields = cut_fields(raw, rowmap, keep)
     with open(out, "wb") as o:
         o.write((",".join(header[i] for i in keep) + "\n").encode("utf-8"))
         o.writelines(b",".join(row) + b"\n" for row in zip(*fields))

@@ -6,9 +6,6 @@ sample covers the interval back to the previous sample of the same stream
 back to run start. CPU, memory, and IO-wait figures come from TOTAL
 samples; resident-set peaks and read/write byte totals integrate the PROC
 samples (rate x period).
-
-Aggregations are mergeable: combining the aggregation of a sample list
-split at any point equals aggregating the concatenation, exactly.
 """
 from __future__ import annotations
 
@@ -80,7 +77,6 @@ class ProfileAccumulator:
     def __init__(self):
         self._tasks: dict[str, _TaskSums] = {}
         self._stream_last: dict[tuple, float] = {}
-        self._stream_first: dict[tuple, Sample] = {}
 
     @staticmethod
     def _stream_key(sample: Sample) -> tuple:
@@ -96,8 +92,6 @@ class ProfileAccumulator:
             raise ConfigError("samples must be sorted by timestamp within a stream")
         dt = ts - prev
         self._stream_last[key] = ts
-        if key not in self._stream_first:
-            self._stream_first[key] = sample
         self._apply(sample, dt)
 
     def _apply(self, sample: Sample, dt: float) -> None:
@@ -121,46 +115,6 @@ class ProfileAccumulator:
                 sums.read_bytes += sample.read_Bps * dt
             if sample.write_Bps is not None:
                 sums.write_bytes += sample.write_Bps * dt
-
-    def _adjust_first(self, sample: Sample, delta: float) -> None:
-        """Re-weight an already-added sample by delta seconds (merge seam)."""
-        sums = self._tasks[sample.task_id]
-        sums.count -= 1  # _apply will re-count it
-        self._apply(sample, delta)
-
-    def merge(self, other: "ProfileAccumulator") -> None:
-        """Fold another aggregation whose streams continue this one in time."""
-        for key, first in other._stream_first.items():
-            last_here = self._stream_last.get(key, 0.0)
-            if last_here > first.ts_ms / 1000.0:
-                raise ConfigError("merged aggregation must not overlap in time")
-        for task_id, theirs in other._tasks.items():
-            mine = self._tasks.setdefault(task_id, _TaskSums())
-            mine.count += theirs.count
-            mine.total_w += theirs.total_w
-            for f in MEAN_FIELDS:
-                mine.w[f] += theirs.w[f]
-                mine.wx[f] += theirs.wx[f]
-                tp = theirs.peak[f]
-                if tp is not None and (mine.peak[f] is None or tp > mine.peak[f]):
-                    mine.peak[f] = tp
-            mine.read_bytes += theirs.read_bytes
-            mine.write_bytes += theirs.write_bytes
-            if theirs.peak_rss is not None and (
-                mine.peak_rss is None or theirs.peak_rss > mine.peak_rss
-            ):
-                mine.peak_rss = theirs.peak_rss
-        # The other side weighted each stream's first sample back to zero;
-        # in the concatenation it only reaches back to this side's last
-        # sample of that stream.
-        for key, first in other._stream_first.items():
-            last_here = self._stream_last.get(key, 0.0)
-            if last_here > 0.0:
-                self._adjust_first(first, -last_here)
-        for key, last in other._stream_last.items():
-            self._stream_last[key] = max(self._stream_last.get(key, 0.0), last)
-        for key, first in other._stream_first.items():
-            self._stream_first.setdefault(key, first)
 
     def profile(self, task_id: str) -> ResourceProfile:
         sums = self._tasks.get(task_id)

@@ -28,7 +28,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import advisor as advisor_mod
@@ -68,7 +68,7 @@ from .monitor import (
     start_monitor,
 )
 from .query_model import CopyOp, QueryAst, TruncateOp, classify, parse_query, parse_workload
-from .raw_engine import DEFAULT_JOIN_GUARD, RawEngine
+from .raw_engine import RawEngine
 from .stat_sources import ProcfsSource, SyntheticSource, replay_script, synthetic_script
 
 EXIT_OK = 0
@@ -97,10 +97,8 @@ class RunConfig:
     flush_threshold: int = 512
     watched: tuple[str, ...] = ("insitu", "python")
     cache_budget: int = 1 << 30
-    join_guard: int = DEFAULT_JOIN_GUARD
     journal: bool = False
     seed: int = 0
-    spec: SystemSpec = field(default_factory=SystemSpec)
 
     def validate(self) -> None:
         if self.engine not in (ENGINE_RAW, ENGINE_DB, "plan"):
@@ -183,9 +181,7 @@ class _WorkloadRunner:
         self.failed_task: str | None = None
         self._table_files: dict[str, Path] = {}
 
-        self.raw_engine = RawEngine(
-            cache_budget_bytes=config.cache_budget, join_guard_pairs=config.join_guard
-        )
+        self.raw_engine = RawEngine(cache_budget_bytes=config.cache_budget)
         self.db_engine = DbEngine(
             out_dir / "db_store", cache_budget_bytes=config.cache_budget
         )
@@ -339,7 +335,8 @@ class _WorkloadRunner:
         amp = io_amplification(total_read, total_written, dataset_bytes) if dataset_bytes else None
 
         profiles = aggregate_profiles(samples, self.tasks)
-        exec_profiles = profiles_from_exec_stats(self.exec_stats, self.config.spec)
+        spec = SystemSpec()
+        exec_profiles = profiles_from_exec_stats(self.exec_stats, spec)
 
         report = {
             "status": "error" if self.error is not None else "ok",
@@ -349,13 +346,7 @@ class _WorkloadRunner:
             "seed": self.config.seed,
             "workload": str(self.config.workload_path),
             "outputs": {"samples": "samples.csv", "series": "series.csv"},
-            "spec": {
-                "cores": self.config.spec.cores,
-                "ram_bytes": self.config.spec.ram_bytes,
-                "max_read_Bps": self.config.spec.max_read_Bps,
-                "max_write_Bps": self.config.spec.max_write_Bps,
-                "ram_expansion_factor": self.config.spec.ram_expansion_factor,
-            },
+            "spec": asdict(spec),
             "tasks": self.records,
             "wet": {
                 "total_ms": breakdown.total_ms,
@@ -403,9 +394,6 @@ def _cmd_run(args) -> int:
         engine=engine,
         plan_path=plan_path,
         out_dir=Path(args.out),
-        data_dir=Path(args.data_dir) if args.data_dir else Path(
-            os.environ.get(DATA_DIR_ENV, ".")
-        ),
         source=source,
         replay_path=replay_path,
         frequency_hz=args.freq,
@@ -415,6 +403,8 @@ def _cmd_run(args) -> int:
         journal=args.journal == "on",
         seed=args.seed,
     )
+    if args.data_dir:
+        config.data_dir = Path(args.data_dir)
     report = run(config)
     print(f"run complete: {report['status']}; outputs in {args.out}")
     return EXIT_OK if report["status"] == "ok" else EXIT_ENGINE

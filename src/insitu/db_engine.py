@@ -108,9 +108,11 @@ class DbEngine:
         if columns is None:
             attrs, input_bytes = scan.header, scan.file_bytes
         else:
-            attrs = [name for name in scan.header if name in scan.columns]
+            kept = [j for j, name in enumerate(scan.header) if name in scan.columns]
+            attrs = [scan.header[j] for j in kept]
+            field_text = sum(int((e - s).sum()) for s, e in map(scan.rowmap.bounds, kept))
             input_bytes = (len((",".join(attrs) + "\n").encode("utf-8"))
-                           + scan.field_bytes + scan.row_count * len(attrs))
+                           + field_text + scan.row_count * len(attrs))
 
         directory = self.data_dir / table
         tmp_dir = self.data_dir / f".{table}.loading"

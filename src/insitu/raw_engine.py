@@ -37,12 +37,13 @@ from .tabular import (
     ResultSet,
     RowMap,
     column_from_strings,
+    cut_fields,
     filter_rows,
     join_stage,
     project,
     read_header,
     scan_csv,
-    tokenize_lines,
+    split_lines,
 )
 
 DEFAULT_CACHE_BUDGET = 1 << 30  # 1 GiB
@@ -184,7 +185,7 @@ class RawEngine:
         record = self._records[path]
         if missing or record.rowmap is None:
             stats.structure_scans += record.rowmap is None
-            scan = scan_csv(path, wanted=missing, rowmap=record.rowmap, keep_map=True)
+            scan = scan_csv(path, wanted=missing, rowmap=record.rowmap)
             stats.bytes_read_from_disk += scan.file_bytes
             record.rowmap = scan.rowmap
             protect = set(keys.values()) | (pinned or set())
@@ -220,12 +221,12 @@ class RawEngine:
                 at_eof = offset + len(buf) >= file_size
                 if at_eof and not buf.endswith(b"\n"):
                     buf += b"\n"
-                new, row_ends, _ = tokenize_lines(
-                    buf, 0, len(header), wanted, path, first_row=nrows + 1
+                rowmap, row_ends = split_lines(
+                    buf, 0, len(header), path, first_row=nrows + 1
                 )
                 if not (len(row_ends) or at_eof):
                     continue
-                for acc, part in zip(fields, new):
+                for acc, part in zip(fields, cut_fields(buf, rowmap, wanted)):
                     acc += part
                 ends.append(row_ends + offset)
                 nrows += len(row_ends)

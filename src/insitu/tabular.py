@@ -1,19 +1,18 @@
 """Shared tabular primitives: typed columns, CSV scanning, result sets.
 
-Both query engines and the plan slicer split lines with one tokenizer
-(`tokenize_lines`), in two steps: a structure step (`split_lines`) finds
-every line and field end, a cut step (`cut_fields`) copies out the wanted
-fields. The in-situ engine keeps the structure of each file it has
-tokenized as a compact positional map (`RowMap`, as in NoDB) and hands it
-back to `scan_csv`, which then cuts fields from the map and skips the
-structure step. The engines type values with one rule: a column is
-float64 when every value read parses as a number, text otherwise. So cold,
-hot and LIMIT scans and the two engines compare exactly, with one known
-divergence: a LIMIT scan that stops early types each column over the rows
-it read, so a column whose first text value lies past those bytes comes
-back numeric. Data files are plain comma-separated UTF-8 with a header
-row, lines ending in LF or CRLF, and no embedded commas, quotes or
-newlines in fields.
+Both query engines, the LIMIT path and the plan slicer split lines with
+one tokenizer, in two steps: `split_lines` finds every line and field end
+and returns them as a compact positional map (`RowMap`, as in NoDB), and
+`cut_fields` copies the wanted fields out of the map. A scan always
+returns the map it cut from; the in-situ engine keeps it per file and
+hands it back to `scan_csv`, which then skips `split_lines`. The engines
+type values with one rule: a column is float64 when every value read
+parses as a number, text otherwise. So cold, hot and LIMIT scans and the
+two engines compare exactly, with one known divergence: a LIMIT scan that
+stops early types each column over the rows it read, so a column whose
+first text value lies past those bytes comes back numeric. Data files are
+plain comma-separated UTF-8 with a header row, lines ending in LF or CRLF,
+and no embedded commas, quotes or newlines in fields.
 """
 from __future__ import annotations
 
@@ -97,21 +96,22 @@ def column_from_strings(raw: list[bytes]) -> Column:
 
 @dataclass
 class CsvScan:
-    """One pass over a data file: structure plus any requested columns."""
+    """One pass over a data file: its positional map plus any requested
+    columns."""
 
-    path: str
     header: list[str]
     columns: dict[str, Column]
     row_count: int
     file_bytes: int
-    field_bytes: int  # text of the parsed columns' fields, without separators
-    rowmap: RowMap | None = None  # asked for with keep_map, or handed in
+    rowmap: RowMap  # the map the columns were cut from
 
 
 class RowMap:
-    """Positional map of a data file (as in NoDB): where its fields lie.
+    """Positional map of a data file (as in NoDB): where its fields lie;
+    the one form in which the tokenizer describes a file's structure.
 
-    `line_starts[r]` is the file offset of data line r, and `ends[r, j]`
+    `line_starts[r]` is the offset of data line r in the bytes the map was
+    built from (a whole file, or a LIMIT scan's chunk), and `ends[r, j]`
     the end of its field j counted from that start; the last field ends at
     the line end, before any "\\r". Each array has the narrowest unsigned
     dtype that holds its values, so a file whose lines are all shorter than
@@ -124,8 +124,8 @@ class RowMap:
     __slots__ = ("line_starts", "ends")
 
     def __init__(self, line_starts: np.ndarray, grid: np.ndarray, buf_len: int):
-        """Narrow the structure step's output (`split_lines`) of a buffer of
-        `buf_len` bytes."""
+        """Narrow `split_lines`' line starts and absolute field-end grid of a
+        buffer of `buf_len` bytes."""
         self.line_starts = line_starts.astype(np.min_scalar_type(buf_len))
         widest = int((grid[:, -1] - line_starts).max(initial=0))
         self.ends = np.subtract(
@@ -190,7 +190,7 @@ def read_csv(path, wanted=None):
     return raw, file_bytes, header, wanted, nl + 1
 
 
-def scan_csv(path, wanted=None, rowmap: RowMap | None = None, keep_map=False) -> CsvScan:
+def scan_csv(path, wanted=None, rowmap: RowMap | None = None) -> CsvScan:
     """Scan a CSV file in one pass, parsing only the wanted columns.
 
     `wanted` is a collection of header names (None parses every column,
@@ -198,41 +198,21 @@ def scan_csv(path, wanted=None, rowmap: RowMap | None = None, keep_map=False) ->
     Raises FormatError on ragged rows, naming the first bad data row.
 
     `rowmap` is the positional map of an earlier scan of the same, unchanged
-    file: the fields are cut straight from it, skipping the structure step.
-    Without one, `keep_map` builds the map of this scan and returns it in
-    `CsvScan.rowmap`. Either way the file is read whole and the result is
-    the same.
+    file: the fields are cut straight from it, skipping `split_lines`.
+    Either way the file is read whole, the result is the same and
+    `CsvScan.rowmap` holds the map the fields were cut from.
     """
     raw, file_bytes, header, wanted, start = read_csv(path, wanted)
     if rowmap is None:
-        line_starts, grid, _ = split_lines(raw, start, len(header), path)
-        if keep_map:
-            rowmap = RowMap(line_starts, grid, len(raw))
-    bounds = grid_bounds(line_starts, grid) if rowmap is None else rowmap.bounds
-    fields, field_bytes = cut_fields(raw, bounds, [header.index(n) for n in wanted])
+        rowmap, _ = split_lines(raw, start, len(header), path)
+    fields = cut_fields(raw, rowmap, [header.index(n) for n in wanted])
     return CsvScan(
-        path=str(path),
         header=header,
         columns={name: column_from_strings(f) for name, f in zip(wanted, fields)},
-        row_count=len(line_starts) if rowmap is None else len(rowmap),
+        row_count=len(rowmap),
         file_bytes=file_bytes,
-        field_bytes=field_bytes,
         rowmap=rowmap,
     )
-
-
-def tokenize_lines(buf: bytes, start: int, ncols: int, wanted, path, first_row: int = 1):
-    """Split the data lines of `buf` from offset `start` into the fields of
-    the wanted column indices; the one tokenizer of both engines, the
-    LIMIT path and the plan slicer: `split_lines`, then `cut_fields`.
-
-    Returns an iterator over the raw field bytes of each wanted column, the
-    offset in `buf` just past each row's newline and the total length of
-    the wanted columns' fields.
-    """
-    line_starts, grid, row_ends = split_lines(buf, start, ncols, path, first_row)
-    fields, field_bytes = cut_fields(buf, grid_bounds(line_starts, grid), wanted)
-    return fields, row_ends, field_bytes
 
 
 def split_lines(buf: bytes, start: int, ncols: int, path, first_row: int = 1):
@@ -243,9 +223,8 @@ def split_lines(buf: bytes, start: int, ncols: int, path, first_row: int = 1):
     after the last newline belong to no line. Blank lines at the end are
     not rows; a blank line before a data line is a one-field row. Raises
     FormatError on the first row whose field count is not `ncols`,
-    numbering rows from `first_row`. Returns each line's start offset, an
-    (nrows, ncols) grid of the offset where each field ends, and the offset
-    just past each row's newline.
+    numbering rows from `first_row`. Returns the lines' positional map
+    (offsets into `buf`) and the offset just past each row's newline.
     """
     arr = np.frombuffer(buf, dtype=np.uint8)
     body = arr[start:]
@@ -271,32 +250,16 @@ def split_lines(buf: bytes, start: int, ncols: int, path, first_row: int = 1):
 
     grid = delims[: nrows * ncols].reshape(nrows, ncols)
     grid[:, -1] = line_ends[:nrows]  # the newline, less its "\r"
-    return line_starts[:nrows], grid, newlines[:nrows] + 1
+    return RowMap(line_starts[:nrows], grid, len(buf)), newlines[:nrows] + 1
 
 
-def grid_bounds(line_starts, grid):
-    """`bounds(j)` of `split_lines`' output: start and end offsets of field
-    j on every line."""
-
-    def bounds(j):
-        return (grid[:, j - 1] + 1 if j else line_starts), grid[:, j]
-
-    return bounds
-
-
-def cut_fields(buf: bytes, bounds, wanted):
+def cut_fields(buf: bytes, rowmap: RowMap, wanted):
     """Cut step of the tokenizer: the raw field bytes of the wanted column
-    indices, where `bounds(j)` gives the start and end offsets of column j
-    on every line. Returns an iterator over the wanted columns and the
-    total length of their fields."""
-
-    def fields(j):
-        starts, ends = bounds(j)
-        return [buf[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
-
-    field_bytes = sum(int((ends - starts).sum()) for starts, ends in map(bounds, wanted))
-    # One column at a time, so a caller can type each before the next exists.
-    return (fields(j) for j in wanted), field_bytes
+    indices, cut from the positional map of `buf`, one column at a time so
+    that a caller can type each before the next exists."""
+    for j in wanted:
+        starts, ends = rowmap.bounds(j)
+        yield [buf[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
 
 
 def predicate_mask(column: Column, op: str, literal) -> np.ndarray:
@@ -385,19 +348,6 @@ class ResultSet:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def to_csv(self, out) -> None:
-        out.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            out.write(",".join(format_value(v) for v in row) + "\n")
-
-
-def format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if v is None:
-        return ""
-    return str(v)
 
 
 @dataclass

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from insitu.analyzer import (
-    ProfileAccumulator,
     SystemSpec,
     aggregate_profiles,
     bandwidth_utilization,
@@ -92,63 +91,6 @@ class TestAggregateProfiles:
         total_read = sum(p.total_read_bytes for p in per_task.values())
         assert total_read <= run_level.total_read_bytes + 1e-6
         assert total_read == pytest.approx(run_level.total_read_bytes)
-
-
-class TestMergeAssociativity:
-    def make_samples(self, seed, n=120):
-        rng = random.Random(seed)
-        samples = []
-        t = 0
-        for i in range(n):
-            t += rng.randint(200, 1500)
-            task = rng.choice(["A", "B", "C"])
-            if rng.random() < 0.5:
-                samples.append(total(t, task, cpu=rng.uniform(0, 100),
-                                     mem=rng.uniform(0, 100), iow=rng.uniform(0, 20)))
-            else:
-                samples.append(proc(t, task, name=rng.choice(["e1", "e2"]),
-                                    rss=rng.randrange(1 << 20, 1 << 26),
-                                    read=rng.uniform(0, 1e7), write=rng.uniform(0, 1e6)))
-        return samples
-
-    def assert_profiles_equal(self, a, b):
-        assert a.keys() == b.keys()
-        for k in a:
-            pa, pb = a[k], b[k]
-            for attr in ("sample_count", "duration_ms", "mean_cpu_pct", "peak_cpu_pct",
-                         "mean_mem_pct", "peak_mem_pct", "peak_rss_bytes",
-                         "total_read_bytes", "total_write_bytes", "mean_io_wait_pct"):
-                va, vb = getattr(pa, attr), getattr(pb, attr)
-                if va is None or vb is None:
-                    assert va == vb, (k, attr)
-                else:
-                    assert va == pytest.approx(vb), (k, attr)
-
-    def test_merge_equals_concatenation(self):
-        for seed in range(5):
-            samples = self.make_samples(seed)
-            for cut in (1, len(samples) // 3, len(samples) // 2, len(samples) - 1):
-                whole = ProfileAccumulator()
-                for s in samples:
-                    whole.add(s)
-                left = ProfileAccumulator()
-                for s in samples[:cut]:
-                    left.add(s)
-                right = ProfileAccumulator()
-                for s in samples[cut:]:
-                    right.add(s)
-                left.merge(right)
-                got = {t: left.profile(t) for t in left.task_ids()}
-                want = {t: whole.profile(t) for t in whole.task_ids()}
-                self.assert_profiles_equal(got, want)
-
-    def test_overlapping_merge_rejected(self):
-        a = ProfileAccumulator()
-        a.add(total(5000, "T", cpu=1.0))
-        b = ProfileAccumulator()
-        b.add(total(1000, "T", cpu=1.0))
-        with pytest.raises(ConfigError):
-            a.merge(b)
 
 
 class TestScalarDerivations:

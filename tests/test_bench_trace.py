@@ -26,12 +26,16 @@ engine, source = sys.argv[2], sys.argv[3]
 # The live run is long enough for several ticks at 1 kHz.
 generate_csv(work / "t.csv", rows=4000 if source == "procfs" else 400, columns=5, seed=2)
 generate_csv(work / "u.csv", rows=50, columns=3, seed=3)
-wl = work / "wl.csv"
-wl.write_text(
+statements = (
     "T_ID,Statement\n"
     'Q0,"SELECT ra, dec FROM t WHERE ra < 100;"\n'
     'Q1,"SELECT t.v03, u.ra FROM t JOIN u ON t.objid = u.objid;"\n'
 )
+if engine == "raw":
+    # A LIMIT on a column no earlier query cached: the raw engine streams it.
+    statements += 'Q2,"SELECT v04 FROM t WHERE v04 < 500 LIMIT 5;"\n'
+wl = work / "wl.csv"
+wl.write_text(statements)
 if engine == "plan":
     plan = work / "plan.json"
     assert cli.main(["advise", "qca", "--workload", str(wl), "--schema-csv",
@@ -88,3 +92,5 @@ def test_layers_trace_a_live_procfs_run(tmp_path):
     assert result["metrics"]["monitor.tick_ratio"] > 0
     # The live hooks saw the PROC samples of this process, found by command line.
     assert result["metrics"]["monitor.samples_held"] > result["metrics"]["stat_sources.ticks"]
+    # The LIMIT query read a prefix of its file without a full scan beneath it.
+    assert 0 < result["metrics"]["raw_engine.limit_bytes_frac"] < 1

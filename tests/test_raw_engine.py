@@ -18,7 +18,7 @@ from insitu.errors import (
 from insitu.query_model import parse_query
 from insitu.raw_engine import RawEngine
 from insitu.tabular import scan_csv
-from util import write_csv
+from util import CONTRACT_INPUTS, write_csv
 
 
 @pytest.fixture
@@ -115,6 +115,21 @@ class TestRowBoundaries:
         assert "data row 409" in str(expected.value)
         with pytest.raises(FormatError) as limited:
             limit_stats(p, "SELECT x FROM t WHERE x < 0 LIMIT 5")
+        assert str(limited.value) == str(expected.value)
+
+    @pytest.mark.parametrize("chunk", [4, 16])
+    @pytest.mark.parametrize("name", ["ragged", "blank-inside"])
+    def test_bad_row_numbered_across_rounds(self, tmp_path, name, chunk):
+        # Eight good rows ahead of the case put its bad row past the first
+        # chunk, so the row number must count the rows of earlier rounds.
+        p = tmp_path / "t.csv"
+        p.write_bytes(CONTRACT_INPUTS[name].replace(b"\n", b"\n" + b"0,0\n" * 8, 1))
+        with pytest.raises(FormatError) as expected:
+            scan_csv(p)
+        assert "data row 10 " in str(expected.value)
+        with mock.patch.object(raw_engine, "_SCAN_CHUNK", chunk):
+            with pytest.raises(FormatError) as limited:
+                limit_stats(p, "SELECT a FROM t WHERE a < 0 LIMIT 1")
         assert str(limited.value) == str(expected.value)
 
 

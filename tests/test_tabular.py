@@ -112,7 +112,7 @@ def scanned(scan):
         name: (col.type, col.values.tobytes() if col.is_numeric else col.values)
         for name, col in scan.columns.items()
     }
-    return scan.header, cols, scan.row_count, scan.file_bytes, scan.field_bytes
+    return scan.header, cols, scan.row_count, scan.file_bytes
 
 
 class TestRowMap:
@@ -131,16 +131,15 @@ class TestRowMap:
             path = os.path.join(d, "t.csv")
             with open(path, "wb") as f:
                 f.write(data)
-            first = scan_csv(path, [], keep_map=True)
+            first = scan_csv(path, [])
             rowmap = first.rowmap
             assert len(rowmap) == first.row_count
             names = first.header
             for k in range(len(names) + 1):
                 for subset in itertools.combinations(names, k):
                     cold = scan_csv(path, subset)
-                    assert cold.rowmap is None
                     assert scanned(scan_csv(path, subset, rowmap=rowmap)) == scanned(cold)
-                    assert scanned(scan_csv(path, subset, keep_map=True)) == scanned(cold)
+                    assert scanned(scan_csv(path, subset)) == scanned(cold)
 
     @pytest.mark.parametrize("name", ["ragged", "blank-inside"])
     def test_no_map_outside_the_contract(self, tmp_path, name):
@@ -149,7 +148,7 @@ class TestRowMap:
         with pytest.raises(FormatError) as cold:
             scan_csv(p, [])
         with pytest.raises(FormatError) as mapped:
-            scan_csv(p, [], keep_map=True)
+            scan_csv(p, [])
         assert str(mapped.value) == str(cold.value)
 
     @pytest.mark.parametrize("width,dtype", [(10, np.uint8), (255, np.uint8),
@@ -157,7 +156,7 @@ class TestRowMap:
     def test_offsets_take_the_narrowest_dtype(self, tmp_path, width, dtype):
         p = tmp_path / "t.csv"
         p.write_bytes(b"a,b\n" + b"1," + b"2" * (width - 2) + b"\r\n3,4\n")
-        rowmap = scan_csv(p, [], keep_map=True).rowmap
+        rowmap = scan_csv(p, []).rowmap
         assert rowmap.ends.dtype == dtype
         assert rowmap.ends.tolist() == [[1, width], [1, 3]]
         assert rowmap.nbytes == rowmap.line_starts.nbytes + 2 * 2 * np.dtype(dtype).itemsize
@@ -174,14 +173,6 @@ class TestPredicates:
 
 
 class TestResultSet:
-    def test_csv_rendering(self, capsys):
-        import sys
-
-        rs = ResultSet(("t.a", "t.b"), [(1.5, "x"), (2.0, "y")])
-        rs.to_csv(sys.stdout)
-        out = capsys.readouterr().out
-        assert out == "t.a,t.b\n1.5,x\n2.0,y\n"
-
     def test_multiset_ignores_order(self):
         a = ResultSet(("c",), [(1.0,), (2.0,)])
         b = ResultSet(("c",), [(2.0,), (1.0,)])
