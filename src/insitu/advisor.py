@@ -1,11 +1,11 @@
 """Partition planning and query routing between the two engines.
 
-Two techniques over a workload's query classes:
-
-* complexity-aware: attributes of 0-join queries stay raw, attributes of
-  join queries get loaded; routing follows join count.
-* utilization-aware: only sampling queries whose measured footprint is
-  minimal (little read, tiny memory) stay raw; everything else is loaded.
+Two techniques over a workload's query classes, complexity-aware (QCA)
+and utilization-aware (RUA). `_class_keeps_raw` is each technique's class
+rule; RUA also requires a minimal measured footprint (little read, tiny
+memory). A query kept raw routes raw and its attributes stay raw, every
+other query's attributes get loaded, and a query the plan has not seen
+routes by the same class rule.
 
 Attributes referenced by both sides are replicated into both partitions.
 Metric percentages follow the loaded-side-counts-everything convention:
@@ -19,9 +19,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .analyzer import ResourceProfile, SystemSpec
+from .analyzer import ResourceProfile, SystemSpec, record_dict
 from .errors import ConfigError, SchemaError, UncoveredQueryError
-from .query_model import KIND_COMPLEX, QueryClass, is_name
+from .query_model import QueryClass, is_name
 from .tabular import LoadStats, cut_fields, read_csv, split_lines
 
 TECHNIQUE_QCA = "QCA"
@@ -64,18 +64,13 @@ class PartitionPlan:
         )
 
     def to_dict(self) -> dict:
-        m = self.metrics
         return {
             "technique": self.technique,
             "schema": list(self.schema),
             "raw_attrs": sorted(self.raw_attrs),
             "db_attrs": sorted(self.db_attrs),
             "replicated_attrs": sorted(self.replicated_attrs),
-            "metrics": {
-                "db_pct": m.db_pct,
-                "raw_only_pct": m.raw_only_pct,
-                "repl_pct": m.repl_pct,
-            },
+            "metrics": record_dict(self.metrics),
             "routing": dict(sorted(self.routing.items())),
         }
 
@@ -108,27 +103,32 @@ def _check_schema(classes, schema) -> None:
             )
 
 
-def qca_partition(classes: dict[str, QueryClass], schema) -> PartitionPlan:
-    """Keep 0-join query attributes raw; load join-query attributes."""
+def _class_keeps_raw(technique: str, cls: QueryClass) -> bool:
+    """The technique's class rule: QCA keeps every 0-join query raw, RUA
+    only 0-join sampling queries (and of those, only the ones its profile
+    test passes)."""
+    return cls.join_count == 0 and (technique == TECHNIQUE_QCA or cls.is_sampling)
+
+
+def _plan(technique: str, classes: dict[str, QueryClass], schema, keeps_raw) -> PartitionPlan:
+    """Each query routes raw when ``keeps_raw(qid, cls)``, else db; each
+    side holds the attributes of the queries routed to it."""
     schema = tuple(schema)
     _check_schema(classes, schema)
-    raw_attrs: set[str] = set()
-    db_attrs: set[str] = set()
-    routing: dict[str, str] = {}
-    for qid, cls in classes.items():
-        if cls.kind == KIND_COMPLEX:
-            db_attrs |= cls.attrs
-            routing[qid] = ENGINE_DB
-        else:
-            raw_attrs |= cls.attrs
-            routing[qid] = ENGINE_RAW
-    return PartitionPlan(
-        technique=TECHNIQUE_QCA,
-        schema=schema,
-        raw_attrs=frozenset(raw_attrs),
-        db_attrs=frozenset(db_attrs),
-        routing=routing,
-    )
+    routing = {qid: ENGINE_RAW if keeps_raw(qid, cls) else ENGINE_DB
+               for qid, cls in classes.items()}
+    sides: dict[str, set[str]] = {ENGINE_RAW: set(), ENGINE_DB: set()}
+    for qid, engine in routing.items():
+        sides[engine] |= classes[qid].attrs
+    return PartitionPlan(technique=technique, schema=schema,
+                         raw_attrs=frozenset(sides[ENGINE_RAW]),
+                         db_attrs=frozenset(sides[ENGINE_DB]), routing=routing)
+
+
+def qca_partition(classes: dict[str, QueryClass], schema) -> PartitionPlan:
+    """Complexity-aware plan: the class rule alone decides."""
+    return _plan(TECHNIQUE_QCA, classes, schema,
+                 lambda _, cls: _class_keeps_raw(TECHNIQUE_QCA, cls))
 
 
 def rua_partition(
@@ -140,41 +140,25 @@ def rua_partition(
 ) -> PartitionPlan:
     """Keep only measured minimal-footprint sampling queries raw.
 
-    A query qualifies when it samples (LIMIT, 0 joins) and its profile shows
-    less than the read threshold pulled from disk and a peak memory share
-    under the memory threshold. Empty-profile markers never qualify.
+    A query the class rule keeps raw stays raw when its profile shows less
+    than the read threshold pulled from disk and a peak memory share under
+    the memory threshold. Empty-profile markers never qualify.
     """
     if read_threshold_bytes <= 0 or mem_threshold_pct <= 0:
         raise ConfigError("RUA thresholds must be positive")
-    schema = tuple(schema)
-    _check_schema(classes, schema)
-    raw_attrs: set[str] = set()
-    db_attrs: set[str] = set()
-    routing: dict[str, str] = {}
-    for qid, cls in classes.items():
+
+    def keeps_raw(qid, cls):
         profile = profiles.get(qid)
         if profile is None:
             raise ConfigError(f"no resource profile for query {qid!r}")
-        qualifies = (
-            cls.is_sampling
-            and cls.join_count == 0
+        return (
+            _class_keeps_raw(TECHNIQUE_RUA, cls)
             and not profile.is_empty
             and profile.total_read_bytes < read_threshold_bytes
             and (profile.peak_mem_pct or 0.0) < mem_threshold_pct
         )
-        if qualifies:
-            raw_attrs |= cls.attrs
-            routing[qid] = ENGINE_RAW
-        else:
-            db_attrs |= cls.attrs
-            routing[qid] = ENGINE_DB
-    return PartitionPlan(
-        technique=TECHNIQUE_RUA,
-        schema=schema,
-        raw_attrs=frozenset(raw_attrs),
-        db_attrs=frozenset(db_attrs),
-        routing=routing,
-    )
+
+    return _plan(TECHNIQUE_RUA, classes, schema, keeps_raw)
 
 
 @dataclass(frozen=True)
@@ -204,11 +188,8 @@ def route_query(cls: QueryClass, plan: PartitionPlan, query_id: str | None = Non
     """
     if query_id is not None and query_id in plan.routing:
         return plan.routing[query_id]
-    if plan.technique == TECHNIQUE_RUA:
-        prefers_raw = cls.is_sampling and cls.join_count == 0
-    else:
-        prefers_raw = cls.join_count == 0
-    order = (ENGINE_RAW, ENGINE_DB) if prefers_raw else (ENGINE_DB, ENGINE_RAW)
+    raw_first = _class_keeps_raw(plan.technique, cls)
+    order = (ENGINE_RAW, ENGINE_DB) if raw_first else (ENGINE_DB, ENGINE_RAW)
     for engine in order:
         side = plan.raw_attrs if engine == ENGINE_RAW else plan.db_attrs
         if cls.attrs <= side:

@@ -10,9 +10,9 @@ samples (rate x period).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .monitor import SCOPE_PROC, SCOPE_TOTAL, Sample
 from .tabular import ExecStats
 
@@ -240,21 +240,26 @@ def profiles_from_exec_stats(stats_by_task, spec: SystemSpec) -> dict[str, Resou
 # Report output
 
 
+def record_dict(record) -> dict:
+    """A dataclass record's fields as a shallow dict. Unlike `vars`, this
+    materializes no `__dict__` on the instance, which CPython would keep
+    for the record's lifetime."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def profile_to_dict(p: ResourceProfile) -> dict:
-    return {
-        "task_id": p.task_id,
-        "sample_count": p.sample_count,
-        "empty": p.is_empty,
-        "duration_ms": p.duration_ms,
-        "mean_cpu_pct": p.mean_cpu_pct,
-        "peak_cpu_pct": p.peak_cpu_pct,
-        "mean_mem_pct": p.mean_mem_pct,
-        "peak_mem_pct": p.peak_mem_pct,
-        "peak_rss_bytes": p.peak_rss_bytes,
-        "total_read_bytes": p.total_read_bytes,
-        "total_write_bytes": p.total_write_bytes,
-        "mean_io_wait_pct": p.mean_io_wait_pct,
-    }
+    return {**record_dict(p), "empty": p.is_empty}
+
+
+def profile_from_dict(d: dict) -> ResourceProfile:
+    """Inverse of `profile_to_dict`. A missing field, or a null one the
+    profile never holds null, is a FormatError: reading it as 0 would
+    fabricate a footprint."""
+    bad = [f.name for f in fields(ResourceProfile)
+           if d.get(f.name) is None and (f.name not in d or f.default is not None)]
+    if bad:
+        raise FormatError(f"profile {d.get('task_id')!r}: missing or null {bad}")
+    return ResourceProfile(**{f.name: d[f.name] for f in fields(ResourceProfile)})
 
 
 def write_report(path, report: dict) -> None:

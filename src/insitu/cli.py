@@ -28,7 +28,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import advisor as advisor_mod
@@ -44,8 +44,10 @@ from .analyzer import (
     SystemSpec,
     aggregate_profiles,
     io_amplification,
+    profile_from_dict,
     profile_to_dict,
     profiles_from_exec_stats,
+    record_dict,
     wet,
     write_report,
     write_series_csv,
@@ -307,15 +309,8 @@ class _WorkloadRunner:
             "engine": engine_name,
             "duration_ms": stats.duration_ms,
             "result_rows": len(result),
-            "exec": {
-                "bytes_read_from_disk": stats.bytes_read_from_disk,
-                "rows_scanned": stats.rows_scanned,
-                "cache_hit_columns": stats.cache_hit_columns,
-                "early_stop": stats.early_stop,
-                "peak_cache_bytes": stats.peak_cache_bytes,
-                "structure_scans": stats.structure_scans,
-                "rowmap_bytes": stats.rowmap_bytes,
-            },
+            # The task record carries duration_ms already.
+            "exec": {k: v for k, v in record_dict(stats).items() if k != "duration_ms"},
         }
 
     # -- reporting ---------------------------------------------------------
@@ -346,13 +341,9 @@ class _WorkloadRunner:
             "seed": self.config.seed,
             "workload": str(self.config.workload_path),
             "outputs": {"samples": "samples.csv", "series": "series.csv"},
-            "spec": asdict(spec),
+            "spec": record_dict(spec),
             "tasks": self.records,
-            "wet": {
-                "total_ms": breakdown.total_ms,
-                "load_ms": breakdown.load_ms,
-                "query_ms": breakdown.query_ms,
-            },
+            "wet": record_dict(breakdown),
             "io": {
                 "total_read_bytes": total_read,
                 "total_written_bytes": total_written,
@@ -362,14 +353,9 @@ class _WorkloadRunner:
             },
             "profiles": {t: profile_to_dict(p) for t, p in profiles.items()},
             "exec_profiles": {t: profile_to_dict(p) for t, p in exec_profiles.items()},
-            "monitor": {
-                # Synthetic and replayed samples are scripted ahead of the run.
-                "measured": self.config.source == "procfs",
-                "samples_total": flush_report.samples_total,
-                "flush_count": flush_report.flush_count,
-                "gap_rows": flush_report.gap_rows,
-                "max_buffered": flush_report.max_buffered,
-            },
+            # Synthetic and replayed samples are scripted ahead of the run.
+            "monitor": {**record_dict(flush_report),
+                        "measured": self.config.source == "procfs"},
         }
         return report
 
@@ -419,20 +405,15 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    tasks = parse_workload(Path(args.workload).read_text(encoding="utf-8"))
-    out = {}
-    for task in tasks:
-        stmt = parse_query(task.statement)
-        if isinstance(stmt, QueryAst):
-            c = classify(stmt)
-            out[task.task_id] = {
-                "join_count": c.join_count,
-                "is_sampling": c.is_sampling,
-                "kind": c.kind,
-                "attrs": sorted(c.attrs),
-            }
-        else:
-            out[task.task_id] = {"kind": "load"}
+    out = {
+        tid: {"kind": "load"} if c is None else {
+            "join_count": c.join_count,
+            "is_sampling": c.is_sampling,
+            "kind": c.kind,
+            "attrs": sorted(c.attrs),
+        }
+        for tid, c in _classes_from_workload(args.workload).items()
+    }
     json.dump(out, sys.stdout, indent=2)
     print()
     return EXIT_OK
@@ -449,45 +430,33 @@ def _schema_from_csvs(paths) -> list[str]:
 
 
 def _classes_from_workload(path) -> dict:
-    tasks = parse_workload(Path(path).read_text(encoding="utf-8"))
-    classes = {}
-    for task in tasks:
-        stmt = parse_query(task.statement)
-        if isinstance(stmt, QueryAst):
-            classes[task.task_id] = classify(stmt)
-    return classes
+    """Query class per task id in workload order; None for a load task."""
+    stmts = [(t.task_id, parse_query(t.statement))
+             for t in parse_workload(Path(path).read_text(encoding="utf-8"))]
+    return {tid: classify(s) if isinstance(s, QueryAst) else None for tid, s in stmts}
 
 
-def _profiles_from_report(report_path, spec: SystemSpec) -> dict:
-    from .analyzer import ResourceProfile
-
+def _profiles_from_report(report_path) -> dict:
+    """Non-empty profiles by task id, engine-side ones first."""
     with open(report_path, encoding="utf-8") as f:
         report = json.load(f)
     out = {}
     for section in ("exec_profiles", "profiles"):
         for tid, d in report.get(section, {}).items():
-            if tid in out or d.get("empty"):
-                continue
-            out[tid] = ResourceProfile(
-                task_id=tid,
-                sample_count=d.get("sample_count", 1),
-                duration_ms=d.get("duration_ms") or 0.0,
-                peak_mem_pct=d.get("peak_mem_pct"),
-                total_read_bytes=d.get("total_read_bytes") or 0.0,
-                total_write_bytes=d.get("total_write_bytes") or 0.0,
-            )
+            if tid not in out and not d.get("empty"):
+                out[tid] = profile_from_dict(d)
     return out
 
 
 def _cmd_advise(args) -> int:
     schema = _schema_from_csvs(args.schema_csv)
-    classes = _classes_from_workload(args.workload)
+    classes = {t: c for t, c in _classes_from_workload(args.workload).items() if c is not None}
     if args.technique == "qca":
         plan = advisor_mod.qca_partition(classes, schema)
     else:
         if not args.report:
             raise ConfigError("advise rua requires --report from a measured run")
-        profiles = _profiles_from_report(args.report, SystemSpec())
+        profiles = _profiles_from_report(args.report)
         plan = advisor_mod.rua_partition(
             classes, profiles, schema,
             read_threshold_bytes=args.read_threshold,

@@ -52,7 +52,6 @@ _TYPE_INFER_ROWS = 1000
 class TableStore:
     """Metadata for one loaded table; column payloads stay on disk."""
 
-    table: str
     directory: Path
     attrs: list[str]
     types: dict[str, str]
@@ -121,8 +120,7 @@ class DbEngine:
         tmp_dir.mkdir(parents=True)
 
         stats = LoadStats(rows_loaded=scan.row_count, input_bytes=input_bytes)
-        store = TableStore(table=table, directory=tmp_dir, attrs=attrs, types={},
-                           row_count=scan.row_count)
+        store = TableStore(directory=tmp_dir, attrs=attrs, types={}, row_count=scan.row_count)
         try:
             if journal:
                 stats.journal_bytes = _write_journal(store.journal_path, csv_path)
@@ -420,7 +418,6 @@ def _read_meta(directory) -> TableStore | None:
         else:
             minmax[attr] = (lo, hi)
     return TableStore(
-        table=directory.name,
         directory=directory,
         attrs=attrs,
         types=types,

@@ -105,7 +105,6 @@ class FlushReport:
     flush_count: int = 0
     gap_rows: int = 0
     max_buffered: int = 0
-    output_path: str = ""
 
 
 def _fmt(v) -> str:
@@ -133,7 +132,7 @@ class _SampleSink:
         self._fh.write(",".join(SAMPLE_COLUMNS) + "\n")
         self._buffer: list[Sample] = []
         self.samples: list[Sample] = []
-        self.report = FlushReport(output_path=str(config.output_path))
+        self.report = FlushReport()
 
     def add_tick(self, ts_ms: int, task_id: str, reading: TickReading | None) -> None:
         """Record one tick: a TOTAL sample for the system fragment and a PROC

@@ -462,7 +462,8 @@ class ProcfsSource:
         busy = total - idle - iowait
         return busy, iowait, total
 
-    def _read_mem_pct(self) -> float:
+    def _read_meminfo(self) -> tuple[float, float]:
+        """Used memory percent and total bytes, from one meminfo read."""
         total = avail = None
         with open(self.proc_root / "meminfo") as f:
             for line in f:
@@ -473,9 +474,9 @@ class ProcfsSource:
                 if total is not None and avail is not None:
                     break
         if not total:
-            return 0.0
+            return 0.0, 0.0
         used = total - (avail if avail is not None else 0.0)
-        return used / total * 100.0
+        return used / total * 100.0, total * KIB
 
     def _discover(self, now: float) -> None:
         if self.fixed_pids is not None:
@@ -575,8 +576,7 @@ class ProcfsSource:
                 io_wait = min(100.0, max(0.0, (iowait - p_iowait) / dtot * 100.0))
         self._prev_cpu = (busy, iowait, total)
 
-        mem_pct = self._read_mem_pct()
-        mem_total_b = self._mem_total_bytes()
+        mem_pct, mem_total_b = self._read_meminfo()
 
         processes = []
         if self.watched or self.fixed_pids is not None:
@@ -594,7 +594,3 @@ class ProcfsSource:
             ),
             processes=tuple(processes),
         )
-
-    def _mem_total_bytes(self) -> float:
-        with open(self.proc_root / "meminfo") as f:
-            return float(f.readline().split()[1]) * KIB

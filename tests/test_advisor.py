@@ -181,6 +181,19 @@ class TestRouting:
         with pytest.raises(UncoveredQueryError):
             route_query(qc(attrs=["t.e"]), plan)
 
+    @pytest.mark.parametrize("technique", ["QCA", "RUA"])
+    @pytest.mark.parametrize("join_count,sampling", [(0, False), (0, True), (1, False), (1, True)])
+    def test_fallback_follows_the_partition_rule(self, technique, join_count, sampling):
+        # Both sides cover every attribute, so only the class rule decides.
+        schema = ["t.a", "t.b"]
+        cls = qc(join_count=join_count, sampling=sampling, attrs=schema)
+        if technique == "QCA":
+            partitioned = qca_partition({"q": cls}, schema)
+        else:
+            partitioned = rua_partition({"q": cls}, {"q": prof("q")}, schema)
+        plan = PartitionPlan(technique, tuple(schema), frozenset(schema), frozenset(schema))
+        assert route_query(cls, plan) == partitioned.routing["q"]
+
     def test_routing_invariant_under_renaming(self):
         schema = ["t.a", "t.b", "t.c"]
         classes = {

@@ -3,16 +3,19 @@ import random
 import pytest
 
 from insitu.analyzer import (
+    ResourceProfile,
     SystemSpec,
     aggregate_profiles,
     bandwidth_utilization,
     cold_hot_delta,
     effective_ram_pct,
     io_amplification,
+    profile_from_dict,
+    profile_to_dict,
     profiles_from_exec_stats,
     wet,
 )
-from insitu.errors import ConfigError
+from insitu.errors import ConfigError, FormatError
 from insitu.monitor import Sample
 from insitu.query_model import WorkloadTask
 from insitu.tabular import ExecStats
@@ -151,3 +154,29 @@ class TestScalarDerivations:
         assert p.total_read_bytes == float(1 << 20)
         assert p.peak_mem_pct == 0.0
         assert not p.is_empty
+
+
+class TestProfileJson:
+    FULL = ResourceProfile(task_id="Q1", sample_count=3, duration_ms=2000.0,
+                           mean_cpu_pct=12.5, peak_cpu_pct=40.0, mean_mem_pct=1.5,
+                           peak_mem_pct=2.0, peak_rss_bytes=1 << 20,
+                           total_read_bytes=4096.0, total_write_bytes=512.0,
+                           mean_io_wait_pct=0.25)
+
+    @pytest.mark.parametrize("profile", [FULL, ResourceProfile(task_id="Q2")],
+                             ids=["full", "empty"])
+    def test_round_trip(self, profile):
+        assert profile_from_dict(profile_to_dict(profile)) == profile
+
+    @pytest.mark.parametrize("name", ["total_read_bytes", "mean_cpu_pct", "task_id"])
+    def test_missing_field_is_format_error(self, name):
+        d = profile_to_dict(self.FULL)
+        del d[name]
+        with pytest.raises(FormatError, match=name):
+            profile_from_dict(d)
+
+    def test_null_only_where_the_profile_holds_null(self):
+        assert profile_from_dict({**profile_to_dict(self.FULL), "peak_mem_pct": None}
+                                 ).peak_mem_pct is None
+        with pytest.raises(FormatError, match="total_read_bytes"):
+            profile_from_dict({**profile_to_dict(self.FULL), "total_read_bytes": None})

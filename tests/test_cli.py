@@ -390,6 +390,23 @@ class TestAdviseAndPlanRun:
         assert plan["routing"]["Q1"] == "raw"  # tiny LIMIT sampler
         assert plan["routing"]["Q2"] == "db"
 
+    def test_rua_rejects_profile_missing_a_field(self, tmp_path, advised, dataset, capsys):
+        wl, _, side = advised
+        out = tmp_path / "measured"
+        assert main(["run", "--workload", str(wl), "--engine", "raw",
+                     "--source", "synthetic", "--data-dir", str(tmp_path),
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        del report["exec_profiles"]["Q1"]["total_read_bytes"]  # read as 0, Q1 would go raw
+        (out / "report.json").write_text(json.dumps(report))
+        rc = main(["advise", "rua", "--workload", str(wl),
+                   "--schema-csv", str(dataset), str(side),
+                   "--report", str(out / "report.json"),
+                   "--out", str(tmp_path / "rua.json")])
+        assert rc == EXIT_INPUT
+        assert "total_read_bytes" in capsys.readouterr().err
+        assert not (tmp_path / "rua.json").exists()
+
 
 class TestReplayAndReport:
     @pytest.mark.parametrize("command", ["run", "replay"])

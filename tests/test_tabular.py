@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from insitu.cache import ColumnCache
 from insitu.errors import BudgetExceededError, ConfigError, FormatError
+from insitu.query_model import parse_query
+from insitu.raw_engine import RawEngine
 from insitu.tabular import Column, ResultSet, predicate_mask, scan_csv
 from util import CONTRACT_INPUTS, write_csv
 
@@ -137,9 +139,9 @@ class TestRowMap:
             names = first.header
             for k in range(len(names) + 1):
                 for subset in itertools.combinations(names, k):
-                    cold = scan_csv(path, subset)
-                    assert scanned(scan_csv(path, subset, rowmap=rowmap)) == scanned(cold)
-                    assert scanned(scan_csv(path, subset)) == scanned(cold)
+                    mapped = scan_csv(path, subset, rowmap=rowmap)
+                    assert scanned(mapped) == scanned(scan_csv(path, subset))
+                    assert mapped.rowmap is rowmap
 
     @pytest.mark.parametrize("name", ["ragged", "blank-inside"])
     def test_no_map_outside_the_contract(self, tmp_path, name):
@@ -147,9 +149,11 @@ class TestRowMap:
         p.write_bytes(CONTRACT_INPUTS[name])
         with pytest.raises(FormatError) as cold:
             scan_csv(p, [])
-        with pytest.raises(FormatError) as mapped:
-            scan_csv(p, [])
-        assert str(mapped.value) == str(cold.value)
+        engine = RawEngine()
+        for _ in range(2):  # a failed scan leaves no map behind to cut from
+            with pytest.raises(FormatError) as engine_run:
+                engine.execute(parse_query("SELECT a FROM t"), files={"t": p})
+            assert str(engine_run.value) == str(cold.value)
 
     @pytest.mark.parametrize("width,dtype", [(10, np.uint8), (255, np.uint8),
                                              (256, np.uint16), (65_536, np.uint32)])
