@@ -15,7 +15,6 @@ from .advisor import (
     rua_partition,
 )
 from .analyzer import (
-    ProfileAccumulator,
     ResourceProfile,
     SystemSpec,
     aggregate_profiles,
@@ -47,6 +46,7 @@ from .monitor import (
     FlushReport,
     MonitorConfig,
     Sample,
+    SampleColumns,
     TaskRegister,
     run_scripted,
     start_monitor,
@@ -93,13 +93,13 @@ __all__ = [
     "ParseError",
     "PartitionPlan",
     "ProcfsSource",
-    "ProfileAccumulator",
     "QueryAst",
     "QueryClass",
     "RawEngine",
     "ResourceProfile",
     "ResultSet",
     "Sample",
+    "SampleColumns",
     "SchemaError",
     "SyntheticSource",
     "SystemSpec",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analyzer import ResourceProfile, SystemSpec, record_dict
-from .errors import ConfigError, SchemaError, UncoveredQueryError
+from .errors import ConfigError, FormatError, SchemaError, UncoveredQueryError
 from .query_model import QueryClass, is_name
 from .tabular import LoadStats, cut_fields, read_csv, split_lines
 
@@ -40,6 +40,10 @@ class PlanMetrics:
     db_pct: float
     raw_only_pct: float
     repl_pct: float
+
+
+_PLAN_KEYS = {"technique": str, "schema": list, "raw_attrs": list, "db_attrs": list,
+              "routing": dict}
 
 
 @dataclass
@@ -81,8 +85,24 @@ class PartitionPlan:
 
     @classmethod
     def load(cls, path) -> "PartitionPlan":
+        """Read a plan saved by `save`. A file that is not one (bad JSON, a
+        missing or mistyped key, an unknown technique) is a FormatError."""
         with open(path, encoding="utf-8") as f:
-            d = json.load(f)
+            try:
+                d = json.load(f)
+            except ValueError as exc:
+                raise FormatError(f"{path}: not a JSON plan: {exc}") from exc
+        if not isinstance(d, dict):
+            raise FormatError(f"{path}: a plan is a JSON object")
+        bad = [key for key, kind in _PLAN_KEYS.items()
+               if not isinstance(d.get(key), kind)
+               or (kind is list and not all(isinstance(a, str) for a in d[key]))]
+        if not bad and any(e not in (ENGINE_RAW, ENGINE_DB) for e in d["routing"].values()):
+            bad.append("routing")
+        if bad:
+            raise FormatError(f"{path}: plan key(s) {bad} missing or of the wrong type")
+        if d["technique"] not in (TECHNIQUE_QCA, TECHNIQUE_RUA):
+            raise FormatError(f"{path}: unknown plan technique {d['technique']!r}")
         return cls(
             technique=d["technique"],
             schema=tuple(d["schema"]),

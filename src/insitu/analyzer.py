@@ -5,15 +5,18 @@ sample covers the interval back to the previous sample of the same stream
 (TOTAL, or PROC per process name), the first sample of a stream reaching
 back to run start. CPU, memory, and IO-wait figures come from TOTAL
 samples; resident-set peaks and read/write byte totals integrate the PROC
-samples (rate x period).
+samples (rate x period). The reduction runs over `SampleColumns` with numpy,
+in sample order, so it equals a sequential per-sample loop bit for bit.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import ConfigError, FormatError
-from .monitor import SCOPE_PROC, SCOPE_TOTAL, Sample
+from .monitor import VALUE_FIELDS, SampleColumns
 from .tabular import ExecStats
 
 MEAN_FIELDS = ("cpu_pct", "mem_pct", "io_wait_pct")
@@ -56,100 +59,101 @@ class ResourceProfile:
         return self.sample_count == 0
 
 
-class _TaskSums:
-    __slots__ = ("w", "wx", "peak", "read_bytes", "write_bytes", "peak_rss",
-                 "count", "total_w")
+def _stream_dt(cols: SampleColumns) -> np.ndarray:
+    """Seconds each sample covers: back to the previous sample of its stream
+    (TOTAL, or PROC per process), the first one back to run start."""
+    ts = cols.ts_ms / 1000.0
+    stream = np.where(cols.proc, cols.process + 1, 0)
+    order = np.argsort(stream, kind="stable")
+    t, s = ts[order], stream[order]
+    prev = np.zeros(len(t))
+    same = s[1:] == s[:-1]
+    prev[1:][same] = t[:-1][same]
+    if np.any(t < prev):
+        raise ConfigError("samples must be sorted by timestamp within a stream")
+    dt = np.empty(len(t))
+    dt[order] = t - prev
+    return dt
 
-    def __init__(self):
-        self.w = {f: 0.0 for f in MEAN_FIELDS}
-        self.wx = {f: 0.0 for f in MEAN_FIELDS}
-        self.peak = {f: None for f in MEAN_FIELDS}
-        self.read_bytes = 0.0
-        self.write_bytes = 0.0
-        self.peak_rss = None
-        self.count = 0
-        self.total_w = 0.0  # sum of dt over TOTAL samples: observed duration
 
-
-class ProfileAccumulator:
-    """Streaming per-task aggregation of monitor samples."""
-
-    def __init__(self):
-        self._tasks: dict[str, _TaskSums] = {}
-        self._stream_last: dict[tuple, float] = {}
-
-    @staticmethod
-    def _stream_key(sample: Sample) -> tuple:
-        if sample.scope == SCOPE_PROC:
-            return (SCOPE_PROC, sample.process)
-        return (SCOPE_TOTAL,)
-
-    def add(self, sample: Sample) -> None:
-        key = self._stream_key(sample)
-        prev = self._stream_last.get(key, 0.0)
-        ts = sample.ts_ms / 1000.0
-        if ts < prev:
-            raise ConfigError("samples must be sorted by timestamp within a stream")
-        dt = ts - prev
-        self._stream_last[key] = ts
-        self._apply(sample, dt)
-
-    def _apply(self, sample: Sample, dt: float) -> None:
-        sums = self._tasks.setdefault(sample.task_id, _TaskSums())
-        sums.count += 1
-        if sample.scope == SCOPE_TOTAL:
-            sums.total_w += dt
-            for f in MEAN_FIELDS:
-                x = getattr(sample, f)
-                if x is None:
-                    continue
-                sums.w[f] += dt
-                sums.wx[f] += x * dt
-                if sums.peak[f] is None or x > sums.peak[f]:
-                    sums.peak[f] = x
-        else:
-            if sample.rss_bytes is not None:
-                if sums.peak_rss is None or sample.rss_bytes > sums.peak_rss:
-                    sums.peak_rss = sample.rss_bytes
-            if sample.read_Bps is not None:
-                sums.read_bytes += sample.read_Bps * dt
-            if sample.write_Bps is not None:
-                sums.write_bytes += sample.write_Bps * dt
-
-    def profile(self, task_id: str) -> ResourceProfile:
-        sums = self._tasks.get(task_id)
-        if sums is None or sums.count == 0:
-            return ResourceProfile(task_id=task_id)  # empty-profile marker
-
-        def mean(f):
-            return sums.wx[f] / sums.w[f] if sums.w[f] > 0 else sums.peak[f]
-
-        return ResourceProfile(
-            task_id=task_id,
-            sample_count=sums.count,
-            duration_ms=sums.total_w * 1000.0,
-            mean_cpu_pct=mean("cpu_pct"),
-            peak_cpu_pct=sums.peak["cpu_pct"],
-            mean_mem_pct=mean("mem_pct"),
-            peak_mem_pct=sums.peak["mem_pct"],
-            peak_rss_bytes=sums.peak_rss,
-            total_read_bytes=sums.read_bytes,
-            total_write_bytes=sums.write_bytes,
-            mean_io_wait_pct=mean("io_wait_pct"),
-        )
-
-    def task_ids(self):
-        return list(self._tasks)
+def _peaks(group: np.ndarray, x: np.ndarray, k: int) -> list:
+    """Per group of ``k``, the value ``if peak is None or v > peak: peak = v``
+    keeps over ``x`` in order: None for no value, a NaN that comes first,
+    else the first of the largest values."""
+    idx = np.arange(len(x))
+    first = np.full(k, len(x))
+    np.minimum.at(first, group, idx)
+    ok = ~np.isnan(x) if x.dtype.kind == "f" else np.ones(len(x), dtype=bool)
+    low = -np.inf if x.dtype.kind == "f" else np.iinfo(x.dtype).min
+    top = np.full(k, low, dtype=x.dtype)
+    np.maximum.at(top, group[ok], x[ok])
+    hit = ok & (x == top[group])
+    first_top = np.full(k, len(x))
+    np.minimum.at(first_top, group[hit], idx[hit])
+    out = [None] * k
+    for g in np.flatnonzero(first < len(x)).tolist():
+        lead = x[first[g]]
+        out[g] = (lead if lead != lead else x[first_top[g]]).item()
+    return out
 
 
 def aggregate_profiles(samples, tasks=()) -> dict[str, ResourceProfile]:
     """Per-task profiles; workload tasks that never got a sample map to an
-    empty-profile marker rather than fabricated zeros."""
-    acc = ProfileAccumulator()
-    for s in samples:
-        acc.add(s)
-    ids = list(dict.fromkeys([t.task_id for t in tasks] + acc.task_ids()))
-    return {tid: acc.profile(tid) for tid in ids}
+    empty-profile marker rather than fabricated zeros.
+
+    ``samples`` is a `SampleColumns` or any iterable of `Sample`. Sums run in
+    sample order (`np.bincount`), so each profile is bitwise the one a
+    sequential per-sample loop gives.
+    """
+    cols = SampleColumns.from_samples(samples)
+    dt = _stream_dt(cols)
+    k = len(cols.task_ids)
+
+    def total(mask, weights):  # float sums even over no samples
+        sums = np.bincount(cols.task[mask], weights=weights[mask], minlength=k)
+        return sums.astype(np.float64, copy=False).tolist()
+
+    count = np.bincount(cols.task, minlength=k).tolist()
+    is_total = ~cols.proc
+    duration = total(is_total, dt)
+    w, wx, peak, moved = {}, {}, {}, {}
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is NaN, as in Python
+        for f in MEAN_FIELDS:
+            m = is_total & cols.present[f]
+            x = cols.values[f]
+            w[f], wx[f], peak[f] = total(m, dt), total(m, x * dt), _peaks(cols.task[m], x[m], k)
+        for f in RATE_FIELDS:
+            moved[f] = total(cols.proc & cols.present[f], cols.values[f] * dt)
+    m = cols.proc & cols.present["rss_bytes"]
+    peak_rss = _peaks(cols.task[m], cols.values["rss_bytes"][m], k)
+
+    def mean(f, g):
+        return wx[f][g] / w[f][g] if w[f][g] > 0 else peak[f][g]
+
+    first = np.full(k, len(cols))
+    np.minimum.at(first, cols.task, np.arange(len(cols)))
+    seen = [cols.task_ids[g] for g in np.argsort(first, kind="stable").tolist() if count[g]]
+    code = {tid: g for g, tid in enumerate(cols.task_ids)}
+    out = {}
+    for tid in dict.fromkeys([t.task_id for t in tasks] + seen):
+        g = code.get(tid)
+        if g is None or count[g] == 0:
+            out[tid] = ResourceProfile(task_id=tid)  # empty-profile marker
+            continue
+        out[tid] = ResourceProfile(
+            task_id=tid,
+            sample_count=count[g],
+            duration_ms=duration[g] * 1000.0,
+            mean_cpu_pct=mean("cpu_pct", g),
+            peak_cpu_pct=peak["cpu_pct"][g],
+            mean_mem_pct=mean("mem_pct", g),
+            peak_mem_pct=peak["mem_pct"][g],
+            peak_rss_bytes=peak_rss[g],
+            total_read_bytes=moved["read_Bps"][g],
+            total_write_bytes=moved["write_Bps"][g],
+            mean_io_wait_pct=mean("io_wait_pct", g),
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,32 +272,36 @@ def write_report(path, report: dict) -> None:
         f.write("\n")
 
 
+TOTAL_SERIES = (("cpu_total", "cpu_pct"), ("mem_total", "mem_pct"),
+                 ("io_wait_total", "io_wait_pct"), ("read_Bps_total", "read_Bps"),
+                 ("write_Bps_total", "write_Bps"))
+PROC_SERIES = (("cpu", "cpu_pct"), ("rss", "rss_bytes"), ("read_Bps", "read_Bps"),
+               ("write_Bps", "write_Bps"))
+
+
 def write_series_csv(path, samples, max_points: int = 1000) -> None:
     """Plot-ready long-format series (`ts_ms,series,value`), downsampled by
     tick stride to at most roughly max_points per series."""
-    ticks = sorted({s.ts_ms for s in samples})
-    stride = max(1, len(ticks) // max_points)
-    keep = set(ticks[::stride])
+    cols = SampleColumns.from_samples(samples)
+    ts = np.sort(cols.ts_ms)
+    ticks = ts[np.concatenate(([True], ts[1:] != ts[:-1]))] if len(ts) else ts
+    keep = ticks[::max(1, len(ticks) // max_points)]
+    at = np.searchsorted(keep, cols.ts_ms).clip(max=max(len(keep) - 1, 0))
+    kept = cols.take(keep[at] == cols.ts_ms)
+    values = {f: [v if p else None for v, p in zip(kept.values[f].tolist(),
+                                                   kept.present[f].tolist())]
+              for f in VALUE_FIELDS}
+    lines = ["ts_ms,series,value\n"]
+    for i, (ts_ms, proc, code) in enumerate(zip(kept.ts_ms.tolist(), kept.proc.tolist(),
+                                                kept.process.tolist())):
+        if proc:
+            process = kept.processes[code]
+            pairs = ((f"{name}:{process}", field) for name, field in PROC_SERIES)
+        else:
+            pairs = TOTAL_SERIES
+        for name, field in pairs:
+            value = values[field][i]
+            if value is not None:
+                lines.append(f"{ts_ms},{name},{value}\n")
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("ts_ms,series,value\n")
-        for s in samples:
-            if s.ts_ms not in keep:
-                continue
-            if s.scope == SCOPE_TOTAL:
-                pairs = (
-                    ("cpu_total", s.cpu_pct),
-                    ("mem_total", s.mem_pct),
-                    ("io_wait_total", s.io_wait_pct),
-                    ("read_Bps_total", s.read_Bps),
-                    ("write_Bps_total", s.write_Bps),
-                )
-            else:
-                pairs = (
-                    (f"cpu:{s.process}", s.cpu_pct),
-                    (f"rss:{s.process}", s.rss_bytes),
-                    (f"read_Bps:{s.process}", s.read_Bps),
-                    (f"write_Bps:{s.process}", s.write_Bps),
-                )
-            for name, value in pairs:
-                if value is not None:
-                    f.write(f"{s.ts_ms},{name},{value}\n")
+        f.write("".join(lines))

@@ -179,7 +179,7 @@ class _WorkloadRunner:
         self.records: list[dict] = []
         self.exec_stats: dict[str, object] = {}
         self.load_stats: dict[str, object] = {}
-        self.error: WorkbenchError | None = None
+        self.error: WorkbenchError | OSError | None = None
         self.failed_task: str | None = None
         self._table_files: dict[str, Path] = {}
 
@@ -244,7 +244,7 @@ class _WorkloadRunner:
             for task in self.tasks:
                 register.set(task.task_id)
                 self._execute_task(task)
-        except WorkbenchError as exc:
+        except (WorkbenchError, OSError) as exc:
             self.error = exc
 
     def _execute_task(self, task) -> None:
@@ -256,7 +256,7 @@ class _WorkloadRunner:
                 record = self._run_copy(stmt)
             else:
                 record = self._run_query(task.task_id, stmt)
-        except WorkbenchError as exc:
+        except (WorkbenchError, OSError) as exc:
             self.failed_task = task.task_id
             self.records.append(
                 {"task_id": task.task_id, "kind": "failed", "duration_ms": 0.0,
@@ -439,10 +439,20 @@ def _classes_from_workload(path) -> dict:
 def _profiles_from_report(report_path) -> dict:
     """Non-empty profiles by task id, engine-side ones first."""
     with open(report_path, encoding="utf-8") as f:
-        report = json.load(f)
+        try:
+            report = json.load(f)
+        except ValueError as exc:
+            raise FormatError(f"{report_path}: not a JSON report: {exc}") from exc
+    if not isinstance(report, dict):
+        raise FormatError(f"{report_path}: a report is a JSON object")
     out = {}
     for section in ("exec_profiles", "profiles"):
-        for tid, d in report.get(section, {}).items():
+        profiles = report.get(section, {})
+        if not isinstance(profiles, dict):
+            raise FormatError(f"{report_path}: {section} is not an object")
+        for tid, d in profiles.items():
+            if not isinstance(d, dict):
+                raise FormatError(f"{report_path}: profile {tid!r} is not an object")
             if tid not in out and not d.get("empty"):
                 out[tid] = profile_from_dict(d)
     return out

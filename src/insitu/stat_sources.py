@@ -14,8 +14,10 @@ from __future__ import annotations
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError, FormatError, MonitorError
 
@@ -281,15 +283,18 @@ def parse_iotop_block(text: str) -> IotopSnapshot:
 
 class SyntheticSource:
     """Replays a script of (time_s, TickReading) pairs exactly, as made by
-    `synthetic_script` or `replay_script`.
+    `synthetic_script` (a `ScriptColumns`) or `replay_script` (a list).
 
     An exhausted or empty script yields all-zero fragments so threaded use
     keeps producing samples until stopped.
     """
 
     def __init__(self, script):
-        script = list(script)
-        times = [t for t, _ in script]
+        if isinstance(script, ScriptColumns):
+            times = script.times.tolist()
+        else:
+            script = list(script)
+            times = [t for t, _ in script]
         if times != sorted(times):
             raise ConfigError("synthetic script must be sorted by time")
         self.script = script
@@ -303,39 +308,82 @@ class SyntheticSource:
         return reading
 
     def ticks(self):
-        for t, reading in self.script:
-            yield t, reading
+        yield from self.script
+
+
+SYSTEM_FIELDS = tuple(f.name for f in fields(SystemReading))
+PROCESS_FIELDS = tuple(f.name for f in fields(ProcessReading))[1:]  # after the name
+
+
+class ScriptColumns:
+    """A synthetic script held as the arrays it was drawn as: tick times, one
+    column per `SystemReading` field, and one (ticks, names) matrix per
+    `ProcessReading` field. It reads as a sequence of (time_s, TickReading)
+    pairs, each built when asked for; the monitor records it from the arrays.
+    """
+
+    def __init__(self, times, system: dict, names, procs: dict):
+        self.times = times
+        self.system = system
+        self.names = tuple(names)
+        self.procs = procs
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def _pair(self, k: int):
+        system = SystemReading(*(self.system[f][k].item() for f in SYSTEM_FIELDS))
+        procs = tuple(
+            ProcessReading(name, *(self.procs[f][k, j].item() for f in PROCESS_FIELDS))
+            for j, name in enumerate(self.names)
+        )
+        return self.times[k].item(), TickReading(system=system, processes=procs)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._pair(i) for i in range(len(self))[k]]
+        return self._pair(k)
+
+    def __iter__(self):
+        return map(self._pair, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, ScriptColumns):
+            return NotImplemented
+        return (self.names == other.names and np.array_equal(self.times, other.times)
+                and all(np.array_equal(self.system[f], other.system[f]) for f in SYSTEM_FIELDS)
+                and all(np.array_equal(self.procs[f], other.procs[f]) for f in PROCESS_FIELDS))
 
 
 def synthetic_script(seed: int, duration_s: float, frequency_hz: float,
-                     process_names=("engine",)):
+                     process_names=("engine",)) -> ScriptColumns:
     """Deterministic plausible-looking script for reproducible runs: rounded
     percentages, whole-number float IO rates and int RSS, drawn per field."""
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * frequency_hz))
     period = 1.0 / frequency_hz
 
     def pct(lo, span, places):
-        return np.round(lo + span * rng.random(n), places).tolist()
+        return np.round(lo + span * rng.random(n), places)
 
     def rate(hi):
-        return rng.integers(0, hi, n).astype(np.float64).tolist()
+        return rng.integers(0, hi, n).astype(np.float64)
 
-    systems = map(SystemReading, pct(20.0, 60.0, 2), pct(0.0, 10.0, 2),
-                  pct(30.0, 40.0, 2), rate(200 * 1024 * 1024), rate(100 * 1024 * 1024))
+    system = dict(zip(SYSTEM_FIELDS, (
+        pct(20.0, 60.0, 2), pct(0.0, 10.0, 2), pct(30.0, 40.0, 2),
+        rate(200 * 1024 * 1024), rate(100 * 1024 * 1024),
+    )))
     per_name = [
-        map(ProcessReading, [name] * n, pct(0.0, 90.0, 2), pct(0.0, 5.0, 3),
-            rng.integers(10 << 20, 200 << 20, n).tolist(),
-            rate(50 * 1024 * 1024), rate(10 * 1024 * 1024))
-        for name in process_names
+        (pct(0.0, 90.0, 2), pct(0.0, 5.0, 3), rng.integers(10 << 20, 200 << 20, n),
+         rate(50 * 1024 * 1024), rate(10 * 1024 * 1024))
+        for _ in process_names
     ]
-    procs = zip(*per_name) if per_name else [()] * n
-    return [
-        (k * period, TickReading(system=system, processes=tuple(p)))
-        for k, system, p in zip(range(1, n + 1), systems, procs)
-    ]
+    procs = {
+        f: np.stack([draws[i] for draws in per_name], axis=1) if per_name
+        else np.empty((n, 0), np.int64 if f == "rss_bytes" else np.float64)
+        for i, f in enumerate(PROCESS_FIELDS)
+    }
+    return ScriptColumns(np.arange(1, n + 1) * period, system, process_names, procs)
 
 
 # ---------------------------------------------------------------------------

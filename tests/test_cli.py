@@ -199,6 +199,26 @@ class TestRun:
         assert (out / "samples.csv").exists()
         assert (out / "samples.csv").read_text().startswith("ts_ms,")
 
+    def test_os_error_in_a_task_is_a_failed_task(self, tmp_path, dataset):
+        # The COPY source does not exist: the open fails with an OSError.
+        wl = tmp_path / "missing.csv"
+        wl.write_text(
+            "T_ID,Statement\n"
+            f"COPY,\"COPY PhotoPrimary FROM '{dataset}';\"\n"
+            'Q0,"Select count(objid) from PhotoPrimary;"\n'
+            "LOST,\"COPY t FROM 'no-such-table.csv';\"\n"
+            'Q1,"Select count(objid) from PhotoPrimary;"\n'
+        )
+        out = tmp_path / "out"
+        rc = main(["run", "--workload", str(wl), "--engine", "db", "--source", "synthetic",
+                   "--data-dir", str(tmp_path), "--out", str(out)])
+        assert rc == EXIT_ENGINE
+        report = json.loads((out / "report.json").read_text())
+        assert (report["status"], report["failed_task"]) == ("error", "LOST")
+        assert [t["task_id"] for t in report["tasks"]] == ["COPY", "Q0", "LOST"]
+        assert report["tasks"][-1]["kind"] == "failed"
+        assert (out / "series.csv").read_text().startswith("ts_ms,series,value\n")
+
     def test_procfs_source_live_run(self, tmp_path):
         import os
 
@@ -408,6 +428,48 @@ class TestAdviseAndPlanRun:
         assert not (tmp_path / "rua.json").exists()
 
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[1, 2]",
+        '{"profiles": {"Q0": [1, 2]}}',
+    ], ids=["not-json", "a-list", "profile-not-an-object"])
+    def test_rua_rejects_a_report_that_is_no_report(self, tmp_path, advised, dataset,
+                                                    text, capsys):
+        wl, _, side = advised
+        bad = tmp_path / "report.json"
+        bad.write_text(text)
+        rc = main(["advise", "rua", "--workload", str(wl),
+                   "--schema-csv", str(dataset), str(side),
+                   "--report", str(bad), "--out", str(tmp_path / "rua.json")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error:")
+        assert not (tmp_path / "rua.json").exists()
+
+    @pytest.mark.parametrize("change", [
+        {"schema": None},  # missing keys
+        {"raw_attrs": "photoprimary.ra"},  # a string, not a list
+        {"routing": ["Q0"]},
+        {"routing": {"Q0": "elsewhere"}},
+        {"technique": "XYZ"},
+        {"technique": 7},
+    ], ids=["missing", "attrs-not-a-list", "routing-not-an-object", "unknown-engine",
+            "unknown-technique", "technique-not-a-string"])
+    def test_plan_run_rejects_a_bad_plan_file(self, tmp_path, advised, change, capsys):
+        wl, plan_path, _ = advised
+        plan = json.loads(plan_path.read_text())
+        if change == {"schema": None}:
+            plan = {"technique": "QCA"}
+        else:
+            plan.update(change)
+        bad = tmp_path / "bad_plan.json"
+        bad.write_text(json.dumps(plan))
+        rc = main(["run", "--workload", str(wl), "--engine", f"plan:{bad}",
+                   "--source", "synthetic", "--data-dir", str(tmp_path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error:")
+
+
 class TestReplayAndReport:
     @pytest.mark.parametrize("command", ["run", "replay"])
     def test_missing_replay_log_is_io_error(self, tmp_path, workload, command, capsys):
@@ -436,3 +498,17 @@ class TestReplayAndReport:
                      "--out", str(report)]) == EXIT_OK
         data = json.loads(report.read_text())
         assert "IDLE" in data["profiles"]
+
+    def test_report_from_samples_matches_the_run(self, tmp_path, workload):
+        # `insitu report` reduces the run's samples.csv with the same reducer,
+        # so its profiles equal those the run wrote, bit for bit.
+        out = tmp_path / "out"
+        assert main(["run", "--workload", str(workload), "--engine", "db",
+                     "--source", "synthetic", "--freq", "50", "--seed", "3",
+                     "--out", str(out)]) == EXIT_OK
+        again = tmp_path / "again.json"
+        assert main(["report", "--samples", str(out / "samples.csv"),
+                     "--workload", str(workload), "--out", str(again)]) == EXIT_OK
+        run_profiles = json.loads((out / "report.json").read_text())["profiles"]
+        assert json.loads(again.read_text())["profiles"] == run_profiles
+        assert set(run_profiles) == {"TRUN", "COPY", "Q0", "Q1", "Q2"}

@@ -1,14 +1,16 @@
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from insitu.errors import ConfigError, MonitorError
+from insitu.errors import ConfigError, FormatError, MonitorError
 from insitu.monitor import (
     IDLE_TASK,
     _fmt,
+    _fmt_column,
     MonitorConfig,
     TaskRegister,
     read_samples_csv,
@@ -20,6 +22,7 @@ from insitu.stat_sources import (
     SyntheticSource,
     SystemReading,
     TickReading,
+    synthetic_script,
 )
 
 
@@ -168,6 +171,44 @@ class TestScriptedRuns:
     ))
     def test_float_field_is_repr_of_rounded_value(self, v):
         assert _fmt(v) == repr(round(v, 6))
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.one_of(st.none(), st.floats(), st.floats(-5e9, 5e9),
+                              st.builds(round, st.floats(-1e10, 1e10), st.integers(0, 7)))))
+    def test_column_format_is_fmt_per_value(self, values):
+        present = np.array([v is not None for v in values], dtype=bool)
+        column = np.array([0.0 if v is None else v for v in values], dtype=np.float64)
+        assert _fmt_column(column, present) == [_fmt(v) for v in values]
+
+    @pytest.mark.parametrize("threshold", [1, 2, 3, 7, 512])
+    @pytest.mark.parametrize("names", [(), ("engine",), ("a", "b"), ("a", "a")])
+    def test_script_arrays_record_like_ticks_one_at_a_time(self, tmp_path, threshold, names):
+        # The array path and the per-tick path write the same bytes and count
+        # the same flushes; events fall before, on and between tick times.
+        script = synthetic_script(4, 3.0, 4.0, process_names=names)
+        timeline = [(0.0, "A"), (0.5, "B"), (0.6, "A"), (2.0, "C"), (2.0, "D")]
+        results = []
+        for name, source in (("arrays", SyntheticSource(script)),
+                             ("ticks", SyntheticSource(list(script)))):
+            config = MonitorConfig(flush_threshold_records=threshold,
+                                   output_path=tmp_path / f"{name}.csv")
+            samples, report = run_scripted(config, source, timeline[1:])
+            results.append(((tmp_path / f"{name}.csv").read_bytes(), report, list(samples)))
+        assert results[0] == results[1]
+        assert b"IDLE" in results[0][0]
+
+    @pytest.mark.parametrize("row", [
+        "1000,Q0,TOTAL,,1.0,2.0,,3.0", "1000,Q0,SYSTEM,,,,,,,", "x,Q0,TOTAL,,,,,,,",
+        "1000,Q0,PROC,engine,,,1.5,,,",
+    ], ids=["short", "scope", "ts", "rss"])
+    def test_malformed_samples_row_is_format_error(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text(
+            "ts_ms,task_id,scope,process,cpu_pct,mem_pct,rss_bytes,read_Bps,write_Bps,"
+            f"io_wait_pct\n{row}\n"
+        )
+        with pytest.raises(FormatError):
+            read_samples_csv(path)
 
     def test_samples_roundtrip_through_csv(self, tmp_path):
         config = MonitorConfig(output_path=tmp_path / "s.csv")
