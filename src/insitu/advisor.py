@@ -22,7 +22,7 @@ from pathlib import Path
 from .analyzer import ResourceProfile, SystemSpec, record_dict
 from .errors import ConfigError, FormatError, SchemaError, UncoveredQueryError
 from .query_model import QueryClass, is_name
-from .tabular import LoadStats, cut_fields, read_csv, split_lines
+from .tabular import LoadStats, RowMap, cut_fields, read_csv
 
 TECHNIQUE_QCA = "QCA"
 TECHNIQUE_RUA = "RUA"
@@ -219,10 +219,13 @@ def route_query(cls: QueryClass, plan: PartitionPlan, query_id: str | None = Non
     )
 
 
-def write_raw_slices(plan: PartitionPlan, source_csv, data_dir) -> dict[str, str]:
+def write_raw_slices(plan: PartitionPlan, source_csv, data_dir,
+                     rowmaps: dict | None = None) -> dict[str, str]:
     """Write the raw-side vertical slice CSV per table; returns their paths.
     ``source_csv`` maps each table to its CSV. Slices keep the source's
-    column order and field text verbatim."""
+    column order and field text verbatim. ``rowmaps``, when a dict, receives
+    each sliced source's positional map, keyed by table, for
+    `load_db_side`."""
     sources = {t: Path(p) for t, p in source_csv.items()}
     by_table = _split_by_table(plan.raw_attrs, sources)
     raw_dir = Path(data_dir) / "raw_partition"
@@ -230,18 +233,24 @@ def write_raw_slices(plan: PartitionPlan, source_csv, data_dir) -> dict[str, str
     raw_paths: dict[str, str] = {}
     for table, attrs in by_table.items():
         out = raw_dir / f"{table}.csv"
-        _write_slice(sources[table], out, attrs)
+        rowmap = _write_slice(sources[table], out, attrs)
+        if rowmaps is not None:
+            rowmaps[table] = rowmap
         raw_paths[table] = str(out)
     return raw_paths
 
 
-def load_db_side(plan: PartitionPlan, source_csv, db_engine,
-                 journal: bool = False) -> dict[str, LoadStats]:
+def load_db_side(plan: PartitionPlan, source_csv, db_engine, journal: bool = False,
+                 rowmaps: dict | None = None) -> dict[str, LoadStats]:
     """Bulk-load each table's db-side columns straight from its source CSV;
-    ``source_csv`` maps each table to its CSV."""
+    ``source_csv`` maps each table to its CSV. A table's map from
+    `write_raw_slices(rowmaps=)` spares its load a second structure pass
+    unless the source was rewritten since (see `tabular.read_csv`)."""
     sources = {t: Path(p) for t, p in source_csv.items()}
+    rowmaps = rowmaps or {}
     return {
-        table: db_engine.load_table(sources[table], table, journal=journal, columns=attrs)
+        table: db_engine.load_table(sources[table], table, journal=journal,
+                                    columns=attrs, rowmap=rowmaps.get(table))
         for table, attrs in _split_by_table(plan.db_attrs, sources).items()
     }
 
@@ -262,15 +271,16 @@ def _split_by_table(attrs, sources) -> dict[str, list[str]]:
     return out
 
 
-def _write_slice(source: Path, out: Path, attrs) -> None:
+def _write_slice(source: Path, out: Path, attrs) -> RowMap:
     """Project a CSV onto the named columns in header order, field bytes
-    verbatim. Rows go through the one tokenizer, so a file outside the CSV
-    contract raises what `scan_csv` raises on it."""
-    raw, _, header, attrs, start = read_csv(source, attrs)
+    verbatim; returns the source's positional map. Rows go through the one
+    tokenizer, so a file outside the CSV contract raises what `scan_csv`
+    raises on it."""
+    raw, _, header, attrs, rowmap = read_csv(source, attrs)
     kept = set(attrs)
     keep = [i for i, name in enumerate(header) if name in kept]
-    rowmap, _ = split_lines(raw, start, len(header), source)
     fields = cut_fields(raw, rowmap, keep)
     with open(out, "wb") as o:
         o.write((",".join(header[i] for i in keep) + "\n").encode("utf-8"))
         o.writelines(b",".join(row) + b"\n" for row in zip(*fields))
+    return rowmap

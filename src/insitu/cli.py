@@ -221,10 +221,12 @@ class _WorkloadRunner:
                 tables.update(stmt.tables)
         sources = {t: self._table_file(t) for t in sorted(tables)}
 
-        raw_paths = write_raw_slices(self.plan, sources, self.out_dir / "partition")
+        rowmaps: dict = {}  # the slicer's maps, handed to the db-side load
+        raw_paths = write_raw_slices(self.plan, sources, self.out_dir / "partition", rowmaps)
         for table, path in raw_paths.items():
             self.raw_engine.register(table, path)
-        stats = load_db_side(self.plan, sources, self.db_engine, journal=self.config.journal)
+        stats = load_db_side(self.plan, sources, self.db_engine,
+                             journal=self.config.journal, rowmaps=rowmaps)
         self.records.append(
             {
                 "task_id": PLAN_LOAD_TASK,

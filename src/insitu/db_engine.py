@@ -88,7 +88,7 @@ class DbEngine:
         return table in self.stores or (self.data_dir / table / "meta").exists()
 
     def load_table(self, csv_path, table: str, journal: bool = False,
-                   columns=None) -> LoadStats:
+                   columns=None, rowmap=None) -> LoadStats:
         """Bulk-load a CSV file into typed binary column files.
 
         `columns` names the columns to load (None loads every one); they are
@@ -96,14 +96,16 @@ class DbEngine:
         those columns as CSV text (header, fields, commas and LF), a full
         load the file size. The journal holds the file's data records
         verbatim either way. A table that already holds rows must be
-        truncated first.
+        truncated first. `rowmap` is the positional map of an earlier scan
+        of the file; the columns are cut from it while the file is unchanged
+        (see `scan_csv`).
         """
         existing = self.stores.get(table)
         if existing is not None and existing.row_count > 0:
             raise LoadError(f"table {table!r} is already loaded; truncate it first")
 
         start = time.perf_counter()
-        scan = scan_csv(csv_path, columns)
+        scan = scan_csv(csv_path, columns, rowmap=rowmap)
         if columns is None:
             attrs, input_bytes = scan.header, scan.file_bytes
         else:

@@ -38,6 +38,7 @@ from .tabular import (
     RowMap,
     column_from_strings,
     cut_fields,
+    file_stamp,
     filter_rows,
     join_stage,
     project,
@@ -117,7 +118,7 @@ class RawEngine:
                 raise SchemaError(
                     f"file {path!r} for table {table!r} does not exist"
                 ) from None
-            seen[path] = (st.st_size, st.st_mtime_ns)
+            seen[path] = file_stamp(st)
         for path, now in seen.items():
             record = self._records.get(path)
             if record is None or record.seen != now:

@@ -1,22 +1,37 @@
 """Shared tabular primitives: typed columns, CSV scanning, result sets.
 
 Both query engines, the LIMIT path and the plan slicer split lines with
-one tokenizer, in two steps: `split_lines` finds every line and field end
-and returns them as a compact positional map (`RowMap`, as in NoDB), and
-`cut_fields` copies the wanted fields out of the map. A scan always
-returns the map it cut from; the in-situ engine keeps it per file and
-hands it back to `scan_csv`, which then skips `split_lines`. The engines
-type values with one rule: a column is float64 when every value read
-parses as a number, text otherwise. So cold, hot and LIMIT scans and the
-two engines compare exactly, with one known divergence: a LIMIT scan that
-stops early types each column over the rows it read, so a column whose
-first text value lies past those bytes comes back numeric. Data files are
-plain comma-separated UTF-8 with a header row, lines ending in LF or CRLF,
-and no embedded commas, quotes or newlines in fields.
+one tokenizer. `split_lines` finds every line and field end and returns
+them as a compact positional map (`RowMap`, as in NoDB), stamped with the
+file's (size, mtime_ns). A scan always returns the map it worked from;
+the in-situ engine keeps it per file and the plan slicer hands it to the
+db-side load, and either hands it back to `scan_csv`, which skips
+`split_lines` while the file still has the map's stamp.
+
+Values are typed by one rule: a column is float64 when every value read
+parses as a number (`np.asarray(fields, np.float64)` on the field bytes),
+text otherwise. `scan_csv` applies it with `cut_column`, straight from the
+map: a field of the plain form `[+-]digits[.digits]` with at most 15
+bytes after the sign is parsed by an array kernel, exactly (its digits
+read as an integer below 2**53, divided by a power of ten that float64
+holds exactly: one correctly rounded division). Every other field goes
+through the rule itself, and a column is text exactly when the rule
+raises on one of them; a first field that is not a number makes it text
+before any parsing, and a block of rows mostly outside the plain form
+(17-digit float reprs, say) sends the rest of its column to the rule
+without the kernel. The LIMIT path and the slicer copy field bytes out
+with `cut_fields` and type them with `column_from_strings`, the rule on a
+list. So cold, hot and LIMIT scans and the two engines compare exactly,
+with one known divergence: a LIMIT scan that stops early types each
+column over the rows it read, so a column whose first text value lies
+past those bytes comes back numeric. Data files are plain comma-separated
+UTF-8 with a header row, lines ending in LF or CRLF, and no embedded
+commas, quotes or newlines in fields.
 """
 from __future__ import annotations
 
 import operator
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -53,7 +68,7 @@ class Column:
             self.values = values
             self.type = FLOAT_TYPE
         else:
-            self.values = list(values)
+            self.values = values if isinstance(values, list) else list(values)
             self.type = TEXT_TYPE
 
     @property
@@ -117,11 +132,12 @@ class RowMap:
     dtype that holds its values, so a file whose lines are all shorter than
     256 bytes costs one byte per field plus one offset per line. The number
     of lines is the file's row count. A map describes the bytes it was
-    built from and nothing else: whoever keeps one must drop it when the
-    file changes.
+    built from and nothing else. `stamp` is the (size, mtime_ns) of the file
+    it was built from (None for a LIMIT scan's chunk); `read_csv` reuses a
+    map only while its file keeps that stamp.
     """
 
-    __slots__ = ("line_starts", "ends")
+    __slots__ = ("line_starts", "ends", "stamp")
 
     def __init__(self, line_starts: np.ndarray, grid: np.ndarray, buf_len: int):
         """Narrow `split_lines`' line starts and absolute field-end grid of a
@@ -132,6 +148,7 @@ class RowMap:
             grid, line_starts[:, None], out=np.empty(grid.shape, np.min_scalar_type(widest)),
             casting="unsafe",
         )
+        self.stamp: tuple[int, int] | None = None
 
     def __len__(self) -> int:
         return len(self.line_starts)
@@ -140,10 +157,13 @@ class RowMap:
     def nbytes(self) -> int:
         return self.line_starts.nbytes + self.ends.nbytes
 
-    def bounds(self, j):
-        """Start and end offsets of field j on every line."""
-        base = self.line_starts
-        return (base + self.ends[:, j - 1] + 1 if j else base), base + self.ends[:, j]
+    def bounds(self, j, rows=slice(None)):
+        """Start and end offsets of field j on the given lines (every line
+        by default), as intp: differences of the narrow unsigned offsets
+        would wrap below 0."""
+        base = self.line_starts[rows].astype(np.intp)
+        ends = self.ends[rows]
+        return (base + ends[:, j - 1] + 1 if j else base), base + ends[:, j]
 
 
 def read_header(path) -> list[str]:
@@ -165,16 +185,24 @@ def _header_names(line: bytes, path) -> list[str]:
     return names
 
 
-def read_csv(path, wanted=None):
-    """Read a data file whole and check its header; the prelude of
-    `scan_csv` and of the plan slicer.
+def file_stamp(st: os.stat_result) -> tuple[int, int]:
+    """What tells a data file's versions apart: its (size, mtime_ns)."""
+    return st.st_size, st.st_mtime_ns
+
+
+def read_csv(path, wanted=None, rowmap: RowMap | None = None):
+    """Read a data file whole, check its header and map its lines; the
+    prelude of `scan_csv` and of the plan slicer.
 
     Returns the file bytes (a final newline added when missing), the file
     size, the header names, the wanted names (every column for None) and
-    the offset of the first data line. Raises FormatError on an empty file,
-    a repeated header name or a wanted name missing from the header.
+    the file's positional map. That is `rowmap`, a map from an earlier read,
+    while the file keeps the stamp on it; else the lines are split again.
+    Raises FormatError on an empty file, a repeated header name, a wanted
+    name missing from the header or a ragged row.
     """
     with open(path, "rb") as f:
+        stamp = file_stamp(os.fstat(f.fileno()))  # a write during the read changes it
         raw = f.read()
     if not raw:
         raise FormatError(f"{path}: empty file")
@@ -187,7 +215,10 @@ def read_csv(path, wanted=None):
     for name in wanted:
         if name not in header:
             raise FormatError(f"{path}: no column named {name!r}")
-    return raw, file_bytes, header, wanted, nl + 1
+    if rowmap is None or rowmap.stamp != stamp:
+        rowmap, _ = split_lines(raw, nl + 1, len(header), path)
+        rowmap.stamp = stamp
+    return raw, file_bytes, header, wanted, rowmap
 
 
 def scan_csv(path, wanted=None, rowmap: RowMap | None = None) -> CsvScan:
@@ -197,18 +228,15 @@ def scan_csv(path, wanted=None, rowmap: RowMap | None = None) -> CsvScan:
     an empty collection parses none and just validates structure).
     Raises FormatError on ragged rows, naming the first bad data row.
 
-    `rowmap` is the positional map of an earlier scan of the same, unchanged
-    file: the fields are cut straight from it, skipping `split_lines`.
-    Either way the file is read whole, the result is the same and
-    `CsvScan.rowmap` holds the map the fields were cut from.
+    `rowmap` is the positional map of an earlier scan of the file: while
+    the file keeps the stamp on it, the fields are cut straight from it,
+    skipping `split_lines`. Either way the file is read whole, the result
+    is the same and `CsvScan.rowmap` holds the map the fields were cut from.
     """
-    raw, file_bytes, header, wanted, start = read_csv(path, wanted)
-    if rowmap is None:
-        rowmap, _ = split_lines(raw, start, len(header), path)
-    fields = cut_fields(raw, rowmap, [header.index(n) for n in wanted])
+    raw, file_bytes, header, wanted, rowmap = read_csv(path, wanted, rowmap)
     return CsvScan(
         header=header,
-        columns={name: column_from_strings(f) for name, f in zip(wanted, fields)},
+        columns={name: cut_column(raw, rowmap, header.index(name)) for name in wanted},
         row_count=len(rowmap),
         file_bytes=file_bytes,
         rowmap=rowmap,
@@ -258,8 +286,134 @@ def cut_fields(buf: bytes, rowmap: RowMap, wanted):
     indices, cut from the positional map of `buf`, one column at a time so
     that a caller can type each before the next exists."""
     for j in wanted:
-        starts, ends = rowmap.bounds(j)
-        yield [buf[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+        yield _fields(buf, *rowmap.bounds(j))
+
+
+# Rows per step of `cut_column`: every temporary is a vector this long, or
+# for text a list of this many Python ints per offset array.
+_BLOCK_ROWS = 4096
+_TEXT_BLOCK_ROWS = 1024
+
+_U64 = np.uint64
+_ASCII_ZERO = _U64(0x3030_3030_3030_3030)
+_LOW7 = _U64(0x7F7F_7F7F_7F7F_7F7F)
+_OVER_NINE = _U64(0x7676_7676_7676_7676)  # a byte below 0x80 reaches it from 10
+_HIGH = _U64(0x8080_8080_8080_8080)
+_BYTE_SUM = _U64(0x0101_0101_0101_0101)
+# Byte 7 - k of each counts the window bytes after byte k of `hi`, of `lo`:
+# times a word that is 1 in byte k alone, it lands in the top byte.
+_AFTER_HI = _U64(0x0706_0504_0302_0100)
+_AFTER_LO = _U64(0x0F0E_0D0C_0B0A_0908)
+_ALL = _U64(0xFFFF_FFFF_FFFF_FFFF)
+# _TOP_BYTES[k]: a word whose k most significant bytes are set.
+_TOP_BYTES = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], np.uint64)
+_POW10 = np.array([float(10 ** k) for k in range(16)])  # each exact in float64
+
+
+def cut_column(buf: bytes, rowmap: RowMap, j: int) -> Column:
+    """Typing step of the tokenizer: column j of `buf`, typed by the
+    float-or-text rule straight from the positional map, a block of rows at
+    a time. Plain decimals take the array kernel (`_plain_decimals`), every
+    other field the rule itself; the result equals `column_from_strings` on
+    the column's `cut_fields` bytes, bit for bit, and raises what it
+    raises. The column is text from the first field the rule rejects; a
+    first field that is no number makes it text before any parsing. From
+    a block mostly outside the plain form on, the column skips the kernel."""
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    # Every 8-byte little-endian word of the buffer, one starting at each
+    # byte; a buffer under 16 bytes is padded so that the kernel's two words
+    # exist for every field.
+    padded = buf.ljust(16, b"\0")
+    words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    try:
+        np.asarray(_fields(buf, *rowmap.bounds(j, slice(1))), dtype=np.float64)
+        values = np.empty(len(rowmap))
+        kernel = True
+        for lo in range(0, len(rowmap), _BLOCK_ROWS):
+            s, e = rowmap.bounds(j, slice(lo, lo + _BLOCK_ROWS))
+            if not kernel:
+                values[lo:lo + len(s)] = np.asarray(_fields(buf, s, e), dtype=np.float64)
+                continue
+            block, plain = _plain_decimals(arr, words, s, e)
+            other = np.flatnonzero(~plain)
+            if len(other):
+                block[other] = np.asarray(_fields(buf, s[other], e[other]), dtype=np.float64)
+            values[lo:lo + len(s)] = block
+            # The kernel costs a sixth to a half of the rule per field, so
+            # it loses where most fields pay for both.
+            kernel = 2 * len(other) <= len(s)
+    except ValueError:
+        text = []
+        for lo in range(0, len(rowmap), _TEXT_BLOCK_ROWS):
+            s, e = rowmap.bounds(j, slice(lo, lo + _TEXT_BLOCK_ROWS))
+            text += [buf[a:b].decode("utf-8") for a, b in zip(s.tolist(), e.tolist())]
+        return Column(text)
+    return Column(values)
+
+
+def _fields(buf: bytes, starts, ends) -> list[bytes]:
+    return [buf[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+
+
+def _plain_decimals(arr, words, s, e):
+    """Array kernel of `cut_column` over fields [s, e) of `arr`: each
+    field's value, and whether it has the plain form `[+-]digits[.digits]`
+    (either digit run may be empty, not both) with 1 to 15 bytes after the
+    sign and ends at offset 16 or later. Values of other fields are
+    garbage.
+
+    The last 16 bytes of each field are read as two words, `lo` then `hi`,
+    with the bytes before the digits zeroed, which reads them as leading
+    zeros. SWAR masks check for digits and one dot, the dot is squeezed
+    out, and each word's eight digits become an integer by fast_float's
+    multiply-shift (Lemire, "Number Parsing at a Gigabyte per Second",
+    2021). The value is that integer, below 10**15 < 2**53, over 10 to the
+    number of fraction digits: one IEEE division of exact operands, so
+    correctly rounded and equal to what the rule gives.
+    """
+    first = arr[s]  # a field starts before the buffer's final newline
+    negative = first == ord("-")
+    width = e - s - (negative | (first == ord("+")))  # digits and dot
+    plain = (e >= 16) & (width >= 1) & (width <= 15)
+    width = np.clip(width, 0, 15)
+    at = np.maximum(e - 16, 0)
+    lo = (words[at] ^ _ASCII_ZERO) & _TOP_BYTES[np.maximum(width - 8, 0)]
+    hi = (words[at + 8] ^ _ASCII_ZERO) & _TOP_BYTES[np.minimum(width, 8)]
+    # Digits are now byte values 0-9. A plain field's one other byte is its
+    # dot, "." ^ "0" = 0x1E; `*_dot` holds a 1 in that byte.
+    lo_dot, hi_dot = _non_digits(lo), _non_digits(hi)
+    lo_dots, hi_dots = lo_dot * _U64(0x1E), hi_dot * _U64(0x1E)
+    dots = ((lo_dot + hi_dot) * _BYTE_SUM >> _U64(56)).astype(np.intp)
+    plain &= ((lo & lo_dot * _U64(0xFF)) == lo_dots) & ((hi & hi_dot * _U64(0xFF)) == hi_dots)
+    plain &= (dots <= 1) & (width > dots)
+
+    fraction = (hi_dot * _AFTER_HI + lo_dot * _AFTER_LO) >> _U64(56)
+    # Zero the dot and shift the bytes before it up by one byte, over it.
+    lo ^= lo_dots
+    hi ^= hi_dots
+    hi_before = hi_dot - (hi_dot != 0)
+    lo_before = np.where(hi_dot != 0, _ALL, lo_dot - (lo_dot != 0))
+    hi = (hi & ~hi_before) | ((hi & hi_before) << _U64(8)) | ((lo & lo_before) >> _U64(56))
+    lo = (lo & ~lo_before) | ((lo & lo_before) << _U64(8))
+    digits = _eight_digits(lo) * _U64(100_000_000) + _eight_digits(hi)
+    values = digits.astype(np.float64) / _POW10[np.minimum(fraction, 15).astype(np.intp)]
+    np.negative(values, out=values, where=negative)
+    return values, plain
+
+
+def _non_digits(x):
+    """1 in each byte of the words `x` above 9, 0 in every other byte."""
+    return ((((x & _LOW7) + _OVER_NINE) | x) & _HIGH) >> _U64(7)
+
+
+def _eight_digits(x):
+    """The integer spelled by words of eight digit values 0-9, most
+    significant in the low byte (fast_float's parse_eight_digits)."""
+    x = x * _U64(10) + (x >> _U64(8))
+    pairs = _U64(0x0000_00FF_0000_00FF)
+    x = ((x & pairs) * _U64(0x000F_4240_0000_0064)
+         + ((x >> _U64(16)) & pairs) * _U64(0x0000_2710_0000_0001))
+    return (x >> _U64(32)) & _U64(0xFFFF_FFFF)
 
 
 def predicate_mask(column: Column, op: str, literal) -> np.ndarray:

@@ -269,6 +269,58 @@ class TestMaterialize:
         assert store.attrs == ["b", "c"]
         assert store.row_count == 2
 
+    @staticmethod
+    def counting_splits(monkeypatch):
+        """Count `split_lines` calls from the slicer and from `scan_csv`."""
+        from insitu import tabular
+
+        calls = []
+        split = tabular.split_lines
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return split(*args, **kwargs)
+
+        monkeypatch.setattr(tabular, "split_lines", counted)
+        return calls
+
+    @staticmethod
+    def db_store(db, table="t"):
+        s = db.stores[table]
+        return s.attrs, s.row_count, [s.col_path(a).read_bytes() for a in s.attrs]
+
+    def test_handed_map_spares_the_second_split(self, tmp_path, monkeypatch):
+        src = tmp_path / "t.csv"
+        generate_csv(src, rows=300, columns=6, seed=5)
+        schema = tuple(f"t.{a}" for a in read_header(src))
+        plan = PartitionPlan("QCA", schema, raw_attrs=frozenset(schema[:2]),
+                             db_attrs=frozenset(schema[1:4]))
+        cold = DbEngine(tmp_path / "cold")
+        load_db_side(plan, {"t": src}, cold)
+        calls = self.counting_splits(monkeypatch)
+        rowmaps = {}
+        write_raw_slices(plan, {"t": src}, tmp_path / "out", rowmaps)
+        db = DbEngine(tmp_path / "db")
+        load_db_side(plan, {"t": src}, db, rowmaps=rowmaps)
+        assert calls == [src]  # the slicer's split only
+        assert self.db_store(db) == self.db_store(cold)
+
+    def test_rewritten_source_is_split_again(self, tmp_path, monkeypatch):
+        src = write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [4, 5]])
+        plan = PartitionPlan("QCA", ("t.a", "t.b"), raw_attrs=frozenset({"t.a"}),
+                             db_attrs=frozenset({"t.b"}))
+        rowmaps = {}
+        write_raw_slices(plan, {"t": src}, tmp_path / "out", rowmaps)
+        write_csv(src, ["a", "b"], [[10, 20], [30, 40], [50, 60]])
+        calls = self.counting_splits(monkeypatch)
+        db = DbEngine(tmp_path / "db")
+        load_db_side(plan, {"t": src}, db, rowmaps=rowmaps)
+        assert calls == [src]
+        fresh = DbEngine(tmp_path / "fresh")
+        fresh.load_table(src, "t", columns=["b"])
+        assert self.db_store(db) == self.db_store(fresh)
+        assert db.stores["t"].row_count == 3
+
     def test_empty_raw_side_writes_no_slice(self, tmp_path):
         src = write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2]])
         plan = PartitionPlan(

@@ -8,10 +8,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from insitu.cache import ColumnCache
+from insitu.datagen import generate_csv
 from insitu.errors import BudgetExceededError, ConfigError, FormatError
 from insitu.query_model import parse_query
 from insitu.raw_engine import RawEngine
-from insitu.tabular import Column, ResultSet, predicate_mask, scan_csv
+from insitu.tabular import (
+    Column,
+    ResultSet,
+    column_from_strings,
+    cut_column,
+    cut_fields,
+    predicate_mask,
+    read_csv,
+    scan_csv,
+)
 from util import CONTRACT_INPUTS, write_csv
 
 
@@ -164,6 +174,144 @@ class TestRowMap:
         assert rowmap.ends.dtype == dtype
         assert rowmap.ends.tolist() == [[1, width], [1, 3]]
         assert rowmap.nbytes == rowmap.line_starts.nbytes + 2 * 2 * np.dtype(dtype).itemsize
+
+    def test_map_of_a_rewritten_file_is_not_cut_from(self, tmp_path, monkeypatch):
+        from insitu import tabular
+
+        p = write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [3, 4]])
+        old = scan_csv(p, []).rowmap
+        assert old.stamp == (p.stat().st_size, p.stat().st_mtime_ns)
+        splits = []
+        split = tabular.split_lines
+        monkeypatch.setattr(tabular, "split_lines",
+                            lambda *a, **k: splits.append(a) or split(*a, **k))
+        assert scan_csv(p, ["b"], rowmap=old).rowmap is old
+        assert splits == []
+        write_csv(p, ["a", "b"], [[10, 20], [30, 40], [50, 60]])
+        new = scan_csv(p, ["b"], rowmap=old)
+        assert len(splits) == 1 and new.rowmap is not old
+        assert new.columns["b"].tolist() == [20.0, 40.0, 60.0]
+
+
+@st.composite
+def numeric_text(draw):
+    """A decimal with an optional sign and dot, 0-20 digits: around the
+    kernel's 15-byte limit, with leading zeros and leading or trailing dots."""
+    digits = draw(st.text("0123456789", max_size=20))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(digits)))
+        digits = digits[:at] + "." + digits[at:]
+    return (draw(st.sampled_from(["", "-", "+"])) + digits).encode()
+
+
+ODD_FIELDS = [b"", b"-0", b"-0.0", b"+.5", b"5.", b".", b"-", b"1_0", b" 1 ", b"nan",
+              b"inf", b"-inf", b"1e5", b"0x10", b"1d5", b"1\x002", b"7\x00", b"x",
+              b"\xffx", b"caf\xc3\xa9", b"0000000000000001.5", b"999.9999999999"]
+CUT_FIELDS = st.one_of(numeric_text(), st.sampled_from(ODD_FIELDS))
+
+
+def cut_outcome(cut):
+    """The type and value bytes of a cut column, or its exception class."""
+    try:
+        col = cut()
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return type(exc)
+    return col.type, col.values.tobytes() if col.is_numeric else col.values
+
+
+class TestArrayCut:
+    """`cut_column` against the list rule it replaces in `scan_csv`:
+    `column_from_strings` on the `cut_fields` bytes."""
+
+    def test_kernel_left_after_a_mostly_unplain_block(self, tmp_path, monkeypatch):
+        """17-digit reprs miss the kernel's 15-byte form; from the first
+        block of them on, the column goes to the rule alone."""
+        from insitu import tabular
+
+        calls = []
+        kernel = tabular._plain_decimals
+        monkeypatch.setattr(tabular, "_plain_decimals",
+                            lambda *a: calls.append(len(a[2])) or kernel(*a))
+        rows = 3 * tabular._BLOCK_ROWS
+        plain = [f"{i % 1000}.25" for i in range(rows)]
+        reprs = [repr(i / 7) for i in range(rows)]
+        p = write_csv(tmp_path / "t.csv", ["plain", "late", "repr", "text"],
+                      zip(plain, plain[:rows // 3] + reprs[rows // 3:], reprs,
+                          reprs[:-1] + ["x"]))
+        raw, _, _, _, rowmap = read_csv(p)
+        for j, blocks in enumerate([3, 2, 1, 1]):
+            calls.clear()
+            got = cut_outcome(lambda: cut_column(raw, rowmap, j))
+            assert len(calls) == blocks, j
+            assert got == cut_outcome(lambda: column_from_strings(next(cut_fields(raw, rowmap, [j]))))
+        assert got[0] == "txt"
+
+    @staticmethod
+    def check(data: bytes):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.csv")
+            with open(path, "wb") as f:
+                f.write(data)
+            try:
+                raw, _, header, _, rowmap = read_csv(path)
+            except FormatError:
+                return
+            for j in range(len(header)):
+                want = cut_outcome(lambda: column_from_strings(next(cut_fields(raw, rowmap, [j]))))
+                assert cut_outcome(lambda: cut_column(raw, rowmap, j)) == want, j
+
+    @pytest.mark.parametrize("name", sorted(CONTRACT_INPUTS))
+    def test_contract_inputs(self, name):
+        self.check(CONTRACT_INPUTS[name])
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(fields=st.lists(CUT_FIELDS, max_size=40), last=st.sampled_from([None, b"x"]),
+           second=st.booleans(), final_newline=st.booleans())
+    @example(fields=[b"1.5"], last=None, second=False, final_newline=True)  # ends at 5
+    @example(fields=[b"1", b"2"] * 3000, last=b"x", second=False, final_newline=False)
+    @example(fields=[b"123456789012345", b"-12345678901234.5"], last=None, second=True,
+             final_newline=True)
+    def test_same_column_as_the_list_rule(self, fields, last, second, final_newline):
+        """Header `a\\n` puts the first fields within 16 bytes of the buffer
+        start; `last` makes a column whose only text value is its last row;
+        `second` adds a column after, so fields also end at a comma."""
+        if last is not None:
+            fields = [*fields, last]
+        lines = [b"a,b" if second else b"a"]
+        lines += [f + b",1" if second else f for f in fields]
+        self.check(b"\n".join(lines) + (b"\n" if final_newline else b""))
+
+    @pytest.mark.parametrize("column", ["v05", "text"])
+    def test_peak_memory_under_half_the_list_rule(self, tmp_path, column):
+        """A one-column cut from a map holds no per-field bytes objects or
+        offset lists; tracemalloc peaks are counted above the file bytes."""
+        import tracemalloc
+
+        path = tmp_path / "t.csv"
+        generate_csv(path, rows=25_000, columns=12, seed=3)
+        if column == "text":
+            lines = path.read_text().splitlines()
+            lines = [lines[0] + ",text"] + [f"{ln},s{i % 97}" for i, ln in enumerate(lines[1:])]
+            path.write_text("\n".join(lines) + "\n")
+        rowmap = scan_csv(path, []).rowmap
+        size = path.stat().st_size
+
+        def list_rule():
+            raw, _, header, _, _ = read_csv(path, [column], rowmap)
+            return column_from_strings(next(cut_fields(raw, rowmap, [header.index(column)])))
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                col = fn()
+                return tracemalloc.get_traced_memory()[1] - size, col
+            finally:
+                tracemalloc.stop()
+
+        array_peak, array_col = peak(lambda: scan_csv(path, [column], rowmap=rowmap).columns[column])
+        list_peak, list_col = peak(list_rule)
+        assert cut_outcome(lambda: array_col) == cut_outcome(lambda: list_col)
+        assert array_peak <= list_peak / 2, (array_peak, list_peak)
 
 
 class TestPredicates:
