@@ -22,7 +22,7 @@ from pathlib import Path
 from .analyzer import ResourceProfile, SystemSpec, record_dict
 from .errors import ConfigError, FormatError, SchemaError, UncoveredQueryError
 from .query_model import QueryClass, is_name
-from .tabular import LoadStats, RowMap, cut_fields, read_csv
+from .tabular import LoadStats, RowMap, cut_rows, read_csv
 
 TECHNIQUE_QCA = "QCA"
 TECHNIQUE_RUA = "RUA"
@@ -272,15 +272,16 @@ def _split_by_table(attrs, sources) -> dict[str, list[str]]:
 
 
 def _write_slice(source: Path, out: Path, attrs) -> RowMap:
-    """Project a CSV onto the named columns in header order, field bytes
-    verbatim; returns the source's positional map. Rows go through the one
-    tokenizer, so a file outside the CSV contract raises what `scan_csv`
-    raises on it."""
+    """Project a CSV onto the named columns; returns the source's positional
+    map. The slice keeps the CSV contract: header and fields in source
+    column order, field bytes verbatim, LF line ends. `tabular.cut_rows`
+    copies the rows out of the source bytes a block at a time, straight
+    from the map that `read_csv` built, so a file outside the contract
+    raises what `scan_csv` raises on it, before the slice is opened."""
     raw, _, header, attrs, rowmap = read_csv(source, attrs)
     kept = set(attrs)
     keep = [i for i, name in enumerate(header) if name in kept]
-    fields = cut_fields(raw, rowmap, keep)
     with open(out, "wb") as o:
         o.write((",".join(header[i] for i in keep) + "\n").encode("utf-8"))
-        o.writelines(b",".join(row) + b"\n" for row in zip(*fields))
+        o.writelines(cut_rows(raw, rowmap, keep))
     return rowmap

@@ -19,14 +19,17 @@ through the rule itself, and a column is text exactly when the rule
 raises on one of them; a first field that is not a number makes it text
 before any parsing, and a block of rows mostly outside the plain form
 (17-digit float reprs, say) sends the rest of its column to the rule
-without the kernel. The LIMIT path and the slicer copy field bytes out
-with `cut_fields` and type them with `column_from_strings`, the rule on a
-list. So cold, hot and LIMIT scans and the two engines compare exactly,
-with one known divergence: a LIMIT scan that stops early types each
-column over the rows it read, so a column whose first text value lies
-past those bytes comes back numeric. Data files are plain comma-separated
-UTF-8 with a header row, lines ending in LF or CRLF, and no embedded
-commas, quotes or newlines in fields.
+without the kernel. The LIMIT path copies field bytes out with
+`cut_fields` and types them with `column_from_strings`, the rule on a
+list. The plan slicer types nothing: `cut_rows` copies a block of rows'
+kept fields, each with the delimiter after it, out of the buffer with
+one gather, so a slice holds the field bytes verbatim, in source column
+order, with LF line ends. So cold, hot and LIMIT scans and the two
+engines compare exactly, with one known divergence: a LIMIT scan that
+stops early types each column over the rows it read, so a column whose
+first text value lies past those bytes comes back numeric. Data files
+are plain comma-separated UTF-8 with a header row, lines ending in LF or
+CRLF, and no embedded commas, quotes or newlines in fields.
 """
 from __future__ import annotations
 
@@ -284,15 +287,56 @@ def split_lines(buf: bytes, start: int, ncols: int, path, first_row: int = 1):
 def cut_fields(buf: bytes, rowmap: RowMap, wanted):
     """Cut step of the tokenizer: the raw field bytes of the wanted column
     indices, cut from the positional map of `buf`, one column at a time so
-    that a caller can type each before the next exists."""
+    that a caller can type each before the next exists. The LIMIT path's
+    cut; a whole-file scan types its columns with `cut_column`."""
     for j in wanted:
         yield _fields(buf, *rowmap.bounds(j))
 
 
-# Rows per step of `cut_column`: every temporary is a vector this long, or
-# for text a list of this many Python ints per offset array.
+# Rows per step of `cut_column` and `cut_rows`: every temporary is a vector
+# this long (times the kept fields in `cut_rows`), or for text a list of
+# this many Python ints per offset array.
 _BLOCK_ROWS = 4096
 _TEXT_BLOCK_ROWS = 1024
+# Source span of a step of `cut_rows`: its rows start within this many bytes
+# of its first, since its temporaries take about 17 bytes per byte copied
+# (long lines make short blocks).
+_BLOCK_BYTES = 1 << 20
+
+
+def cut_rows(buf: bytes, rowmap: RowMap, keep):
+    """Projection step of the tokenizer: the lines of `buf` cut down to the
+    column indices `keep` (ascending, at least one), as CSV bytes, one
+    uint8 array per block of rows. Field bytes are copied verbatim,
+    separated by "," and each row ends in "\\n", whatever the source's line
+    end: `b",".join(row) + b"\\n"` over the `cut_fields` rows.
+
+    Each field is widened by the one byte after it (its comma, or the "\\r"
+    or "\\n" that ends its line; `read_csv` adds a final newline), all of a
+    block's widened fields are gathered with one fancy index, and the
+    copied delimiter bytes are overwritten. A block is at most
+    `_BLOCK_ROWS` rows, and holds only the rows that start less than
+    `_BLOCK_BYTES` past its first."""
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    lo = 0
+    while lo < len(rowmap):
+        line_starts = rowmap.line_starts[lo:lo + _BLOCK_ROWS].astype(np.intp)
+        n = int(np.searchsorted(line_starts, line_starts[0] + _BLOCK_BYTES))
+        rows = slice(lo, lo + n)
+        lo += n
+        bounds = [rowmap.bounds(j, rows) for j in keep]
+        starts = np.stack([s for s, _ in bounds], axis=1).ravel()  # row-major
+        lengths = np.stack([e for _, e in bounds], axis=1).ravel() - starts + 1
+        ends = np.cumsum(lengths)  # each widened field's end in the block
+        # Block byte i copies source byte i + start - offset of its field,
+        # offset being where that field lands in the block.
+        index = np.repeat(starts - (ends - lengths), lengths)
+        index += np.arange(len(index))
+        out = arr[index]
+        out[ends - 1] = COMMA
+        out[ends[len(keep) - 1::len(keep)] - 1] = NEWLINE
+        yield out
+
 
 _U64 = np.uint64
 _ASCII_ZERO = _U64(0x3030_3030_3030_3030)

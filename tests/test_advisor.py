@@ -1,7 +1,14 @@
+import os
 import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from insitu import advisor, tabular
 from insitu.advisor import (
     PartitionPlan,
     load_db_side,
@@ -23,7 +30,7 @@ from insitu.errors import (
 )
 from insitu.query_model import QueryClass, classify, parse_query
 from insitu.raw_engine import RawEngine
-from insitu.tabular import ResultSet, read_header, scan_csv
+from insitu.tabular import ResultSet, cut_fields, cut_rows, read_csv, read_header, scan_csv
 from util import CONTRACT_INPUTS, write_csv
 
 MB = 1024 * 1024
@@ -272,8 +279,6 @@ class TestMaterialize:
     @staticmethod
     def counting_splits(monkeypatch):
         """Count `split_lines` calls from the slicer and from `scan_csv`."""
-        from insitu import tabular
-
         calls = []
         split = tabular.split_lines
 
@@ -488,6 +493,125 @@ class TestSliceContract:
                 attempt()
             got[name] = str(exc.value)
         assert all("repeats the column name 'a'" in m for m in got.values()), got
+
+
+def row_writer(source, out, attrs):
+    """The slicer's earlier row writer, the oracle of the block gather: one
+    `bytes` per kept field, joined row by row."""
+    raw, _, header, attrs, rowmap = read_csv(source, attrs)
+    kept = set(attrs)
+    keep = [i for i, name in enumerate(header) if name in kept]
+    fields = cut_fields(raw, rowmap, keep)
+    with open(out, "wb") as o:
+        o.write((",".join(header[i] for i in keep) + "\n").encode("utf-8"))
+        o.writelines(b",".join(row) + b"\n" for row in zip(*fields))
+    return rowmap
+
+
+SLICE_FIELDS = st.text(alphabet="01.-xé日\r ", max_size=6).map(lambda f: f.encode("utf-8"))
+
+
+@st.composite
+def slice_sources(draw):
+    """A source file as bytes, inside the CSV contract or just outside it
+    (a ragged row), plus the column indices a plan keeps raw."""
+    ncols = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(SLICE_FIELDS, min_size=ncols, max_size=ncols),
+                         max_size=12))
+    if rows and draw(st.booleans()):  # one row with a field more or less
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:-1] if ncols > 1 and draw(st.booleans()) else rows[i] + [b"1"]
+    ends = st.sampled_from([b"\n", b"\r\n"])
+    data = b",".join(b"c%d" % j for j in range(ncols))
+    data += draw(st.sampled_from([b"\n", b"\r\n", b"\r\r\n"]))
+    data += b"".join(b",".join(row) + draw(ends) for row in rows)
+    data += b"".join(draw(st.lists(ends, max_size=2)))  # trailing blank lines
+    if data.endswith(b"\n") and draw(st.booleans()):
+        data = data[:-1]  # no final newline
+    keep = draw(st.lists(st.integers(0, ncols - 1), min_size=1, unique=True))
+    return data, sorted(keep)
+
+
+def block_rows(n, ncols=4):
+    """A generated-looking source of n rows."""
+    header = ",".join(f"c{j}" for j in range(ncols)).encode() + b"\n"
+    return header + b"".join(b"%d,%d.25,x%d,-%d\r\n" % (i, i, i % 7, i) for i in range(n))
+
+
+class TestSliceGather:
+    """`_write_slice` copies each block of rows out of the source with one
+    index gather (`tabular.cut_rows`); its bytes equal the row writer's."""
+
+    @staticmethod
+    def slice_outcome(data, keep, writer=None):
+        """The slice bytes of a plan keeping columns `keep` of a source
+        holding `data`, or the class of the workbench error raised."""
+        with tempfile.TemporaryDirectory() as d:
+            src = Path(d) / "t.csv"
+            src.write_bytes(data)
+            attrs = frozenset(f"t.c{j}" for j in keep)
+            plan = PartitionPlan("QCA", tuple(sorted(attrs)), raw_attrs=attrs,
+                                 db_attrs=frozenset())
+            with mock.patch.object(advisor, "_write_slice", writer or advisor._write_slice):
+                return outcome(lambda: write_raw_slices(plan, {"t": src}, Path(d) / "out"),
+                               lambda paths: Path(paths["t"]).read_bytes())
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(case=slice_sources())
+    @example(case=(b"c0,c1\r\n1,x\r\n3,4\r\n", [0, 1]))  # CRLF
+    @example(case=(b"c0,c1\r\r\n1,2\r\n", [0]))  # a "\r\r\n" header
+    @example(case=(b"c0,c1\n1,2\n3,4", [1]))  # no final newline
+    @example(case=(b"c0,c1\n1,2\n\n\r\n", [0, 1]))  # trailing blank lines
+    @example(case=("c0,c1,c2\n,,\né,日本,\n".encode(), [0, 2]))  # empty, multibyte
+    @example(case=(b"c0\n1\n\n2\n\n", [0]))  # 1 column, blank lines inside
+    @example(case=(b"c0\r\n1\r\n\r\n2\r\n", [0]))
+    @example(case=(b"c0,c1\n", [0, 1]))  # header only
+    @example(case=(b"c0,c1\n" + b"x" * 300 + b",1\n2,3\n", [1]))  # uint16 ends
+    @example(case=(b"c0,c1\n1," + b"y" * 70_000 + b"\r\n2,3\r\n", [0, 1]))  # uint32
+    @example(case=(block_rows(tabular._BLOCK_ROWS), [0]))  # first only
+    @example(case=(block_rows(tabular._BLOCK_ROWS - 1), [3]))  # last only
+    @example(case=(block_rows(tabular._BLOCK_ROWS + 1), [0, 1, 2, 3]))  # all
+    @example(case=(block_rows(tabular._BLOCK_ROWS + 1), [1, 3]))  # not adjacent
+    @example(case=(b"c0,c1\n1,2\n3\n4,5\n", [0]))  # ragged
+    def test_gather_equals_row_writer(self, case):
+        data, keep = case
+        assert self.slice_outcome(data, keep) == self.slice_outcome(data, keep, row_writer)
+
+    def test_ragged_rows_stay_format_error(self, tmp_path):
+        src = tmp_path / "t.csv"
+        src.write_bytes(b"c0,c1\n1,2\n3\n4,5\n")
+        plan = PartitionPlan("QCA", ("t.c0",), raw_attrs=frozenset({"t.c0"}),
+                             db_attrs=frozenset())
+        with pytest.raises(FormatError, match="data row 2 has 1 fields"):
+            write_raw_slices(plan, {"t": src}, tmp_path / "out")
+        assert os.listdir(tmp_path / "out" / "raw_partition") == []
+
+    def test_one_block_per_write(self, tmp_path):
+        src = tmp_path / "t.csv"
+        src.write_bytes(block_rows(2 * tabular._BLOCK_ROWS + 1))
+        raw, _, _, _, rowmap = read_csv(src)
+        blocks = list(cut_rows(raw, rowmap, [0, 2]))
+        assert [bytes(b).count(b"\n") for b in blocks] == [tabular._BLOCK_ROWS] * 2 + [1]
+
+    def test_long_lines_make_short_blocks(self, tmp_path, monkeypatch):
+        """A block starts its rows within `_BLOCK_BYTES` of its first line,
+        so its temporaries stay small however long the lines are."""
+        monkeypatch.setattr(tabular, "_BLOCK_BYTES", 100)
+        lines = [b"%d,%d.25,x,-%d" % (i, i, i) for i in range(60)]
+        lines[30] = b"1," + b"z" * 300 + b",x,-1"
+        data = b"c0,c1,c2,c3\n" + b"\r\n".join(lines) + b"\r\n"
+        assert self.slice_outcome(data, [1, 3]) == self.slice_outcome(data, [1, 3], row_writer)
+        src = tmp_path / "t.csv"
+        src.write_bytes(data)
+        raw, _, _, _, rowmap = read_csv(src)
+        counts = [bytes(b).count(b"\n") for b in cut_rows(raw, rowmap, [1, 3])]
+        assert sum(counts) == len(lines) and max(counts) < 10
+        starts = rowmap.line_starts.astype(int).tolist() + [len(raw)]
+        first = 0
+        for n in counts:  # every row the cap allows, and only those
+            assert n == 1 or starts[first + n - 1] - starts[first] < 100
+            assert starts[first + n] - starts[first] >= 100 or first + n == len(lines)
+            first += n
 
 
 class TestDbSideFromSource:

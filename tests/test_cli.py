@@ -387,6 +387,22 @@ class TestAdviseAndPlanRun:
         assert plan_load["duration_ms"] >= 50.0
         assert [p.name for p in (out / "partition").iterdir()] == ["raw_partition"]
 
+    def test_plan_load_phases_cover_its_duration(self, tmp_path, advised):
+        wl, plan_path, _ = advised
+        out = tmp_path / "out"
+        assert main(["run", "--workload", str(wl), "--engine", f"plan:{plan_path}",
+                     "--source", "synthetic", "--data-dir", str(tmp_path),
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        (plan_load,) = [t for t in report["tasks"] if t["task_id"] == "PLAN_LOAD"]
+        phases = plan_load["phases_ms"]
+        assert set(phases) == {"raw_slices", "db_side"}
+        assert min(phases.values()) > 0.0
+        covered = sum(phases.values())
+        assert 0.9 * plan_load["duration_ms"] <= covered <= plan_load["duration_ms"]
+        slices = list((out / "partition" / "raw_partition").iterdir())
+        assert slices and plan_load["slice_bytes"] == sum(p.stat().st_size for p in slices)
+
     def test_rua_requires_report(self, tmp_path, advised, dataset):
         wl, _, side = advised
         rc = main(["advise", "rua", "--workload", str(wl),
