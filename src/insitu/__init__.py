@@ -18,9 +18,6 @@ from .analyzer import (
     ResourceProfile,
     SystemSpec,
     aggregate_profiles,
-    bandwidth_utilization,
-    cold_hot_delta,
-    effective_ram_pct,
     io_amplification,
     profiles_from_exec_stats,
     wet,
@@ -110,10 +107,7 @@ __all__ = [
     "WorkbenchError",
     "WorkloadTask",
     "aggregate_profiles",
-    "bandwidth_utilization",
     "classify",
-    "cold_hot_delta",
-    "effective_ram_pct",
     "generate_csv",
     "io_amplification",
     "parse_iotop_block",

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 from .monitor import VALUE_FIELDS, SampleColumns
-from .tabular import ExecStats
 
 MEAN_FIELDS = ("cpu_pct", "mem_pct", "io_wait_pct")
 RATE_FIELDS = ("read_Bps", "write_Bps")
@@ -25,17 +24,14 @@ RATE_FIELDS = ("read_Bps", "write_Bps")
 
 @dataclass
 class SystemSpec:
-    """Hardware envelope used for utilization and capacity arithmetic."""
+    """Hardware envelope used for RAM-share and capacity arithmetic."""
 
     cores: int = 4
     ram_bytes: float = 16e9
-    max_read_Bps: float = 300e6
-    max_write_Bps: float = 200e6
     ram_expansion_factor: float = 2.24
 
     def __post_init__(self):
-        for name in ("cores", "ram_bytes", "max_read_Bps", "max_write_Bps",
-                     "ram_expansion_factor"):
+        for name in ("cores", "ram_bytes", "ram_expansion_factor"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"SystemSpec.{name} must be positive")
 
@@ -187,38 +183,6 @@ def io_amplification(total_read_bytes, total_write_bytes, raw_file_bytes) -> Amp
     return AmplificationRatios(
         read_x=total_read_bytes / raw_file_bytes,
         write_x=total_write_bytes / raw_file_bytes,
-    )
-
-
-@dataclass(frozen=True)
-class BandwidthUtilization:
-    pct: float
-    saturated: bool
-
-
-def bandwidth_utilization(rate_Bps, spec: SystemSpec, direction: str = "read") -> BandwidthUtilization:
-    if rate_Bps < 0:
-        raise ConfigError("rate must be non-negative")
-    ceiling = spec.max_read_Bps if direction == "read" else spec.max_write_Bps
-    pct = rate_Bps / ceiling * 100.0
-    return BandwidthUtilization(pct=min(pct, 100.0), saturated=pct > 100.0)
-
-
-def effective_ram_pct(process_rss_bytes, cached_dataset_bytes, spec: SystemSpec) -> float:
-    """RAM share counting the cached dataset alongside the process RSS."""
-    return (process_rss_bytes + cached_dataset_bytes) / spec.ram_bytes * 100.0
-
-
-@dataclass(frozen=True)
-class ColdHotDelta:
-    time_delta_ms: float
-    bytes_delta: int
-
-
-def cold_hot_delta(cold: ExecStats, hot: ExecStats) -> ColdHotDelta:
-    return ColdHotDelta(
-        time_delta_ms=cold.duration_ms - hot.duration_ms,
-        bytes_delta=cold.bytes_read_from_disk - hot.bytes_read_from_disk,
     )
 
 

@@ -37,6 +37,7 @@ from .tabular import (
     LoadStats,
     ResultSet,
     _text_literal,
+    column_from_strings,
     filter_rows,
     join_stage,
     project,
@@ -146,25 +147,19 @@ class DbEngine:
         return stats
 
     def _coerce_for_load(self, col: Column, attr: str) -> Column:
-        """Re-apply type inference on a row prefix so a conflicting value
-        later in the file aborts the load (the whole-column rule would have
-        silently fallen back to text)."""
+        """Abort the load of a text column whose first non-number lies past
+        its first `_TYPE_INFER_ROWS` rows (the whole-column rule would have
+        silently fallen back to text). A value is a number by the engines'
+        one rule: `column_from_strings` on its UTF-8 bytes."""
         if col.is_numeric:
             return col
-        prefix = col.values[:_TYPE_INFER_ROWS]
-        try:
-            [float(v) for v in prefix]
-        except ValueError:
-            return col  # inferred text from the prefix: consistent
-        for i, v in enumerate(col.values):
-            try:
-                float(v)
-            except ValueError:
-                raise LoadError(
-                    f"type conflict in column {attr!r}: row {i + 1} value {v!r} "
-                    "is not numeric"
-                ) from None
-        return Column(np.asarray(col.values, dtype=np.float64))
+        i, v = next((i, v) for i, v in enumerate(col.values)
+                    if not column_from_strings([v.encode("utf-8")]).is_numeric)
+        if i < _TYPE_INFER_ROWS:
+            return col
+        raise LoadError(
+            f"type conflict in column {attr!r}: row {i + 1} value {v!r} is not numeric"
+        )
 
     def truncate_table(self, table: str) -> float:
         """Empty a table: zero rows, empty column files, reset statistics."""

@@ -2,8 +2,9 @@
 
 Tokenizes at query time, keeps parsed columns in a RAM-budgeted LRU cache,
 stops LIMIT scans at the chunk that completes the result, and runs joins as
-deliberately unindexed nested loops. The engine never writes to disk; all
-caching is in memory.
+deliberately unindexed nested loops. Every column it reads, from a whole
+file or from a LIMIT scan's prefix, is typed by `tabular.cut_column`. The
+engine never writes to disk; all caching is in memory.
 
 Per data file the engine keeps one record: its header, the (size,
 mtime_ns) it had when first seen, and, from the first full tokenization,
@@ -36,8 +37,7 @@ from .tabular import (
     ExecStats,
     ResultSet,
     RowMap,
-    column_from_strings,
-    cut_fields,
+    cut_column,
     file_stamp,
     filter_rows,
     join_stage,
@@ -197,58 +197,43 @@ class RawEngine:
         return cols
 
     def _limit_scan(self, ast, table, path, attrs, stats) -> ResultSet:
-        """Tokenize the file in doubling chunks, stopping at the chunk that
+        """Read the file in doubling chunks, stopping at the chunk that
         completes the LIMIT.
 
-        Each chunk is tokenized once; the rows read so far are typed and
-        filtered as a whole. Bytes are accounted at row granularity: the
+        The buffer starts with the header line, so its map's offsets are
+        file offsets. Each round splits the whole prefix read so far and
+        types the wanted columns with `cut_column`, as a full scan does,
+        then filters them. Bytes are accounted at row granularity: the
         tally is the end offset of the row completing the LIMIT, not the
         read-ahead size.
         """
         record = self._records[path]
         header = record.header
-        wanted = [header.index(bare) for bare in attrs]
-        fields: list[list[bytes]] = [[] for _ in attrs]
-        ends = []
-        nrows = 0
         file_size = record.seen[0]
         chunk = _SCAN_CHUNK
         with open(path, "rb") as f:
-            offset = len(f.readline())  # the header
-            buf = b""
+            buf = f.readline()  # the header
+            start = len(buf)
             while True:
                 buf += f.read(chunk)
                 chunk *= 2
-                at_eof = offset + len(buf) >= file_size
+                at_eof = len(buf) >= file_size
                 if at_eof and not buf.endswith(b"\n"):
                     buf += b"\n"
-                rowmap, row_ends = split_lines(
-                    buf, 0, len(header), path, first_row=nrows + 1
-                )
-                if not (len(row_ends) or at_eof):
-                    continue
-                for acc, part in zip(fields, cut_fields(buf, rowmap, wanted)):
-                    acc += part
-                ends.append(row_ends + offset)
-                nrows += len(row_ends)
+                rowmap, row_ends = split_lines(buf, start, len(header), path)
                 qcols = {
-                    f"{table}.{bare}": column_from_strings(acc)
-                    for bare, acc in zip(attrs, fields)
+                    f"{table}.{bare}": cut_column(buf, rowmap, header.index(bare))
+                    for bare in attrs
                 }
-                hits = filter_rows(qcols, ast.predicates, nrows)
+                hits = filter_rows(qcols, ast.predicates, len(rowmap))
                 if at_eof or len(hits) >= ast.limit:
                     break
-                # Blank lines ending the chunk stay in the buffer: only a
-                # later data line or the end of file tells what they are.
-                used = int(row_ends[-1])
-                buf = buf[used:]
-                offset += used
 
         hits = hits[: ast.limit]
-        stats.rows_scanned, read = nrows, file_size
+        stats.rows_scanned, read = len(rowmap), file_size
         if len(hits) == ast.limit:
             stats.rows_scanned = int(hits[-1]) + 1
-            read = min(int(np.concatenate(ends)[hits[-1]]), file_size)
+            read = min(int(row_ends[hits[-1]]), file_size)
         stats.bytes_read_from_disk += read
         stats.early_stop = read < file_size
         return project(ast.projections, qcols, {table: hits})

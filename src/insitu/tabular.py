@@ -19,17 +19,21 @@ through the rule itself, and a column is text exactly when the rule
 raises on one of them; a first field that is not a number makes it text
 before any parsing, and a block of rows mostly outside the plain form
 (17-digit float reprs, say) sends the rest of its column to the rule
-without the kernel. The LIMIT path copies field bytes out with
-`cut_fields` and types them with `column_from_strings`, the rule on a
-list. The plan slicer types nothing: `cut_rows` copies a block of rows'
-kept fields, each with the delimiter after it, out of the buffer with
-one gather, so a slice holds the field bytes verbatim, in source column
+without the kernel. `cut_column` is the one step that types a column read
+from a file: whole files for scans and loads, and a file's prefix (header
+included, so map offsets are file offsets) for the LIMIT path. The db
+load's check that a text column was text from its first rows applies the
+rule field by field with `column_from_strings`, the rule on a list. The
+plan slicer types nothing: `cut_rows` copies a block of rows' kept
+fields, each with the delimiter after it, out of the buffer with one
+gather, so a slice holds the field bytes verbatim, in source column
 order, with LF line ends. So cold, hot and LIMIT scans and the two
 engines compare exactly, with one known divergence: a LIMIT scan that
-stops early types each column over the rows it read, so a column whose
+stops early types each column over the prefix it read, so a column whose
 first text value lies past those bytes comes back numeric. Data files
 are plain comma-separated UTF-8 with a header row, lines ending in LF or
-CRLF, and no embedded commas, quotes or newlines in fields.
+CRLF, and no embedded commas, quotes or newlines in fields; a header or
+a text field read that is not UTF-8 is a FormatError naming the file.
 """
 from __future__ import annotations
 
@@ -105,11 +109,15 @@ class Column:
 
 
 def column_from_strings(raw: list[bytes]) -> Column:
-    """Apply the float-or-text rule to one column of raw field bytes."""
+    """Apply the float-or-text rule to one column of raw field bytes; a
+    text field that is not UTF-8 is a FormatError."""
     try:
         return Column(np.asarray(raw, dtype=np.float64))
     except ValueError:
-        return Column([f.decode("utf-8") for f in raw])
+        try:
+            return Column([f.decode("utf-8") for f in raw])
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"text field {exc.object!r} is not UTF-8") from None
 
 
 @dataclass
@@ -129,22 +137,23 @@ class RowMap:
     the one form in which the tokenizer describes a file's structure.
 
     `line_starts[r]` is the offset of data line r in the bytes the map was
-    built from (a whole file, or a LIMIT scan's chunk), and `ends[r, j]`
+    built from (a whole file, or a LIMIT scan's prefix), and `ends[r, j]`
     the end of its field j counted from that start; the last field ends at
     the line end, before any "\\r". Each array has the narrowest unsigned
     dtype that holds its values, so a file whose lines are all shorter than
     256 bytes costs one byte per field plus one offset per line. The number
     of lines is the file's row count. A map describes the bytes it was
     built from and nothing else. `stamp` is the (size, mtime_ns) of the file
-    it was built from (None for a LIMIT scan's chunk); `read_csv` reuses a
-    map only while its file keeps that stamp.
+    it was built from (None for a LIMIT scan's prefix); `read_csv` reuses a
+    map only while its file keeps that stamp. `path` names that file in
+    errors from cuts.
     """
 
-    __slots__ = ("line_starts", "ends", "stamp")
+    __slots__ = ("line_starts", "ends", "stamp", "path")
 
-    def __init__(self, line_starts: np.ndarray, grid: np.ndarray, buf_len: int):
+    def __init__(self, line_starts: np.ndarray, grid: np.ndarray, buf_len: int, path):
         """Narrow `split_lines`' line starts and absolute field-end grid of a
-        buffer of `buf_len` bytes."""
+        buffer of `buf_len` bytes read from `path`."""
         self.line_starts = line_starts.astype(np.min_scalar_type(buf_len))
         widest = int((grid[:, -1] - line_starts).max(initial=0))
         self.ends = np.subtract(
@@ -152,6 +161,7 @@ class RowMap:
             casting="unsafe",
         )
         self.stamp: tuple[int, int] | None = None
+        self.path = path
 
     def __len__(self) -> int:
         return len(self.line_starts)
@@ -181,7 +191,10 @@ def _header_names(line: bytes, path) -> list[str]:
     """Column names of a header line without its newline; one "\\r" before
     the newline goes with it, as for data lines. A repeated name is a
     FormatError: a query could reach only the first of its columns."""
-    names = line.removesuffix(b"\r").decode("utf-8").split(",")
+    try:
+        names = line.removesuffix(b"\r").decode("utf-8").split(",")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: header {line!r} is not UTF-8") from None
     if len(set(names)) < len(names):
         dup = next(n for i, n in enumerate(names) if n in names[:i])
         raise FormatError(f"{path}: header repeats the column name {dup!r}")
@@ -246,7 +259,7 @@ def scan_csv(path, wanted=None, rowmap: RowMap | None = None) -> CsvScan:
     )
 
 
-def split_lines(buf: bytes, start: int, ncols: int, path, first_row: int = 1):
+def split_lines(buf: bytes, start: int, ncols: int, path):
     """Structure step of the tokenizer: find every data line of `buf` from
     offset `start` and the end of each of its fields.
 
@@ -254,8 +267,8 @@ def split_lines(buf: bytes, start: int, ncols: int, path, first_row: int = 1):
     after the last newline belong to no line. Blank lines at the end are
     not rows; a blank line before a data line is a one-field row. Raises
     FormatError on the first row whose field count is not `ncols`,
-    numbering rows from `first_row`. Returns the lines' positional map
-    (offsets into `buf`) and the offset just past each row's newline.
+    numbering rows from 1. Returns the lines' positional map (offsets into
+    `buf`) and the offset just past each row's newline.
     """
     arr = np.frombuffer(buf, dtype=np.uint8)
     body = arr[start:]
@@ -275,20 +288,20 @@ def split_lines(buf: bytes, start: int, ncols: int, path, first_row: int = 1):
     if len(bad):
         row = int(bad[0])
         raise FormatError(
-            f"{path}: data row {first_row + row} has {int(commas[row]) + 1} fields, "
+            f"{path}: data row {row + 1} has {int(commas[row]) + 1} fields, "
             f"expected {ncols}"
         )
 
     grid = delims[: nrows * ncols].reshape(nrows, ncols)
     grid[:, -1] = line_ends[:nrows]  # the newline, less its "\r"
-    return RowMap(line_starts[:nrows], grid, len(buf)), newlines[:nrows] + 1
+    return RowMap(line_starts[:nrows], grid, len(buf), path), newlines[:nrows] + 1
 
 
 def cut_fields(buf: bytes, rowmap: RowMap, wanted):
-    """Cut step of the tokenizer: the raw field bytes of the wanted column
-    indices, cut from the positional map of `buf`, one column at a time so
-    that a caller can type each before the next exists. The LIMIT path's
-    cut; a whole-file scan types its columns with `cut_column`."""
+    """The raw field bytes of the wanted column indices, cut from the
+    positional map of `buf`, one column at a time. No read path uses it:
+    `cut_column` types columns and `cut_rows` copies them; it is the
+    reference both are tested against."""
     for j in wanted:
         yield _fields(buf, *rowmap.bounds(j))
 
@@ -388,9 +401,12 @@ def cut_column(buf: bytes, rowmap: RowMap, j: int) -> Column:
             kernel = 2 * len(other) <= len(s)
     except ValueError:
         text = []
-        for lo in range(0, len(rowmap), _TEXT_BLOCK_ROWS):
-            s, e = rowmap.bounds(j, slice(lo, lo + _TEXT_BLOCK_ROWS))
-            text += [buf[a:b].decode("utf-8") for a, b in zip(s.tolist(), e.tolist())]
+        try:
+            for lo in range(0, len(rowmap), _TEXT_BLOCK_ROWS):
+                s, e = rowmap.bounds(j, slice(lo, lo + _TEXT_BLOCK_ROWS))
+                text += [buf[a:b].decode("utf-8") for a, b in zip(s.tolist(), e.tolist())]
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{rowmap.path}: text field {exc.object!r} is not UTF-8") from None
         return Column(text)
     return Column(values)
 

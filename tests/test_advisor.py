@@ -473,10 +473,12 @@ class TestSliceContract:
         assert got == want
 
 
-    def test_repeated_header_name_is_format_error(self, tmp_path):
-        # Only the first of two same-named columns could ever be read.
+    @staticmethod
+    def header_errors(tmp_path, header: bytes) -> dict[str, str]:
+        """The FormatError message of every path over a file whose header
+        is `header`, reading its first column, `a`."""
         src = tmp_path / "t.csv"
-        src.write_bytes(b"a,a\n1,2\n")
+        src.write_bytes(header + b"\n1,2\n")
         plan = PartitionPlan("QCA", ("t.a",), raw_attrs=frozenset({"t.a"}),
                              db_attrs=frozenset())
         paths = {
@@ -492,7 +494,16 @@ class TestSliceContract:
             with pytest.raises(FormatError) as exc:
                 attempt()
             got[name] = str(exc.value)
+        return got
+
+    def test_repeated_header_name_is_format_error(self, tmp_path):
+        # Only the first of two same-named columns could ever be read.
+        got = self.header_errors(tmp_path, b"a,a")
         assert all("repeats the column name 'a'" in m for m in got.values()), got
+
+    def test_header_not_utf8_is_format_error(self, tmp_path):
+        got = self.header_errors(tmp_path, b"a,\xff")
+        assert all(m.endswith("header b'a,\\xff' is not UTF-8") for m in got.values()), got
 
 
 def row_writer(source, out, attrs):

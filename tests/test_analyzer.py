@@ -11,9 +11,6 @@ from insitu.analyzer import (
     ResourceProfile,
     SystemSpec,
     aggregate_profiles,
-    bandwidth_utilization,
-    cold_hot_delta,
-    effective_ram_pct,
     io_amplification,
     profile_from_dict,
     profile_to_dict,
@@ -297,38 +294,10 @@ class TestScalarDerivations:
     def test_identity_amplification(self):
         assert io_amplification(4.7e9, 4.7e9, 4.7e9).read_x == 1.0
 
-    def test_bandwidth_utilization(self):
-        spec = SystemSpec()
-        assert bandwidth_utilization(150e6, spec, "read").pct == 50.0
-        assert bandwidth_utilization(0.0, spec, "read").pct == 0.0
-        clamped = bandwidth_utilization(400e6, spec, "read")
-        assert clamped.pct == 100.0 and clamped.saturated
-        assert bandwidth_utilization(100e6, spec, "write").pct == 50.0
-
-    def test_effective_ram_pct(self):
-        spec = SystemSpec(ram_bytes=16e9)
-        assert effective_ram_pct(0.002 * 16e9, 0, spec) == pytest.approx(0.2)
-        cached = 4.6e9 * 2.24
-        assert effective_ram_pct(0, cached, spec) == pytest.approx(64.4, abs=0.5)
-        assert effective_ram_pct(0, 16e9, spec) == 100.0
-
     def test_scale_invariance(self):
         a = io_amplification(9.4e9, 3.0e9, 4.7e9)
         b = io_amplification(2 * 9.4e9, 2 * 3.0e9, 2 * 4.7e9)
         assert a == b
-        spec1 = SystemSpec(ram_bytes=8e9)
-        spec2 = SystemSpec(ram_bytes=16e9)
-        assert effective_ram_pct(1e9, 2e9, spec1) == effective_ram_pct(2e9, 4e9, spec2)
-
-    def test_cold_hot_delta(self):
-        cold = ExecStats(duration_ms=150.0, bytes_read_from_disk=1000)
-        hot = ExecStats(duration_ms=30.0, bytes_read_from_disk=0)
-        d = cold_hot_delta(cold, hot)
-        assert d.time_delta_ms == 120.0
-        assert d.bytes_delta == 1000
-        assert cold_hot_delta(cold, cold) == cold_hot_delta(cold, cold)
-        zero = cold_hot_delta(hot, hot)
-        assert (zero.time_delta_ms, zero.bytes_delta) == (0.0, 0)
 
     def test_profiles_from_exec_stats(self):
         spec = SystemSpec(ram_bytes=16e9)

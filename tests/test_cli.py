@@ -367,6 +367,28 @@ class TestAdviseAndPlanRun:
                        "--out", str(tmp_path / "out")])
             assert rc == EXIT_INPUT, engine
 
+    @pytest.mark.parametrize("path", ["raw-scan", "raw-limit", "db-copy", "plan"])
+    def test_text_field_not_utf8_is_input_error(self, tmp_path, path, capsys):
+        (tmp_path / "t.csv").write_bytes(b"a,b\n1,\xff\xfe\n2,x\n")
+        query = "SELECT a, b FROM t WHERE a > 0" + (" LIMIT 1" if path == "raw-limit" else "")
+        copy = "L0,\"COPY t FROM 't.csv';\"\n" if path == "db-copy" else ""
+        wl = tmp_path / "wl.csv"
+        wl.write_text(f'T_ID,Statement\n{copy}Q0,"{query};"\n')
+        engine = "db" if path == "db-copy" else "raw"
+        if path == "plan":
+            plan_path = tmp_path / "plan.json"
+            assert main(["advise", "qca", "--workload", str(wl),
+                         "--schema-csv", str(tmp_path / "t.csv"),
+                         "--out", str(plan_path)]) == EXIT_OK
+            engine = f"plan:{plan_path}"
+        out = tmp_path / "out"
+        rc = main(["run", "--workload", str(wl), "--engine", engine,
+                   "--source", "synthetic", "--data-dir", str(tmp_path),
+                   "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert json.loads((out / "report.json").read_text())["status"] == "error"
+        assert "text field b'\\xff\\xfe' is not UTF-8" in capsys.readouterr().err
+
     def test_plan_load_times_slicing_and_leaves_no_db_slice(
         self, tmp_path, advised, monkeypatch
     ):

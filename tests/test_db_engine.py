@@ -71,6 +71,21 @@ class TestLoad:
         result, _ = engine.execute(parse_query("SELECT name FROM s WHERE a = 2"))
         assert result.rows == [("77",)]
 
+    def test_non_ascii_digits_read_as_in_situ(self, engine, tmp_path):
+        # Python's float() reads all three as numbers, numpy's parse of the
+        # field bytes (the engines' one rule) none: both engines hold text.
+        values = ["\u0661\u0662", "\u0663", "\xa04"]
+        p = write_csv(tmp_path / "n.csv", ["a", "v"], [[i, v] for i, v in enumerate(values)])
+        engine.load_table(p, "n")
+        raw = RawEngine()
+        raw.register("n", p)
+        for stmt in ("SELECT a, v FROM n", "SELECT a, v FROM n WHERE v < 5",
+                     "SELECT v FROM n LIMIT 2"):
+            ast = parse_query(stmt)
+            assert engine.execute(ast)[0].multiset() == raw.execute(ast)[0].multiset(), stmt
+        result, _ = engine.execute(parse_query("SELECT v FROM n"))
+        assert result.rows == [(v,) for v in values]
+
 
 class TestTruncate:
     def test_truncate_then_count_zero(self, engine, numeric_csv):

@@ -208,6 +208,11 @@ class TestEarlyTermination:
 
 
 NUMBERS = st.integers(-50, 50).map(str) | st.floats(-50, 50).map("{:.2f}".format)
+# Field values also take forms outside the array cut's plain decimals, so
+# that a LIMIT prefix meets both its kernel and its rule; predicate
+# literals stay NUMBERS, since "+3" is no literal of the query language.
+FIELD_NUMBERS = NUMBERS | st.floats(-50, 50).map(repr) | st.sampled_from(
+    ["1e1", "-0.0", ".5", "5.", "+3", "0012.50", "12.345678901234567"])
 WORDS = st.text(alphabet="abcxyz", min_size=1, max_size=3)  # never parse as numbers
 
 
@@ -216,7 +221,8 @@ def limit_cases(draw):
     """A small type-consistent CSV, a single-table SELECT and a LIMIT."""
     numeric = draw(st.lists(st.booleans(), min_size=1, max_size=3))
     names = [f"c{j}" for j in range(len(numeric))]
-    rows = draw(st.lists(st.tuples(*(NUMBERS if n else WORDS for n in numeric)), max_size=12))
+    rows = draw(st.lists(st.tuples(*(FIELD_NUMBERS if n else WORDS for n in numeric)),
+                         max_size=12))
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     text = eol.join(",".join(r) for r in [names, *rows]) + draw(st.sampled_from([eol, ""]))
     stmt = "SELECT " + ", ".join(draw(st.lists(st.sampled_from(names), min_size=1, max_size=3)))
