@@ -26,12 +26,11 @@ RATE_FIELDS = ("read_Bps", "write_Bps")
 class SystemSpec:
     """Hardware envelope used for RAM-share and capacity arithmetic."""
 
-    cores: int = 4
     ram_bytes: float = 16e9
     ram_expansion_factor: float = 2.24
 
     def __post_init__(self):
-        for name in ("cores", "ram_bytes", "ram_expansion_factor"):
+        for name in ("ram_bytes", "ram_expansion_factor"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"SystemSpec.{name} must be positive")
 

@@ -3,7 +3,9 @@
 COPY-style bulk load converts CSV into typed binary column files (optionally
 journaling every input record verbatim first), records per-column min/max,
 and answers queries over the loaded columns with in-memory caching, min/max
-pruning, and hash joins.
+pruning, and equi-joins by one array kernel (`_hash_match`: a stable sort
+of one side's keys and binary searches for the other's; text keys are
+coded as integers first).
 
 On-disk layout per table, under `<data_dir>/<table>/`:
 
@@ -38,6 +40,7 @@ from .tabular import (
     ResultSet,
     _text_literal,
     column_from_strings,
+    count_result,
     filter_rows,
     join_stage,
     project,
@@ -206,8 +209,9 @@ class DbEngine:
         if pruned:
             stats.duration_ms = (time.perf_counter() - start) * 1000.0
             if ast.is_count:
-                return ResultSet(columns=("count",), rows=[(0,)]), stats
-            return ResultSet(columns=tuple(ast.projections), rows=[]), stats
+                return count_result(0), stats
+            empty = tuple(np.empty(0) for _ in ast.projections)
+            return ResultSet(tuple(ast.projections), empty), stats
 
         # Pin the whole working set so tight budgets error out rather than
         # evicting a column the running query still needs.
@@ -247,7 +251,7 @@ class DbEngine:
         indices = filter_rows(qcols, ast.predicates, nrows)
         if ast.is_count:
             stats.rows_scanned = nrows if ast.predicates else 0
-            return ResultSet(columns=("count",), rows=[(len(indices),)])
+            return count_result(len(indices))
         stats.rows_scanned = nrows
         if ast.limit is not None and len(indices) > ast.limit:
             indices = indices[: ast.limit]
@@ -255,8 +259,8 @@ class DbEngine:
         return project(ast.projections, qcols, {ast.tables[0]: indices})
 
     def _execute_join(self, ast, stores, qcols, stats) -> ResultSet:
-        # Pre-filter each table with its own predicates, then left-deep hash
-        # joins probing in intermediate order so pair enumeration matches the
+        # Pre-filter each table with its own predicates, then left-deep joins
+        # matching in intermediate order so pair enumeration matches the
         # in-situ engine's nested loop.
         survivors = {
             table: filter_rows(
@@ -276,7 +280,7 @@ class DbEngine:
             )
 
         if ast.is_count:
-            return ResultSet(columns=("count",), rows=[(len(inter[first]),)])
+            return count_result(len(inter[first]))
         if ast.limit is not None and len(inter[first]) > ast.limit:
             inter = {t: idx[: ast.limit] for t, idx in inter.items()}
             stats.early_stop = True
@@ -313,19 +317,34 @@ def _prunes(store: TableStore, pred) -> bool:
 
 
 def _hash_match(old: Column, new: Column):
-    """Join kernel: build a hash table on the new rows, probe it with each
-    old value in order."""
-    buckets: dict = {}
-    for pos, v in enumerate(new.tolist()):
-        buckets.setdefault(v, []).append(pos)
-    counts = np.zeros(len(old), dtype=np.int64)
-    hits: list[int] = []
-    for k, v in enumerate(old.tolist()):
-        hit = buckets.get(v)
-        if hit:
-            counts[k] = len(hit)
-            hits.extend(hit)
-    return counts, np.asarray(hits, dtype=np.int64)
+    """Join kernel, sort-based: a stable argsort of the new keys, then a
+    left and a right binary search for each old key delimit its run of
+    equal new keys, expanded into new positions. Old keys stay in order
+    and each key's new positions ascend, as a hash table built in new-row
+    order and probed with each old value would give them. Text keys are
+    first coded as integers through one dict shared by both sides. A NaN
+    key matches nothing, -0.0 matches 0.0, and a numeric side matches no
+    text side."""
+    if old.is_numeric != new.is_numeric:
+        return np.zeros(len(old), dtype=np.int64), np.empty(0, dtype=np.int64)
+    if old.is_numeric:
+        old_keys, new_keys = old.values, new.values
+    else:
+        codes: dict[str, int] = {}
+        new_keys = np.fromiter((codes.setdefault(v, len(codes)) for v in new.values),
+                               dtype=np.int64, count=len(new))
+        old_keys = np.fromiter((codes.get(v, -1) for v in old.values),
+                               dtype=np.int64, count=len(old))
+    order = np.argsort(new_keys, kind="stable")
+    sorted_keys = new_keys[order]
+    lo = np.searchsorted(sorted_keys, old_keys, side="left")
+    counts = np.searchsorted(sorted_keys, old_keys, side="right") - lo
+    if old.is_numeric:
+        counts[np.isnan(old_keys)] = 0  # NaN sorts equal to NaN
+    # Match i of old key k is new key lo[k] + i in sorted order.
+    starts = np.cumsum(counts) - counts
+    index = np.repeat(lo - starts, counts) + np.arange(counts.sum())
+    return counts, order[index]
 
 
 def _column_minmax(col: Column):

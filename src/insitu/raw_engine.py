@@ -37,6 +37,7 @@ from .tabular import (
     ExecStats,
     ResultSet,
     RowMap,
+    count_result,
     cut_column,
     file_stamp,
     filter_rows,
@@ -158,7 +159,7 @@ class RawEngine:
         indices = filter_rows(qcols, ast.predicates, nrows)
         stats.rows_scanned = nrows
         if ast.is_count:
-            return ResultSet(columns=("count",), rows=[(len(indices),)])
+            return count_result(len(indices))
         if ast.limit is not None and len(indices) >= ast.limit:
             indices = indices[: ast.limit]
             stats.rows_scanned = int(indices[-1]) + 1
@@ -266,13 +267,13 @@ class RawEngine:
 
         # Predicates run on the join output: the in-situ join is unfiltered.
         at_inter = {
-            p.attr: qcols[p.attr].gather(inter[p.attr.split(".", 1)[0]])
+            p.attr: qcols[p.attr].take(inter[p.attr.split(".", 1)[0]])
             for p in ast.predicates
         }
         sel = filter_rows(at_inter, ast.predicates, len(inter[first]))
         stats.rows_scanned = sum(counts.values())
         if ast.is_count:
-            return ResultSet(columns=("count",), rows=[(len(sel),)])
+            return count_result(len(sel))
         if ast.limit is not None and len(sel) > ast.limit:
             sel = sel[: ast.limit]
             stats.early_stop = True

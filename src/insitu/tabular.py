@@ -34,13 +34,20 @@ first text value lies past those bytes comes back numeric. Data files
 are plain comma-separated UTF-8 with a header row, lines ending in LF or
 CRLF, and no embedded commas, quotes or newlines in fields; a header or
 a text field read that is not UTF-8 is a FormatError naming the file.
+
+The operator layer both engines share works on row-index vectors:
+`filter_rows` masks, `join_stage` pairs rows through the engine's join
+kernel, and `project` gathers each projected column with one fancy index
+(`Column.take`). A `ResultSet` holds those gathered columns; it builds
+row tuples only when `rows` or `multiset` is read, as late
+materialization does in a column store.
 """
 from __future__ import annotations
 
 import operator
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,17 +98,12 @@ class Column:
             return 8 * len(self.values)
         return sum(len(v.encode("utf-8")) + TEXT_ENTRY_OVERHEAD for v in self.values)
 
-    def take(self, indices) -> list:
-        """Values at the given row indices, as plain Python objects."""
-        if self.is_numeric:
-            return self.values[indices].tolist()
-        return [self.values[i] for i in indices]
-
-    def gather(self, indices) -> Column:
+    def take(self, indices) -> Column:
         """Sub-column of the values at the given row indices."""
         if self.is_numeric:
             return Column(self.values[indices])
-        return Column([self.values[i] for i in indices])
+        values = self.values
+        return Column([values[i] for i in indices.tolist()])
 
     def tolist(self) -> list:
         """Every value as a plain Python object."""
@@ -297,15 +299,6 @@ def split_lines(buf: bytes, start: int, ncols: int, path):
     return RowMap(line_starts[:nrows], grid, len(buf), path), newlines[:nrows] + 1
 
 
-def cut_fields(buf: bytes, rowmap: RowMap, wanted):
-    """The raw field bytes of the wanted column indices, cut from the
-    positional map of `buf`, one column at a time. No read path uses it:
-    `cut_column` types columns and `cut_rows` copies them; it is the
-    reference both are tested against."""
-    for j in wanted:
-        yield _fields(buf, *rowmap.bounds(j))
-
-
 # Rows per step of `cut_column` and `cut_rows`: every temporary is a vector
 # this long (times the kept fields in `cut_rows`), or for text a list of
 # this many Python ints per offset array.
@@ -322,7 +315,8 @@ def cut_rows(buf: bytes, rowmap: RowMap, keep):
     column indices `keep` (ascending, at least one), as CSV bytes, one
     uint8 array per block of rows. Field bytes are copied verbatim,
     separated by "," and each row ends in "\\n", whatever the source's line
-    end: `b",".join(row) + b"\\n"` over the `cut_fields` rows.
+    end: `b",".join(row) + b"\\n"` over each row's kept fields, field j of
+    a row being `buf[s:e]` for its pair of `rowmap.bounds(j)`.
 
     Each field is widened by the one byte after it (its comma, or the "\\r"
     or "\\n" that ends its line; `read_csv` adds a final newline), all of a
@@ -372,10 +366,11 @@ def cut_column(buf: bytes, rowmap: RowMap, j: int) -> Column:
     float-or-text rule straight from the positional map, a block of rows at
     a time. Plain decimals take the array kernel (`_plain_decimals`), every
     other field the rule itself; the result equals `column_from_strings` on
-    the column's `cut_fields` bytes, bit for bit, and raises what it
-    raises. The column is text from the first field the rule rejects; a
-    first field that is no number makes it text before any parsing. From
-    a block mostly outside the plain form on, the column skips the kernel."""
+    the column's field bytes (`buf[s:e]` for each pair of
+    `rowmap.bounds(j)`), bit for bit, and raises what it raises. The
+    column is text from the first field the rule rejects; a first field
+    that is no number makes it text before any parsing. From a block
+    mostly outside the plain form on, the column skips the kernel."""
     arr = np.frombuffer(buf, dtype=np.uint8)
     # Every 8-byte little-endian word of the buffer, one starting at each
     # byte; a buffer under 16 bytes is padded so that the kernel's two words
@@ -519,10 +514,10 @@ def join_stage(inter, join, new_table, new_rows, qcols, match):
         old_attr, new_attr = join.left, join.right
 
     def old_values(attr):
-        return qcols[attr].gather(inter[attr.split(".", 1)[0]])
+        return qcols[attr].take(inter[attr.split(".", 1)[0]])
 
     if new_attr.startswith(new_prefix):
-        counts, positions = match(old_values(old_attr), qcols[new_attr].gather(new_rows))
+        counts, positions = match(old_values(old_attr), qcols[new_attr].take(new_rows))
         lefts = np.repeat(np.arange(len(counts)), counts)
         rights = new_rows[positions]
     else:
@@ -538,10 +533,16 @@ def join_stage(inter, join, new_table, new_rows, qcols, match):
 
 
 def project(projections, qcols, rows_of) -> ResultSet:
-    """Result rows of the projected attributes; `rows_of` maps each table
-    to the row index of every output row."""
-    taken = [qcols[a].take(rows_of[a.split(".", 1)[0]]) for a in projections]
-    return ResultSet(columns=tuple(projections), rows=list(zip(*taken)))
+    """Result of the projected attributes, gathered column by column;
+    `rows_of` maps each table to the row index of every output row."""
+    return ResultSet(tuple(projections), tuple(
+        qcols[a].take(rows_of[a.split(".", 1)[0]]).values for a in projections
+    ))
+
+
+def count_result(n: int) -> ResultSet:
+    """Result of a COUNT query that counted `n` rows."""
+    return ResultSet(("count",), (np.array([n]),))
 
 
 def _text_literal(literal) -> str:
@@ -552,16 +553,25 @@ def _text_literal(literal) -> str:
 
 @dataclass
 class ResultSet:
-    """Query output: named columns and materialized rows."""
+    """Query output: named columns (at least one) and one sequence of
+    values per column, all of one length: a float64 array (an int array
+    for COUNT) or a list of str. Rows are built only when `rows` or
+    `multiset` is asked for; their values are Python floats, ints and
+    strs."""
 
     columns: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
+    values: tuple
+
+    @property
+    def rows(self) -> list[tuple]:
+        return list(zip(*(v.tolist() if isinstance(v, np.ndarray) else v
+                          for v in self.values)))
 
     def multiset(self) -> Counter:
         return Counter(self.rows)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.values[0])
 
 
 @dataclass

@@ -30,8 +30,8 @@ from insitu.errors import (
 )
 from insitu.query_model import QueryClass, classify, parse_query
 from insitu.raw_engine import RawEngine
-from insitu.tabular import ResultSet, cut_fields, cut_rows, read_csv, read_header, scan_csv
-from util import CONTRACT_INPUTS, write_csv
+from insitu.tabular import ResultSet, cut_rows, read_csv, read_header, scan_csv
+from util import CONTRACT_INPUTS, cut_fields, write_csv
 
 MB = 1024 * 1024
 

@@ -12,6 +12,8 @@ from insitu.cli import (
     main,
 )
 from insitu.datagen import generate_csv
+from insitu.tabular import ResultSet
+from util import write_csv
 
 
 @pytest.fixture
@@ -102,6 +104,53 @@ class TestRun:
         assert db_counts["Q0"] == raw_counts["Q0"] == 1
         assert db_counts["Q1"] == raw_counts["Q1"] == 50
         assert db_counts["Q2"] == raw_counts["Q2"]
+
+    def test_a_run_builds_no_rows(self, tmp_path, dataset, monkeypatch):
+        """`insitu run` reads only each result's length: with row building
+        made to raise, runs of COUNT, LIMIT, filter and join tasks, numeric
+        and text, on both engines report the same row counts."""
+        tags = write_csv(tmp_path / "tags.csv", ["objid", "tag"],
+                         [[i * 7, f"t{i % 5}"] for i in range(300)])
+        labels = write_csv(tmp_path / "labels.csv", ["tag", "name"],
+                           [["t0", "zero"], ["t3", "three"], ["t3", "drei"]])
+        wl = tmp_path / "workload.csv"
+        wl.write_text(
+            "T_ID,Statement\n"
+            f"C0,\"COPY PhotoPrimary FROM '{dataset}' (DELIMITER ',');\"\n"
+            f"C1,\"COPY Tags FROM '{tags}' (DELIMITER ',');\"\n"
+            f"C2,\"COPY Labels FROM '{labels}' (DELIMITER ',');\"\n"
+            'Q0,"SELECT count(objid) FROM PhotoPrimary WHERE ra > 100;"\n'
+            'Q1,"SELECT objid, ra FROM PhotoPrimary WHERE ra > 10 limit 50;"\n'
+            'Q2,"SELECT dec, v03 FROM PhotoPrimary WHERE v03 <= 500;"\n'
+            'Q3,"SELECT PhotoPrimary.ra, Tags.tag FROM PhotoPrimary JOIN Tags'
+            ' ON PhotoPrimary.objid = Tags.objid WHERE PhotoPrimary.ra > 100;"\n'
+            'Q4,"SELECT count(Tags.objid) FROM Tags JOIN Labels ON Tags.tag = Labels.tag;"\n'
+            'Q5,"SELECT Tags.objid, Labels.name FROM Tags JOIN Labels'
+            ' ON Tags.tag = Labels.tag LIMIT 20;"\n'
+            'Q6,"SELECT objid FROM PhotoPrimary WHERE ra > 1000;"\n'
+        )
+
+        def counts(engine, out):
+            assert main(["run", "--workload", str(wl), "--engine", engine,
+                         "--source", "synthetic", "--out", str(tmp_path / out)]) == EXIT_OK
+            report = json.loads((tmp_path / out / "report.json").read_text())
+            assert report["status"] == "ok"
+            return {t["task_id"]: t["result_rows"] for t in report["tasks"]
+                    if t["kind"] == "query"}
+
+        want = {engine: counts(engine, f"{engine}-rows") for engine in ("raw", "db")}
+        assert want["raw"] == want["db"]
+        assert want["db"]["Q0"] == want["db"]["Q4"] == 1
+        assert (want["db"]["Q1"], want["db"]["Q5"]) == (50, 20)
+        assert all(want["db"][q] > 0 for q in ("Q2", "Q3")) and want["db"]["Q6"] == 0
+
+        def no_rows(*_):
+            raise AssertionError("a result row was built")
+
+        monkeypatch.setattr(ResultSet, "rows", property(no_rows))
+        monkeypatch.setattr(ResultSet, "multiset", no_rows)
+        for engine in ("raw", "db"):
+            assert counts(engine, f"{engine}-columns") == want[engine]
 
     def test_exec_reports_structure_scans_and_map_bytes(self, tmp_path, workload):
         scans = {}

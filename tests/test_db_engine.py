@@ -1,14 +1,18 @@
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from insitu.datagen import generate_csv
-from insitu.db_engine import DbEngine
+from insitu.db_engine import DbEngine, _hash_match
 from insitu.errors import FormatError, LoadError, NotLoadedError, SchemaError
 from insitu.query_model import parse_query
 from insitu.raw_engine import RawEngine
-from insitu.tabular import read_header
+from insitu.tabular import Column, read_header
 from util import TableInfo, random_select, write_csv
 
 
@@ -210,6 +214,58 @@ class TestExecute:
                            *table_dir.iterdir()}
         result, _ = DbEngine(tmp_path / "db" / "store").execute(parse_query("SELECT a FROM t"))
         assert result.rows == [(1.0,)]
+
+
+def dict_match(old: Column, new: Column):
+    """The engine's earlier join kernel, the oracle of the array kernel: a
+    dict built on the new values in row order, probed with each old value
+    in order. Every probe is a fresh Python object, so a NaN, equal only to
+    itself, finds nothing."""
+    buckets: dict = {}
+    for pos, v in enumerate(new.tolist()):
+        buckets.setdefault(v, []).append(pos)
+    counts = np.zeros(len(old), dtype=np.int64)
+    hits: list[int] = []
+    for k, v in enumerate(old.tolist()):
+        hit = buckets.get(v)
+        if hit:
+            counts[k] = len(hit)
+            hits.extend(hit)
+    return counts, np.asarray(hits, dtype=np.int64)
+
+
+# Few distinct values, so both sides hold duplicates and share keys.
+JOIN_NUMBERS = st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, 2.5, -3.0])
+JOIN_TEXTS = st.sampled_from(["", "a", "b", "\0", "a\0", "é", "日本", "\r", "x\r", "1.0"])
+
+
+def join_sides():
+    numbers = st.lists(JOIN_NUMBERS, max_size=25).map(lambda v: Column(np.array(v, np.float64)))
+    texts = st.lists(JOIN_TEXTS, max_size=25).map(Column)
+    side = st.one_of(numbers, texts)
+    return st.tuples(side, side)
+
+
+class TestJoinKernel:
+    """`_hash_match` against the dict kernel it replaced: the same counts
+    and the same new positions, in the same order."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @given(sides=join_sides())
+    @example(sides=(Column(np.array([math.nan, 0.0])), Column(np.array([-0.0, math.nan, 0.0]))))
+    @example(sides=(Column(np.array([math.inf, -math.inf])), Column(np.array([-math.inf] * 2))))
+    @example(sides=(Column(np.empty(0)), Column(np.array([1.0]))))
+    @example(sides=(Column(np.array([1.0])), Column(np.empty(0))))
+    @example(sides=(Column([]), Column([])))
+    @example(sides=(Column(["1.0", "a"]), Column(np.array([1.0]))))
+    @example(sides=(Column(np.array([1.0, 1.0])), Column(["1.0"])))
+    @example(sides=(Column(["\0", "é", "\r", "é"]), Column(["é", "\r", "", "é", "\0"])))
+    def test_matches_the_dict_kernel(self, sides):
+        old, new = sides
+        counts, positions = _hash_match(old, new)
+        want_counts, want_positions = dict_match(old, new)
+        assert counts.tolist() == want_counts.tolist()
+        assert positions.tolist() == want_positions.tolist()
 
 
 class TestBothEngines:

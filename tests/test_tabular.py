@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from insitu.cache import ColumnCache
 from insitu.datagen import generate_csv
+from insitu.db_engine import DbEngine
 from insitu.errors import BudgetExceededError, ConfigError, FormatError
 from insitu.query_model import parse_query
 from insitu.raw_engine import RawEngine
@@ -17,12 +18,11 @@ from insitu.tabular import (
     ResultSet,
     column_from_strings,
     cut_column,
-    cut_fields,
     predicate_mask,
     read_csv,
     scan_csv,
 )
-from util import CONTRACT_INPUTS, write_csv
+from util import CONTRACT_INPUTS, cut_fields, write_csv
 
 
 def make_col(n):
@@ -326,6 +326,30 @@ class TestPredicates:
 
 class TestResultSet:
     def test_multiset_ignores_order(self):
-        a = ResultSet(("c",), [(1.0,), (2.0,)])
-        b = ResultSet(("c",), [(2.0,), (1.0,)])
+        a = ResultSet(("c",), (np.array([1.0, 2.0]),))
+        b = ResultSet(("c",), (np.array([2.0, 1.0]),))
         assert a.multiset() == b.multiset()
+
+    def test_rows_keep_python_types(self, tmp_path):
+        """`rows` holds int for COUNT, float for numbers and str for text on
+        every path of both engines: the benchmark's correctness digest
+        marshals the rows, and marshal tells 1 from 1.0."""
+        t = write_csv(tmp_path / "t.csv", ["n", "s"], [[1, "x"], [2, "y"], [3, "x"]])
+        u = write_csv(tmp_path / "u.csv", ["s", "m"], [["x", 10], ["x", 20], ["z", 30]])
+        db = DbEngine(tmp_path / "db")
+        raw = RawEngine()
+        for table, path in (("t", t), ("u", u)):
+            db.load_table(path, table)
+            raw.register(table, path)
+        types = {
+            "SELECT count(n) FROM t": (int,),
+            "SELECT count(n) FROM t WHERE n > 5": (int,),  # pruned on db
+            "SELECT n, s FROM t": (float, str),
+            "SELECT n, s FROM t LIMIT 2": (float, str),
+            "SELECT t.n, u.m, u.s FROM t JOIN u ON t.s = u.s": (float, float, str),
+            "SELECT count(t.n) FROM t JOIN u ON t.s = u.s": (int,),
+        }
+        for stmt, want in types.items():
+            for engine in (raw, db):
+                rows = engine.execute(parse_query(stmt))[0].rows
+                assert rows and all(tuple(map(type, row)) == want for row in rows), stmt

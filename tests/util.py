@@ -18,6 +18,16 @@ CONTRACT_INPUTS = {
 }
 
 
+def cut_fields(buf: bytes, rowmap, wanted):
+    """The raw field bytes of the wanted column indices, cut from the
+    positional map of `buf`, one column at a time: one `bytes` per field,
+    the reference the array cuts (`cut_column`, `cut_rows`) are tested
+    against."""
+    for j in wanted:
+        starts, ends = rowmap.bounds(j)
+        yield [buf[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+
+
 def write_csv(path, header, rows):
     """Write a small CSV from string fields; returns the path."""
     with open(path, "w", encoding="utf-8", newline="") as f:
