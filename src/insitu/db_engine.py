@@ -5,7 +5,8 @@ journaling every input record verbatim first), records per-column min/max,
 and answers queries over the loaded columns with in-memory caching, min/max
 pruning, and equi-joins by one array kernel (`_hash_match`: a stable sort
 of one side's keys and binary searches for the other's; text keys are
-coded as integers first).
+the columns' dictionary codes, the old side's recoded into the new
+side's dictionary).
 
 On-disk layout per table, under `<data_dir>/<table>/`:
 
@@ -45,6 +46,7 @@ from .tabular import (
     join_stage,
     project,
     scan_csv,
+    text_column,
 )
 
 DEFAULT_CACHE_BUDGET = 1 << 30
@@ -153,11 +155,17 @@ class DbEngine:
         """Abort the load of a text column whose first non-number lies past
         its first `_TYPE_INFER_ROWS` rows (the whole-column rule would have
         silently fallen back to text). A value is a number by the engines'
-        one rule: `column_from_strings` on its UTF-8 bytes."""
+        one rule: `column_from_strings` on its UTF-8 bytes. Each distinct
+        value is tested at most once, at its first row, in row order."""
         if col.is_numeric:
             return col
-        i, v = next((i, v) for i, v in enumerate(col.values)
-                    if not column_from_strings([v.encode("utf-8")]).is_numeric)
+        first = np.full(len(col.words), len(col))  # each word's first row
+        np.minimum.at(first, col.values, np.arange(len(col)))
+        # A text column holds a non-number, so the loop breaks.
+        for i in np.sort(first).tolist():
+            v = col.words[col.values[i]]
+            if not column_from_strings([v.encode("utf-8")]).is_numeric:
+                break
         if i < _TYPE_INFER_ROWS:
             return col
         raise LoadError(
@@ -322,19 +330,18 @@ def _hash_match(old: Column, new: Column):
     equal new keys, expanded into new positions. Old keys stay in order
     and each key's new positions ascend, as a hash table built in new-row
     order and probed with each old value would give them. Text keys are
-    first coded as integers through one dict shared by both sides. A NaN
-    key matches nothing, -0.0 matches 0.0, and a numeric side matches no
-    text side."""
+    the new side's codes, and each old word is mapped once to the new
+    side's code for it (-1 when absent). A NaN key matches nothing, -0.0
+    matches 0.0, and a numeric side matches no text side."""
     if old.is_numeric != new.is_numeric:
         return np.zeros(len(old), dtype=np.int64), np.empty(0, dtype=np.int64)
+    new_keys = new.values
     if old.is_numeric:
-        old_keys, new_keys = old.values, new.values
+        old_keys = old.values
     else:
-        codes: dict[str, int] = {}
-        new_keys = np.fromiter((codes.setdefault(v, len(codes)) for v in new.values),
-                               dtype=np.int64, count=len(new))
-        old_keys = np.fromiter((codes.get(v, -1) for v in old.values),
-                               dtype=np.int64, count=len(old))
+        code = {w: i for i, w in enumerate(new.words)}
+        old_keys = np.fromiter((code.get(w, -1) for w in old.words), dtype=np.int32,
+                               count=len(old.words))[old.values]
     order = np.argsort(new_keys, kind="stable")
     sorted_keys = new_keys[order]
     lo = np.searchsorted(sorted_keys, old_keys, side="left")
@@ -352,7 +359,7 @@ def _column_minmax(col: Column):
         return None
     if col.is_numeric:
         return float(col.values.min()), float(col.values.max())
-    return min(col.values), max(col.values)
+    return col.words[0], col.words[-1]
 
 
 def _write_column(path, col: Column) -> int:
@@ -360,11 +367,31 @@ def _write_column(path, col: Column) -> int:
     if col.is_numeric:
         payload = col.values.astype("<f8").tobytes()
     else:
-        payload = "\n".join(col.values).encode("utf-8")
+        payload = _text_blob(col)
     with open(path, "wb") as f:
         f.write(header)
         f.write(payload)
     return len(header) + len(payload)
+
+
+def _text_blob(col: Column) -> bytes:
+    """The values of a text column as UTF-8, joined by newlines: each row's
+    word and the newline after it gathered by one fancy index from the
+    words' own bytes, each followed by a newline, and the last newline
+    dropped. The index is as long as the blob, so it takes the narrowest
+    signed dtype that holds its offsets."""
+    encoded = [w.encode("utf-8") + b"\n" for w in col.words]
+    words = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    sizes = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    lengths = sizes[col.values]
+    ends = np.cumsum(lengths)
+    dtype = np.min_scalar_type(-max(len(words), int(ends[-1]) if len(ends) else 0))
+    # Blob byte i copies words byte i + start - offset of its row's word,
+    # offset being where that row lands in the blob.
+    index = np.repeat(((np.cumsum(sizes) - sizes)[col.values] - (ends - lengths)).astype(dtype),
+                      lengths)
+    index += np.arange(len(index), dtype=dtype)
+    return words.take(index)[:-1].tobytes()
 
 
 def _read_column(path) -> tuple[Column, int]:
@@ -376,13 +403,13 @@ def _read_column(path) -> tuple[Column, int]:
     payload = raw[nl + 1 :]
     if kind == FLOAT_TYPE:
         values = np.frombuffer(payload, dtype="<f8", count=len(payload) // 8)
-        values = values.astype(np.float64)
+        col = Column(values.astype(np.float64))
     else:
-        # "" splits to [""], which is one empty value, not zero values.
-        values = payload.decode("utf-8").split("\n") if count or payload else []
-    if len(values) != count:
-        raise LoadError(f"{path}: header says {count} values, file holds {len(values)}")
-    return Column(values), len(raw)
+        # "" splits to [b""], which is one empty value, not zero values.
+        col = text_column([payload.split(b"\n") if count or payload else []])
+    if len(col) != count:
+        raise LoadError(f"{path}: header says {count} values, file holds {len(col)}")
+    return col, len(raw)
 
 
 def _write_journal(path, csv_path) -> int:

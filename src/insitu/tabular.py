@@ -23,7 +23,7 @@ without the kernel. `cut_column` is the one step that types a column read
 from a file: whole files for scans and loads, and a file's prefix (header
 included, so map offsets are file offsets) for the LIMIT path. The db
 load's check that a text column was text from its first rows applies the
-rule field by field with `column_from_strings`, the rule on a list. The
+rule word by word with `column_from_strings`, the rule on a list. The
 plan slicer types nothing: `cut_rows` copies a block of rows' kept
 fields, each with the delimiter after it, out of the buffer with one
 gather, so a slice holds the field bytes verbatim, in source column
@@ -35,15 +35,22 @@ are plain comma-separated UTF-8 with a header row, lines ending in LF or
 CRLF, and no embedded commas, quotes or newlines in fields; a header or
 a text field read that is not UTF-8 is a FormatError naming the file.
 
+A text column is dictionary-coded: int32 codes into the sorted list of
+its distinct strings. `cut_column` codes the fields as it reads them,
+keyed on their bytes, and decodes each distinct field once.
+
 The operator layer both engines share works on row-index vectors:
-`filter_rows` masks, `join_stage` pairs rows through the engine's join
-kernel, and `project` gathers each projected column with one fancy index
-(`Column.take`). A `ResultSet` holds those gathered columns; it builds
-row tuples only when `rows` or `multiset` is read, as late
+`filter_rows` masks (a text predicate places its literal among the
+sorted words by binary search and compares codes), `join_stage` pairs
+rows through the engine's join kernel, and `project` gathers each
+projected column with one fancy index (`Column.take`; text stays coded).
+A `ResultSet` holds those gathered columns; it builds row tuples, and
+decodes text, only when `rows` or `multiset` is read, as late
 materialization does in a column store.
 """
 from __future__ import annotations
 
+import bisect
 import operator
 import os
 from collections import Counter
@@ -71,43 +78,94 @@ COMPARATORS = {
     "=": operator.eq,
 }
 
+# A text predicate other than "=" compares each code with the literal's
+# insertion point among the sorted words, left or right of a word equal
+# to it: `<` keeps the codes of the words before it, and so on.
+_CODE_BOUNDS = {
+    "<": (bisect.bisect_left, operator.lt),
+    "<=": (bisect.bisect_right, operator.lt),
+    ">": (bisect.bisect_right, operator.ge),
+    ">=": (bisect.bisect_left, operator.ge),
+}
+
 
 class Column:
-    """One parsed column: a float64 array or a list of strings."""
+    """One parsed column. Numeric: `values` is a float64 array and `words`
+    is None. Text: the column is dictionary-coded (as in Abadi et al.,
+    "Integrating Compression and Execution in Column-Oriented Database
+    Systems", 2006); `words` is the sorted list of its distinct strings and
+    `values` an int32 array of codes into it, so row r holds
+    `words[values[r]]`. Codes order as their strings do, so text predicates
+    compare codes (`predicate_mask`).
 
-    __slots__ = ("values", "type")
+    `Column(array)` is numeric, `Column(codes, words)` text, and
+    `Column(strings)` codes a sequence of str."""
 
-    def __init__(self, values):
-        if isinstance(values, np.ndarray):
-            self.values = values
-            self.type = FLOAT_TYPE
-        else:
-            self.values = values if isinstance(values, list) else list(values)
-            self.type = TEXT_TYPE
+    __slots__ = ("values", "words")
+
+    def __init__(self, values, words=None):
+        if words is None and not isinstance(values, np.ndarray):
+            values, words = _dictionary([[v.encode("utf-8") for v in values]])
+        self.values = values
+        self.words = words
+
+    @property
+    def type(self) -> str:
+        return FLOAT_TYPE if self.words is None else TEXT_TYPE
 
     @property
     def is_numeric(self) -> bool:
-        return self.type == FLOAT_TYPE
+        return self.words is None
 
     def __len__(self) -> int:
         return len(self.values)
 
     @property
     def nbytes(self) -> int:
+        """Bytes charged to a cache: 8 per number; per text value, its UTF-8
+        length plus `TEXT_ENTRY_OVERHEAD`."""
         if self.is_numeric:
             return 8 * len(self.values)
-        return sum(len(v.encode("utf-8")) + TEXT_ENTRY_OVERHEAD for v in self.values)
+        sizes = np.fromiter((len(w.encode("utf-8")) for w in self.words), dtype=np.int64,
+                            count=len(self.words)) + TEXT_ENTRY_OVERHEAD
+        return int(np.bincount(self.values, minlength=len(sizes)) @ sizes)
 
     def take(self, indices) -> Column:
-        """Sub-column of the values at the given row indices."""
-        if self.is_numeric:
-            return Column(self.values[indices])
-        values = self.values
-        return Column([values[i] for i in indices.tolist()])
+        """Sub-column of the values at the given row indices; a text column
+        gathers codes and shares its words."""
+        return Column(self.values[indices], self.words)
 
     def tolist(self) -> list:
         """Every value as a plain Python object."""
-        return self.values.tolist() if self.is_numeric else self.values
+        if self.is_numeric:
+            return self.values.tolist()
+        return np.array(self.words, dtype=object)[self.values].tolist()
+
+
+def _dictionary(blocks):
+    """Dictionary coding of field bytes, given in row order as an iterable
+    of lists: int32 codes into the sorted list of the distinct fields,
+    decoded, and that list. Each distinct field is decoded once, in order
+    of first appearance, so the UnicodeDecodeError raised is that of the
+    first field in row order that is not UTF-8."""
+    index: dict[bytes, int] = {}
+    codes = []
+    for fields in blocks:
+        for f in dict.fromkeys(fields):
+            index.setdefault(f, len(index))
+        codes.append(np.fromiter(map(index.__getitem__, fields), np.int32, count=len(fields)))
+    first = np.concatenate(codes) if codes else np.empty(0, dtype=np.int32)
+    distinct = [f.decode("utf-8") for f in index]
+    order = sorted(range(len(distinct)), key=distinct.__getitem__)
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    return rank[first], [distinct[i] for i in order]
+
+
+def text_column(blocks) -> Column:
+    """Text column of field bytes given in row order as an iterable of
+    lists (see `_dictionary`)."""
+    return Column(*_dictionary(blocks))
 
 
 def column_from_strings(raw: list[bytes]) -> Column:
@@ -117,7 +175,7 @@ def column_from_strings(raw: list[bytes]) -> Column:
         return Column(np.asarray(raw, dtype=np.float64))
     except ValueError:
         try:
-            return Column([f.decode("utf-8") for f in raw])
+            return text_column([raw])
         except UnicodeDecodeError as exc:
             raise FormatError(f"text field {exc.object!r} is not UTF-8") from None
 
@@ -301,7 +359,7 @@ def split_lines(buf: bytes, start: int, ncols: int, path):
 
 # Rows per step of `cut_column` and `cut_rows`: every temporary is a vector
 # this long (times the kept fields in `cut_rows`), or for text a list of
-# this many Python ints per offset array.
+# this many Python ints per offset array and one of field bytes.
 _BLOCK_ROWS = 4096
 _TEXT_BLOCK_ROWS = 1024
 # Source span of a step of `cut_rows`: its rows start within this many bytes
@@ -395,14 +453,12 @@ def cut_column(buf: bytes, rowmap: RowMap, j: int) -> Column:
             # it loses where most fields pay for both.
             kernel = 2 * len(other) <= len(s)
     except ValueError:
-        text = []
+        blocks = (_fields(buf, *rowmap.bounds(j, slice(lo, lo + _TEXT_BLOCK_ROWS)))
+                  for lo in range(0, len(rowmap), _TEXT_BLOCK_ROWS))
         try:
-            for lo in range(0, len(rowmap), _TEXT_BLOCK_ROWS):
-                s, e = rowmap.bounds(j, slice(lo, lo + _TEXT_BLOCK_ROWS))
-                text += [buf[a:b].decode("utf-8") for a, b in zip(s.tolist(), e.tolist())]
+            return text_column(blocks)
         except UnicodeDecodeError as exc:
             raise FormatError(f"{rowmap.path}: text field {exc.object!r} is not UTF-8") from None
-        return Column(text)
     return Column(values)
 
 
@@ -475,18 +531,26 @@ def predicate_mask(column: Column, op: str, literal) -> np.ndarray:
     """Boolean mask of rows passing `value op literal`.
 
     Numeric column with a non-numeric literal matches nothing; text column
-    compares against the literal rendered as text. Both engines share
-    these rules.
+    compares against the literal rendered as text, by code point as `str`
+    does. Both engines share these rules. On text, the literal is placed
+    among the column's sorted words by binary search, and the codes are
+    compared with that position.
     """
-    cmp = COMPARATORS[op]
     if column.is_numeric:
         try:
             lit = float(literal)
         except (TypeError, ValueError):
             return np.zeros(len(column), dtype=bool)
-        return cmp(column.values, lit)
+        return COMPARATORS[op](column.values, lit)
     lit = _text_literal(literal)
-    return np.fromiter((cmp(v, lit) for v in column.values), dtype=bool, count=len(column))
+    words = column.words
+    if op == "=":
+        i = bisect.bisect_left(words, lit)
+        if i < len(words) and words[i] == lit:
+            return column.values == i
+        return np.zeros(len(column), dtype=bool)
+    search, cmp = _CODE_BOUNDS[op]
+    return cmp(column.values, search(words, lit))
 
 
 def filter_rows(qcols, predicates, nrows: int) -> np.ndarray:
@@ -533,10 +597,11 @@ def join_stage(inter, join, new_table, new_rows, qcols, match):
 
 
 def project(projections, qcols, rows_of) -> ResultSet:
-    """Result of the projected attributes, gathered column by column;
-    `rows_of` maps each table to the row index of every output row."""
+    """Result of the projected attributes, gathered column by column (text
+    stays coded); `rows_of` maps each table to the row index of every
+    output row."""
     return ResultSet(tuple(projections), tuple(
-        qcols[a].take(rows_of[a.split(".", 1)[0]]).values for a in projections
+        qcols[a].take(rows_of[a.split(".", 1)[0]]) for a in projections
     ))
 
 
@@ -553,19 +618,17 @@ def _text_literal(literal) -> str:
 
 @dataclass
 class ResultSet:
-    """Query output: named columns (at least one) and one sequence of
-    values per column, all of one length: a float64 array (an int array
-    for COUNT) or a list of str. Rows are built only when `rows` or
-    `multiset` is asked for; their values are Python floats, ints and
-    strs."""
+    """Query output: named columns (at least one) and the values of each,
+    all of one length: a `Column` (a text one still coded), or an array (an
+    int array for COUNT). Rows are built only when `rows` or `multiset` is
+    asked for; their values are Python floats, ints and strs."""
 
     columns: tuple[str, ...]
     values: tuple
 
     @property
     def rows(self) -> list[tuple]:
-        return list(zip(*(v.tolist() if isinstance(v, np.ndarray) else v
-                          for v in self.values)))
+        return list(zip(*(v.tolist() for v in self.values)))
 
     def multiset(self) -> Counter:
         return Counter(self.rows)

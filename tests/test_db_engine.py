@@ -68,6 +68,16 @@ class TestLoad:
         assert not engine.has_table("bad")
         assert not (engine.data_dir / "bad").exists()
 
+    def test_type_conflict_names_the_first_non_number(self, engine, tmp_path):
+        """The row and value named are those of the first non-number in row
+        order, past the rows that type a column, not the first word."""
+        rows = [[i, i % 7] for i in range(1500)]
+        rows += [[1500, "oops"], [1501, "3"], [1502, "nope"], [1503, "oops"], [1504, "a"]]
+        p = write_csv(tmp_path / "bad.csv", ["a", "b"], rows)
+        with pytest.raises(LoadError) as exc:
+            engine.load_table(p, "bad")
+        assert str(exc.value) == "type conflict in column 'b': row 1501 value 'oops' is not numeric"
+
     def test_text_from_prefix_is_fine(self, engine, tmp_path):
         p = write_csv(tmp_path / "s.csv", ["a", "name"], [[1, "x"], [2, "77"]])
         stats = engine.load_table(p, "s")
@@ -191,6 +201,26 @@ class TestExecute:
         col.write_bytes(col.read_bytes().replace(b"txt 1\n", b"txt 2\n", 1))
         with pytest.raises(LoadError, match="2 values"):
             DbEngine(tmp_path / "db").execute(parse_query(q.format("e")))
+
+    def test_text_store_bytes_are_unchanged(self, tmp_path):
+        """The column files and `meta` of a table with text columns, byte
+        for byte as the store has always written them: empty values, NUL
+        (trailing too), "\\r" inside a field and non-ASCII text."""
+        src = tmp_path / "s.csv"
+        src.write_bytes("objid,name,kind\n1,x,b\n2,,a\n3,héllo wörld,b\n4,,\n"
+                        "5,a\rb,a\n6,n\0ul,b\n7,z\0,a\n".encode("utf-8"))
+        engine = DbEngine(tmp_path / "db")
+        engine.load_table(src, "s")
+        table = tmp_path / "db" / "s"
+        assert sorted(p.name for p in table.iterdir()) == ["0.col", "1.col", "2.col", "meta"]
+        assert (table / "meta").read_bytes() == (
+            b"7\nobjid,f64,1.0,7.0\nname,txt,,z\x00\nkind,txt,,b\n")
+        assert (table / "1.col").read_bytes() == (
+            b"txt 7\nx\n\nh\xc3\xa9llo w\xc3\xb6rld\n\na\rb\nn\x00ul\nz\x00")
+        assert (table / "2.col").read_bytes() == b"txt 7\nb\na\nb\n\na\nb\na"
+        result, _ = DbEngine(tmp_path / "db").execute(parse_query("SELECT name, kind FROM s"))
+        assert result.rows == [("x", "b"), ("", "a"), ("héllo wörld", "b"), ("", ""),
+                               ("a\rb", "a"), ("n\0ul", "b"), ("z\0", "a")]
 
     @pytest.mark.parametrize("data", [
         b"a,b\r\r\n1,2\r\n",

@@ -14,13 +14,17 @@ from insitu.errors import BudgetExceededError, ConfigError, FormatError
 from insitu.query_model import parse_query
 from insitu.raw_engine import RawEngine
 from insitu.tabular import (
+    COMPARATORS,
+    TEXT_ENTRY_OVERHEAD,
     Column,
     ResultSet,
+    _text_literal,
     column_from_strings,
     cut_column,
     predicate_mask,
     read_csv,
     scan_csv,
+    text_column,
 )
 from util import CONTRACT_INPUTS, cut_fields, write_csv
 
@@ -77,7 +81,7 @@ class TestScanCsv:
         assert scan.columns["a"].is_numeric
         assert not scan.columns["b"].is_numeric
         assert scan.columns["a"].values.tolist() == [1.0, 2.5]
-        assert scan.columns["b"].values == ["x", "y"]
+        assert scan.columns["b"].tolist() == ["x", "y"]
 
     def test_ragged_row_names_row(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -121,7 +125,7 @@ def csv_files(draw):
 def scanned(scan):
     """Everything a scan returns, float values as their bits."""
     cols = {
-        name: (col.type, col.values.tobytes() if col.is_numeric else col.values)
+        name: (col.type, col.values.tobytes() if col.is_numeric else col.tolist())
         for name, col in scan.columns.items()
     }
     return scan.header, cols, scan.row_count, scan.file_bytes
@@ -216,7 +220,7 @@ def cut_outcome(cut):
         col = cut()
     except Exception as exc:  # noqa: BLE001 - the class is the outcome
         return type(exc)
-    return col.type, col.values.tobytes() if col.is_numeric else col.values
+    return col.type, col.values.tobytes() if col.is_numeric else col.tolist()
 
 
 class TestArrayCut:
@@ -314,6 +318,18 @@ class TestArrayCut:
         assert array_peak <= list_peak / 2, (array_peak, list_peak)
 
 
+# Few distinct words, so columns hold duplicates and literals meet words.
+TEXTS = st.sampled_from(["", "a", "ab", "b", "\0", "a\0", "é", "日本", "\r", "x\r",
+                         "1.0", "2.5", "-3.0", "Z"])
+TEXT_LITERALS = st.one_of(TEXTS, st.text(max_size=3), st.floats(), st.integers(-3, 3))
+
+
+def string_mask(values, op, literal):
+    """The earlier text predicate kernel: one `str` comparison per row."""
+    cmp, lit = COMPARATORS[op], _text_literal(literal)
+    return np.fromiter((cmp(v, lit) for v in values), dtype=bool, count=len(values)).tolist()
+
+
 class TestPredicates:
     def test_numeric_column_text_literal_matches_nothing(self):
         col = Column(np.array([1.0, 2.0]))
@@ -322,6 +338,34 @@ class TestPredicates:
     def test_text_column_comparison(self):
         col = Column(["ant", "bee", "cow"])
         assert predicate_mask(col, ">", "bee").tolist() == [False, False, True]
+
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @given(values=st.lists(TEXTS, max_size=25), op=st.sampled_from(sorted(COMPARATORS)),
+           literal=TEXT_LITERALS, data=st.data())
+    @example(values=[], op="=", literal="a", data=None)
+    @example(values=["", ""], op="<=", literal="", data=None)
+    @example(values=["b", "d"], op=">", literal="", data=None)  # below every word
+    @example(values=["b", "d"], op="<", literal="c", data=None)  # between
+    @example(values=["b", "d"], op=">=", literal="\U0010ffff", data=None)  # above
+    @example(values=["z\0", "z", "z\0\0"], op="=", literal="z\0", data=None)
+    @example(values=["1.0", "2.5", "-3.0"], op="<", literal=2.5, data=None)
+    def test_coded_column_equals_the_string_list(self, values, op, literal, data):
+        """A coded column against the list of str it replaced: the same
+        strings back, masks equal to one `str` comparison per row (the
+        earlier kernel, kept here as the oracle), gathers equal to the
+        list's and the same cache charge."""
+        col = Column(values)
+        assert col.words == sorted(set(values)) and col.values.dtype == np.int32
+        assert col.tolist() == values
+        fields = [v.encode("utf-8") for v in values]
+        coded = text_column(fields[i:i + 3] for i in range(0, len(fields), 3))
+        assert coded.words == col.words and coded.values.tolist() == col.values.tolist()
+        assert predicate_mask(col, op, literal).tolist() == string_mask(values, op, literal)
+        picks = data.draw(st.lists(st.integers(0, len(values) - 1))) if data and values else []
+        taken = col.take(np.array(picks, dtype=np.intp))
+        assert taken.tolist() == [values[i] for i in picks] and taken.words is col.words
+        for c, vs in ((col, values), (taken, taken.tolist())):
+            assert c.nbytes == sum(len(v.encode("utf-8")) + TEXT_ENTRY_OVERHEAD for v in vs)
 
 
 class TestResultSet:
