@@ -13,10 +13,11 @@ On-disk layout per table, under `<data_dir>/<table>/`:
 * `meta`: UTF-8 lines split on LF only; the row count, then one
   `<attr>,<type>,<min>,<max>` line per loaded column, in header order;
 * `<i>.col`: the `i`-th column line of `meta`, counting from 0, named by
-  position so no header text reaches a file name. A `<type> <count>` ASCII
-  line, then either `count` little-endian float64 values or the text
-  values as one newline-joined UTF-8 blob (the CSV contract forbids
-  newlines in fields);
+  position so no header text reaches a file name. An `f64 <rows>` ASCII
+  line and `rows` little-endian float64 values, or a `txt <rows> <words>`
+  line, `rows` little-endian int32 codes and the sorted words joined by
+  newlines in UTF-8 (the CSV contract forbids newlines in fields). A file
+  that disagrees with its header is a LoadError naming it;
 * `journal.log`, when journaling is on: the source's data records
   verbatim, whichever columns were loaded.
 """
@@ -39,14 +40,15 @@ from .tabular import (
     FLOAT_TYPE,
     LoadStats,
     ResultSet,
+    TEXT_TYPE,
     _text_literal,
     column_from_strings,
     count_result,
     filter_rows,
+    join_keys,
     join_stage,
     project,
     scan_csv,
-    text_column,
 )
 
 DEFAULT_CACHE_BUDGET = 1 << 30
@@ -329,25 +331,17 @@ def _hash_match(old: Column, new: Column):
     left and a right binary search for each old key delimit its run of
     equal new keys, expanded into new positions. Old keys stay in order
     and each key's new positions ascend, as a hash table built in new-row
-    order and probed with each old value would give them. Text keys are
-    the new side's codes, and each old word is mapped once to the new
-    side's code for it (-1 when absent). A NaN key matches nothing, -0.0
-    matches 0.0, and a numeric side matches no text side."""
-    if old.is_numeric != new.is_numeric:
+    order and probed with each old value would give them. The keys are
+    `join_keys`: a NaN matches nothing and -0.0 matches 0.0."""
+    keys = join_keys(old, new)
+    if keys is None:
         return np.zeros(len(old), dtype=np.int64), np.empty(0, dtype=np.int64)
-    new_keys = new.values
-    if old.is_numeric:
-        old_keys = old.values
-    else:
-        code = {w: i for i, w in enumerate(new.words)}
-        old_keys = np.fromiter((code.get(w, -1) for w in old.words), dtype=np.int32,
-                               count=len(old.words))[old.values]
+    old_keys, new_keys = keys
     order = np.argsort(new_keys, kind="stable")
     sorted_keys = new_keys[order]
     lo = np.searchsorted(sorted_keys, old_keys, side="left")
     counts = np.searchsorted(sorted_keys, old_keys, side="right") - lo
-    if old.is_numeric:
-        counts[np.isnan(old_keys)] = 0  # NaN sorts equal to NaN
+    counts[np.isnan(old_keys)] = 0  # NaN sorts equal to NaN
     # Match i of old key k is new key lo[k] + i in sorted order.
     starts = np.cumsum(counts) - counts
     index = np.repeat(lo - starts, counts) + np.arange(counts.sum())
@@ -363,53 +357,44 @@ def _column_minmax(col: Column):
 
 
 def _write_column(path, col: Column) -> int:
-    header = f"{col.type} {len(col)}\n".encode("ascii")
     if col.is_numeric:
+        header = f"{col.type} {len(col)}\n"
         payload = col.values.astype("<f8").tobytes()
     else:
-        payload = _text_blob(col)
+        header = f"{col.type} {len(col)} {len(col.words)}\n"
+        payload = col.values.astype("<i4").tobytes() + "\n".join(col.words).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(header)
+        f.write(header.encode("ascii"))
         f.write(payload)
     return len(header) + len(payload)
-
-
-def _text_blob(col: Column) -> bytes:
-    """The values of a text column as UTF-8, joined by newlines: each row's
-    word and the newline after it gathered by one fancy index from the
-    words' own bytes, each followed by a newline, and the last newline
-    dropped. The index is as long as the blob, so it takes the narrowest
-    signed dtype that holds its offsets."""
-    encoded = [w.encode("utf-8") + b"\n" for w in col.words]
-    words = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    sizes = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-    lengths = sizes[col.values]
-    ends = np.cumsum(lengths)
-    dtype = np.min_scalar_type(-max(len(words), int(ends[-1]) if len(ends) else 0))
-    # Blob byte i copies words byte i + start - offset of its row's word,
-    # offset being where that row lands in the blob.
-    index = np.repeat(((np.cumsum(sizes) - sizes)[col.values] - (ends - lengths)).astype(dtype),
-                      lengths)
-    index += np.arange(len(index), dtype=dtype)
-    return words.take(index)[:-1].tobytes()
 
 
 def _read_column(path) -> tuple[Column, int]:
     with open(path, "rb") as f:
         raw = f.read()
-    nl = raw.index(b"\n")
-    kind, count_s = raw[:nl].decode("ascii").split()
-    count = int(count_s)
-    payload = raw[nl + 1 :]
+    head = raw[:raw.find(b"\n") + 1]  # b"" when the file has no newline
+    kind, *sizes = head[:-1].decode("ascii", "replace").split(" ")
+    if len(sizes) != {FLOAT_TYPE: 1, TEXT_TYPE: 2}.get(kind) or not all(map(str.isdigit, sizes)):
+        raise LoadError(f"{path}: unreadable header {head[:40]!r}")
+    rows = int(sizes[0])
+    payload = memoryview(raw)[len(head):]
+    width = 8 if kind == FLOAT_TYPE else 4
+    if len(payload) < width * rows or (kind == FLOAT_TYPE and len(payload) > 8 * rows):
+        raise LoadError(f"{path}: header says {rows} values, payload is {len(payload)} bytes")
     if kind == FLOAT_TYPE:
-        values = np.frombuffer(payload, dtype="<f8", count=len(payload) // 8)
-        col = Column(values.astype(np.float64))
-    else:
-        # "" splits to [b""], which is one empty value, not zero values.
-        col = text_column([payload.split(b"\n") if count or payload else []])
-    if len(col) != count:
-        raise LoadError(f"{path}: header says {count} values, file holds {len(col)}")
-    return col, len(raw)
+        return Column(np.frombuffer(payload, dtype="<f8").astype(np.float64)), len(raw)
+    codes = np.frombuffer(payload, dtype="<i4", count=rows).astype(np.int32, copy=False)
+    blob, nwords = payload[4 * rows:], int(sizes[1])
+    try:
+        # b"" splits to [""], one empty word, so 0 words is an empty blob.
+        words = str(blob, "utf-8").split("\n") if len(blob) or nwords else []
+    except UnicodeDecodeError:
+        raise LoadError(f"{path}: words are not UTF-8") from None
+    if len(words) != nwords:
+        raise LoadError(f"{path}: header says {nwords} words, file holds {len(words)}")
+    if rows and (codes.min() < 0 or codes.max() >= len(words)):
+        raise LoadError(f"{path}: a code lies outside [0, {len(words)})")
+    return Column(codes, words), len(raw)
 
 
 def _write_journal(path, csv_path) -> int:
@@ -443,23 +428,26 @@ def _read_meta(directory) -> TableStore | None:
     meta = directory / "meta"
     if not meta.exists():
         return None
-    # LF only: a column name may hold "\r" or another line break of
-    # `str.splitlines`, and text mode would translate a lone "\r".
-    lines = meta.read_bytes().decode("utf-8").removesuffix("\n").split("\n")
-    row_count = int(lines[0])
     attrs: list[str] = []
     types: dict[str, str] = {}
     minmax: dict[str, tuple | None] = {}
-    for line in lines[1:]:
-        attr, kind, lo, hi = line.split(",", 3)
-        attrs.append(attr)
-        types[attr] = kind
-        if lo == "" and hi == "":
-            minmax[attr] = None
-        elif kind == FLOAT_TYPE:
-            minmax[attr] = (float(lo), float(hi))
-        else:
-            minmax[attr] = (lo, hi)
+    try:
+        # LF only: a column name may hold "\r" or another line break of
+        # `str.splitlines`, and text mode would translate a lone "\r".
+        lines = meta.read_bytes().decode("utf-8").removesuffix("\n").split("\n")
+        row_count = int(lines[0])
+        for line in lines[1:]:
+            attr, kind, lo, hi = line.split(",", 3)
+            attrs.append(attr)
+            types[attr] = kind
+            if lo == "" and hi == "":
+                minmax[attr] = None
+            elif kind == FLOAT_TYPE:
+                minmax[attr] = (float(lo), float(hi))
+            else:
+                minmax[attr] = (lo, hi)
+    except ValueError as exc:
+        raise LoadError(f"{meta}: unreadable ({exc})") from None
     return TableStore(
         directory=directory,
         attrs=attrs,

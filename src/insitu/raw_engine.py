@@ -41,6 +41,7 @@ from .tabular import (
     cut_column,
     file_stamp,
     filter_rows,
+    join_keys,
     join_stage,
     project,
     read_header,
@@ -281,23 +282,16 @@ class RawEngine:
 
 
 def _nested_loop_match(old: Column, new: Column):
-    """Join kernel: every old value against every new row, unindexed.
-    O(n*m) comparisons by design."""
-    if old.is_numeric and new.is_numeric:
-        new_arr = new.values
-
-        def matches(v):
-            return np.flatnonzero(new_arr == v)
-    else:
-        new_list = new.tolist()
-
-        def matches(v):
-            return np.asarray([j for j, w in enumerate(new_list) if w == v], dtype=np.int64)
-
+    """Join kernel: every old key against every new row, unindexed.
+    O(n*m) comparisons by design. The keys are `join_keys`."""
     counts = np.zeros(len(old), dtype=np.int64)
+    keys = join_keys(old, new)
+    if keys is None:
+        return counts, np.empty(0, dtype=np.int64)
+    old_keys, new_keys = keys
     hits = []
-    for k, v in enumerate(old.tolist()):
-        m = matches(v)
+    for k, key in enumerate(old_keys.tolist()):
+        m = np.flatnonzero(new_keys == key)
         if len(m):
             counts[k] = len(m)
             hits.append(m)

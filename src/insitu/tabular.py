@@ -42,8 +42,9 @@ keyed on their bytes, and decodes each distinct field once.
 The operator layer both engines share works on row-index vectors:
 `filter_rows` masks (a text predicate places its literal among the
 sorted words by binary search and compares codes), `join_stage` pairs
-rows through the engine's join kernel, and `project` gathers each
-projected column with one fancy index (`Column.take`; text stays coded).
+rows with equal `join_keys` (text as codes of one dictionary) through the
+engine's join kernel, and `project` gathers each projected column with
+one fancy index (`Column.take`; text stays coded).
 A `ResultSet` holds those gathered columns; it builds row tuples, and
 decodes text, only when `rows` or `multiset` is read, as late
 materialization does in a column store.
@@ -562,6 +563,20 @@ def filter_rows(qcols, predicates, nrows: int) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+def join_keys(old: Column, new: Column):
+    """The (old, new) keys a join compares, or None when one side is
+    numeric and the other text: such sides match nothing. Numeric sides
+    give their values; text sides the new side's codes, each old word
+    mapped once to the new side's code for it (-1 when absent)."""
+    if old.is_numeric != new.is_numeric:
+        return None
+    if old.is_numeric:
+        return old.values, new.values
+    code = {w: i for i, w in enumerate(new.words)}
+    mapped = np.array([code.get(w, -1) for w in old.words], dtype=np.int32)
+    return mapped[old.values], new.values
+
+
 def join_stage(inter, join, new_table, new_rows, qcols, match):
     """One left-deep join stage over row-index vectors.
 
@@ -587,8 +602,8 @@ def join_stage(inter, join, new_table, new_rows, qcols, match):
     else:
         # Degenerate condition not referencing the joined table: it acts as
         # a per-tuple filter crossed with every candidate new-table row.
-        pairs = zip(old_values(old_attr).tolist(), old_values(new_attr).tolist())
-        kept = np.flatnonzero(np.asarray([x == y for x, y in pairs], dtype=bool))
+        keys = join_keys(old_values(old_attr), old_values(new_attr))
+        kept = np.flatnonzero(keys[0] == keys[1]) if keys else np.empty(0, dtype=np.intp)
         lefts = np.repeat(kept, len(new_rows))
         rights = np.tile(new_rows, len(kept))
     nxt = {t: idx[lefts] for t, idx in inter.items()}

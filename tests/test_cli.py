@@ -248,6 +248,21 @@ class TestRun:
         assert (out / "samples.csv").exists()
         assert (out / "samples.csv").read_text().startswith("ts_ms,")
 
+    def test_damaged_store_is_a_failed_task(self, tmp_path, workload):
+        # A rerun into the same --out reads the store the first run left.
+        out = tmp_path / "out"
+        argv = ["run", "--engine", "db", "--source", "synthetic", "--out", str(out)]
+        assert main(argv + ["--workload", str(workload)]) == EXIT_OK
+        (out / "db_store" / "photoprimary" / "1.col").write_bytes(b"")
+        wl = tmp_path / "rerun.csv"
+        wl.write_text('T_ID,Statement\nQ0,"Select count(objid) from PhotoPrimary;"\n'
+                      'Q1,"SELECT ra FROM PhotoPrimary;"\n')
+        assert main(argv + ["--workload", str(wl)]) == EXIT_ENGINE
+        report = json.loads((out / "report.json").read_text())
+        assert (report["status"], report["failed_task"]) == ("error", "Q1")
+        assert [t["kind"] for t in report["tasks"]] == ["query", "failed"]
+        assert "1.col: unreadable header" in report["tasks"][-1]["error"]
+
     def test_os_error_in_a_task_is_a_failed_task(self, tmp_path, dataset):
         # The COPY source does not exist: the open fails with an OSError.
         wl = tmp_path / "missing.csv"

@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from insitu.datagen import generate_csv
-from insitu.db_engine import DbEngine, _hash_match
+from insitu.db_engine import DbEngine, _hash_match, _read_column, _write_column
 from insitu.errors import FormatError, LoadError, NotLoadedError, SchemaError
 from insitu.query_model import parse_query
-from insitu.raw_engine import RawEngine
+from insitu.raw_engine import RawEngine, _nested_loop_match
 from insitu.tabular import Column, read_header
 from util import TableInfo, random_select, write_csv
 
@@ -151,21 +151,25 @@ class TestExecute:
         assert result.rows == [(10_000,)]
 
     def test_hash_join_matches_itertools_oracle(self, engine, tmp_path):
-        write_csv(tmp_path / "a.csv", ["objid", "x", "k"],
-                  [[1, 10.0, 1], [2, 20.0, 5], [2, 21.0, 2]])
+        write_csv(tmp_path / "a.csv", ["objid", "x", "k", "s", "t"],
+                  [[1, 10.0, 1, "1", "1"], [2, 20.0, 5, "x", "y"], [2, 21.0, 2, "1", "z"]])
         write_csv(tmp_path / "b.csv", ["objid", "y"], [[2, 200.0], [2, 201.0], [3, 300.0]])
         engine.load_table(tmp_path / "a.csv", "a")
         engine.load_table(tmp_path / "b.csv", "b")
         raw = RawEngine()
         raw.register("a", tmp_path / "a.csv")
         raw.register("b", tmp_path / "b.csv")
-        rows_a = [(1, 10.0, 1), (2, 20.0, 5), (2, 21.0, 2)]
+        rows_a = [(1, 10.0, 1, "1", "1"), (2, 20.0, 5, "x", "y"), (2, 21.0, 2, "1", "z")]
         rows_b = [(2, 200.0), (2, 201.0), (3, 300.0)]
         conditions = {
             "a.objid = b.objid": lambda ra, rb: ra[0] == rb[0],
             "b.objid = a.objid": lambda ra, rb: ra[0] == rb[0],
             # Degenerate: references only the table already joined.
             "a.objid = a.k": lambda ra, rb: ra[0] == ra[2],
+            # Degenerate on two text columns with different dictionaries.
+            "a.s = a.t": lambda ra, rb: ra[3] == ra[4],
+            # Degenerate, a number against text: matches nothing.
+            "a.objid = a.s": lambda ra, rb: ra[0] == ra[3],
         }
         for on, cond in conditions.items():
             expected = [
@@ -173,7 +177,7 @@ class TestExecute:
                 for ra, rb in itertools.product(rows_a, rows_b)
                 if cond(ra, rb)
             ]
-            assert expected, on
+            assert expected or on == "a.objid = a.s", on
             ast = parse_query(f"SELECT a.x, b.y FROM a JOIN b ON {on}")
             for eng in (engine, raw):
                 result, _ = eng.execute(ast)
@@ -198,14 +202,15 @@ class TestExecute:
         assert result.rows == []
 
         col = first.stores["e"].col_path("name")
-        col.write_bytes(col.read_bytes().replace(b"txt 1\n", b"txt 2\n", 1))
+        col.write_bytes(col.read_bytes().replace(b"txt 1 1\n", b"txt 2 1\n", 1))
         with pytest.raises(LoadError, match="2 values"):
             DbEngine(tmp_path / "db").execute(parse_query(q.format("e")))
 
-    def test_text_store_bytes_are_unchanged(self, tmp_path):
+    def test_text_store_bytes_are_codes_and_words(self, tmp_path):
         """The column files and `meta` of a table with text columns, byte
-        for byte as the store has always written them: empty values, NUL
-        (trailing too), "\\r" inside a field and non-ASCII text."""
+        for byte: empty values, NUL (trailing too), "\\r" inside a field and
+        non-ASCII text. A text file is its header, the rows' little-endian
+        int32 codes, then the sorted words joined by newlines."""
         src = tmp_path / "s.csv"
         src.write_bytes("objid,name,kind\n1,x,b\n2,,a\n3,héllo wörld,b\n4,,\n"
                         "5,a\rb,a\n6,n\0ul,b\n7,z\0,a\n".encode("utf-8"))
@@ -216,8 +221,13 @@ class TestExecute:
         assert (table / "meta").read_bytes() == (
             b"7\nobjid,f64,1.0,7.0\nname,txt,,z\x00\nkind,txt,,b\n")
         assert (table / "1.col").read_bytes() == (
-            b"txt 7\nx\n\nh\xc3\xa9llo w\xc3\xb6rld\n\na\rb\nn\x00ul\nz\x00")
-        assert (table / "2.col").read_bytes() == b"txt 7\nb\na\nb\n\na\nb\na"
+            b"txt 7 6\n"  # codes 4 0 2 0 1 3 5
+            b"\x04\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\x01\0\0\0\x03\0\0\0\x05\0\0\0"
+            b"\na\rb\nh\xc3\xa9llo w\xc3\xb6rld\nn\x00ul\nx\nz\x00")
+        assert (table / "2.col").read_bytes() == (
+            b"txt 7 3\n"  # codes 2 1 2 0 1 2 1
+            b"\x02\0\0\0\x01\0\0\0\x02\0\0\0\0\0\0\0\x01\0\0\0\x02\0\0\0\x01\0\0\0"
+            b"\na\nb")
         result, _ = DbEngine(tmp_path / "db").execute(parse_query("SELECT name, kind FROM s"))
         assert result.rows == [("x", "b"), ("", "a"), ("héllo wörld", "b"), ("", ""),
                                ("a\rb", "a"), ("n\0ul", "b"), ("z\0", "a")]
@@ -269,16 +279,20 @@ JOIN_NUMBERS = st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, 2
 JOIN_TEXTS = st.sampled_from(["", "a", "b", "\0", "a\0", "é", "日本", "\r", "x\r", "1.0"])
 
 
-def join_sides():
+def columns():
     numbers = st.lists(JOIN_NUMBERS, max_size=25).map(lambda v: Column(np.array(v, np.float64)))
     texts = st.lists(JOIN_TEXTS, max_size=25).map(Column)
-    side = st.one_of(numbers, texts)
-    return st.tuples(side, side)
+    return st.one_of(numbers, texts)
+
+
+def join_sides():
+    return st.tuples(columns(), columns())
 
 
 class TestJoinKernel:
-    """`_hash_match` against the dict kernel it replaced: the same counts
-    and the same new positions, in the same order."""
+    """Both engines' join kernels against the dict kernel `_hash_match`
+    replaced: the same counts and the same new positions, in the same
+    order."""
 
     @settings(max_examples=500, derandomize=True, deadline=None, database=None)
     @given(sides=join_sides())
@@ -290,12 +304,69 @@ class TestJoinKernel:
     @example(sides=(Column(["1.0", "a"]), Column(np.array([1.0]))))
     @example(sides=(Column(np.array([1.0, 1.0])), Column(["1.0"])))
     @example(sides=(Column(["\0", "é", "\r", "é"]), Column(["é", "\r", "", "é", "\0"])))
-    def test_matches_the_dict_kernel(self, sides):
+    @pytest.mark.parametrize("kernel", [_hash_match, _nested_loop_match],
+                             ids=["hash", "nested-loop"])
+    def test_matches_the_dict_kernel(self, kernel, sides):
         old, new = sides
-        counts, positions = _hash_match(old, new)
+        counts, positions = kernel(old, new)
         want_counts, want_positions = dict_match(old, new)
         assert counts.tolist() == want_counts.tolist()
         assert positions.tolist() == want_positions.tolist()
+
+
+class TestColumnFile:
+    """A column file holds a column as it is held in memory: text as its
+    codes and words, numbers bit for bit. A file that disagrees with its
+    header is a LoadError naming it."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(col=columns())
+    @example(col=Column([]))
+    @example(col=Column([""]))
+    @example(col=Column(["", "\0", "\r", "日本", ""]))
+    @example(col=Column(np.empty(0)))
+    @example(col=Column(np.array([math.nan, -0.0, 0.0, math.inf, -math.inf])))
+    def test_round_trip(self, tmp_path_factory, col):
+        path = tmp_path_factory.mktemp("col") / "0.col"
+        written = _write_column(path, col)
+        back, nbytes = _read_column(path)
+        assert written == nbytes == path.stat().st_size
+        assert back.type == col.type and back.values.dtype == col.values.dtype
+        assert back.values.tobytes() == col.values.tobytes()
+        assert back.words == col.words
+
+    @pytest.mark.parametrize("name,old,new,message", [
+        ("1.col", b"", b"", "1.col: unreadable header"),
+        ("1.col", b"txt 3 2\n", b"txt 3 2", "1.col: unreadable header"),
+        ("1.col", b"txt 3 2\n", b"txt 3\n", "1.col: unreadable header"),
+        ("1.col", b"txt 3 2\n", b"txt -3 2\n", "1.col: unreadable header"),
+        ("1.col", b"txt 3 2\n", b"f64 3 2\n", "1.col: unreadable header"),
+        ("1.col", b"txt 3 2\n", b"txt 9 2\n", "1.col: header says 9 values"),
+        ("0.col", b"f64 3\n", b"f64 4\n", "0.col: header says 4 values"),
+        ("0.col", b"f64 3\n", b"f64 2\n", "0.col: header says 2 values"),
+        ("1.col", b"txt 3 2\n", b"txt 3 3\n", "1.col: header says 3 words"),
+        ("1.col", b"txt 3 2\n", b"txt 3 0\n", "1.col: header says 0 words"),
+        ("1.col", b"\0a\nb", b"\0a\nb\n", "1.col: header says 2 words"),
+        ("1.col", b"\0a\nb", b"\0a\xff\nb", "1.col: words are not UTF-8"),
+        ("1.col", b"\n\x01\0\0\0", b"\n\x02\0\0\0", r"1.col: a code lies outside \[0, 2\)"),
+        ("1.col", b"\n\x01\0\0\0", b"\n\xff\xff\xff\xff", r"1.col: a code lies outside"),
+        ("meta", b"3\n", b"three\n", "meta: unreadable"),
+        ("meta", b"name,txt,a,b\n", b"name,txt\n", "meta: unreadable"),
+        ("meta", b"1.0,3.0", b"1.0,high", "meta: unreadable"),
+        ("meta", b"3\n", b"\xff\n", "meta: unreadable"),
+    ], ids=["empty", "no-newline", "no-word-count", "negative-rows", "wrong-kind", "codes-short",
+            "numbers-short", "numbers-long", "more-words", "no-words", "extra-word",
+            "not-utf8", "code-past-words", "negative-code", "meta-rows", "meta-short-line",
+            "meta-bound", "meta-not-utf8"])
+    def test_damaged_store_is_a_load_error(self, tmp_path, name, old, new, message):
+        src = write_csv(tmp_path / "t.csv", ["objid", "name"], [[1, "b"], [2, "a"], [3, "b"]])
+        DbEngine(tmp_path / "db").load_table(src, "t")
+        path = tmp_path / "db" / "t" / name
+        data = path.read_bytes()
+        assert old in data
+        path.write_bytes(data.replace(old, new, 1) if old else b"")  # b"" empties the file
+        with pytest.raises(LoadError, match=message):
+            DbEngine(tmp_path / "db").execute(parse_query("SELECT objid, name FROM t"))
 
 
 class TestBothEngines:
