@@ -2,9 +2,11 @@
 
 Tokenizes at query time, keeps parsed columns in a RAM-budgeted LRU cache,
 stops LIMIT scans at the chunk that completes the result, and runs joins as
-deliberately unindexed nested loops. Every column it reads, from a whole
-file or from a LIMIT scan's prefix, is typed by `tabular.cut_column`. The
-engine never writes to disk; all caching is in memory.
+deliberately unindexed nested loops. A LIMIT scan splits each byte it reads
+once: each chunk's completed lines extend the prefix's positional map
+(`tabular.LineSplit`). Every column it reads, from a whole file or from a
+LIMIT scan's prefix, is typed by `tabular.cut_column`. The engine never
+writes to disk; all caching is in memory.
 
 Per data file the engine keeps one record: its header, the (size,
 mtime_ns) it had when first seen, and, from the first full tokenization,
@@ -35,6 +37,7 @@ from .query_model import QueryAst, needed_attrs
 from .tabular import (
     Column,
     ExecStats,
+    LineSplit,
     ResultSet,
     RowMap,
     count_result,
@@ -46,7 +49,6 @@ from .tabular import (
     project,
     read_header,
     scan_csv,
-    split_lines,
 )
 
 DEFAULT_CACHE_BUDGET = 1 << 30  # 1 GiB
@@ -203,11 +205,13 @@ class RawEngine:
         completes the LIMIT.
 
         The buffer starts with the header line, so its map's offsets are
-        file offsets. Each round splits the whole prefix read so far and
-        types the wanted columns with `cut_column`, as a full scan does,
-        then filters them. Bytes are accounted at row granularity: the
-        tally is the end offset of the row completing the LIMIT, not the
-        read-ahead size.
+        file offsets. Each round splits only the lines its chunk completed
+        (`tabular.LineSplit`, which carries the partial last line and any
+        blank lines still waiting), so each byte is split once, and types
+        the wanted columns over the whole prefix with `cut_column`, as a
+        full scan does, then filters them. Bytes are accounted at row
+        granularity: the tally is the end offset of the row completing the
+        LIMIT, not the read-ahead size.
         """
         record = self._records[path]
         header = record.header
@@ -215,14 +219,15 @@ class RawEngine:
         chunk = _SCAN_CHUNK
         with open(path, "rb") as f:
             buf = f.readline()  # the header
-            start = len(buf)
+            split = LineSplit(len(header), path, len(buf))
             while True:
                 buf += f.read(chunk)
                 chunk *= 2
                 at_eof = len(buf) >= file_size
                 if at_eof and not buf.endswith(b"\n"):
                     buf += b"\n"
-                rowmap, row_ends = split_lines(buf, start, len(header), path)
+                split.extend(buf)
+                rowmap, row_ends = split.rowmap()
                 qcols = {
                     f"{table}.{bare}": cut_column(buf, rowmap, header.index(bare))
                     for bare in attrs

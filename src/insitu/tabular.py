@@ -3,10 +3,15 @@
 Both query engines, the LIMIT path and the plan slicer split lines with
 one tokenizer. `split_lines` finds every line and field end and returns
 them as a compact positional map (`RowMap`, as in NoDB), stamped with the
-file's (size, mtime_ns). A scan always returns the map it worked from;
-the in-situ engine keeps it per file and the plan slicer hands it to the
-db-side load, and either hands it back to `scan_csv`, which skips
-`split_lines` while the file still has the map's stamp.
+file's (size, mtime_ns). It walks the buffer in line-aligned windows
+(`LineSplit`, as Instant Loading tokenizes a chunk at a time), keeps only
+each window's narrow line starts and field ends and joins them once, so
+no temporary is sized by the file; the LIMIT path extends one `LineSplit`
+by the lines each of its reads completes, so it splits each byte once.
+A scan always returns the map it worked from; the in-situ engine keeps it
+per file and the plan slicer hands it to the db-side load, and either
+hands it back to `scan_csv`, which skips `split_lines` while the file
+still has the map's stamp.
 
 Values are typed by one rule: a column is float64 when every value read
 parses as a number (`np.asarray(fields, np.float64)` on the field bytes),
@@ -68,7 +73,7 @@ COMMA = 0x2C
 FLOAT_TYPE = "f64"
 TEXT_TYPE = "txt"
 
-# Per-entry bookkeeping overhead charged to cached text values.
+# Bookkeeping overhead charged per distinct word of a cached text column.
 TEXT_ENTRY_OVERHEAD = 8
 
 COMPARATORS = {
@@ -123,13 +128,14 @@ class Column:
 
     @property
     def nbytes(self) -> int:
-        """Bytes charged to a cache: 8 per number; per text value, its UTF-8
+        """Bytes charged to a cache, what the column holds: its values (8 per
+        number, 4 per text code) and, per distinct text word, its UTF-8
         length plus `TEXT_ENTRY_OVERHEAD`."""
         if self.is_numeric:
-            return 8 * len(self.values)
-        sizes = np.fromiter((len(w.encode("utf-8")) for w in self.words), dtype=np.int64,
-                            count=len(self.words)) + TEXT_ENTRY_OVERHEAD
-        return int(np.bincount(self.values, minlength=len(sizes)) @ sizes)
+            return self.values.nbytes
+        return self.values.nbytes + sum(
+            len(w.encode("utf-8")) + TEXT_ENTRY_OVERHEAD for w in self.words
+        )
 
     def take(self, indices) -> Column:
         """Sub-column of the values at the given row indices; a text column
@@ -203,24 +209,19 @@ class RowMap:
     the line end, before any "\\r". Each array has the narrowest unsigned
     dtype that holds its values, so a file whose lines are all shorter than
     256 bytes costs one byte per field plus one offset per line. The number
-    of lines is the file's row count. A map describes the bytes it was
-    built from and nothing else. `stamp` is the (size, mtime_ns) of the file
-    it was built from (None for a LIMIT scan's prefix); `read_csv` reuses a
-    map only while its file keeps that stamp. `path` names that file in
-    errors from cuts.
+    of lines is the file's row count. `split_lines` builds a map one window
+    of the file at a time and joins the windows' narrow parts once. A map
+    describes the bytes it was built from and nothing else. `stamp` is the
+    (size, mtime_ns) of the file it was built from (None for a LIMIT scan's
+    prefix); `read_csv` reuses a map only while its file keeps that stamp.
+    `path` names that file in errors from cuts.
     """
 
     __slots__ = ("line_starts", "ends", "stamp", "path")
 
-    def __init__(self, line_starts: np.ndarray, grid: np.ndarray, buf_len: int, path):
-        """Narrow `split_lines`' line starts and absolute field-end grid of a
-        buffer of `buf_len` bytes read from `path`."""
-        self.line_starts = line_starts.astype(np.min_scalar_type(buf_len))
-        widest = int((grid[:, -1] - line_starts).max(initial=0))
-        self.ends = np.subtract(
-            grid, line_starts[:, None], out=np.empty(grid.shape, np.min_scalar_type(widest)),
-            casting="unsafe",
-        )
+    def __init__(self, line_starts: np.ndarray, ends: np.ndarray, path):
+        self.line_starts = line_starts
+        self.ends = ends
         self.stamp: tuple[int, int] | None = None
         self.path = path
 
@@ -320,6 +321,12 @@ def scan_csv(path, wanted=None, rowmap: RowMap | None = None) -> CsvScan:
     )
 
 
+# Bytes per step of the structure pass, which runs on to the end of the
+# line it reaches: its temporaries, a few bytes per byte, scale with this
+# and not with the file.
+_SPLIT_WINDOW = 1 << 20
+
+
 def split_lines(buf: bytes, start: int, ncols: int, path):
     """Structure step of the tokenizer: find every data line of `buf` from
     offset `start` and the end of each of its fields.
@@ -329,33 +336,108 @@ def split_lines(buf: bytes, start: int, ncols: int, path):
     not rows; a blank line before a data line is a one-field row. Raises
     FormatError on the first row whose field count is not `ncols`,
     numbering rows from 1. Returns the lines' positional map (offsets into
-    `buf`) and the offset just past each row's newline.
+    `buf`) and the offset just past each row's newline. The lines are split
+    in windows of about `_SPLIT_WINDOW` bytes (`LineSplit`), so no
+    temporary is sized by `buf`; the map's narrow parts are joined once.
     """
-    arr = np.frombuffer(buf, dtype=np.uint8)
-    body = arr[start:]
-    # Field (r, j) sits between consecutive delimiters in the flattened
-    # comma/newline grid; a line's comma count is its delimiter count less one.
-    delims = np.flatnonzero((body == COMMA) | (body == NEWLINE))
-    nl_at = np.flatnonzero(body[delims] == NEWLINE)
-    delims += start
-    newlines = delims[nl_at]
-    line_starts = np.concatenate(([start], newlines + 1))[:-1]
-    line_ends = newlines - ((newlines > line_starts) & (arr[newlines - 1] == CR))
-    filled = np.flatnonzero(line_starts != line_ends)
-    nrows = int(filled[-1]) + 1 if len(filled) else 0
+    split = LineSplit(ncols, path, start)
+    split.extend(buf)
+    return split.rowmap()
 
-    commas = np.diff(nl_at[:nrows], prepend=-1) - 1
-    bad = np.flatnonzero(commas != ncols - 1)
-    if len(bad):
-        row = int(bad[0])
+
+class LineSplit:
+    """The structure step over a buffer that grows, from offset `start`:
+    `extend` splits the complete lines added since its last call, one
+    line-aligned window at a time, and `rowmap` gives the map of every row
+    split so far, as `split_lines` gives it for the whole buffer. Each
+    window keeps only its rows' narrow line starts and field ends; a
+    partial last line waits for the bytes that complete it.
+
+    Blank lines after the last non-blank line wait: a later non-blank line
+    makes them rows, which with `ncols` > 1 is the FormatError of the
+    first of them; at the end of the data they are no rows."""
+
+    def __init__(self, ncols: int, path, start: int):
+        self.ncols = ncols
+        self.path = path
+        self._split_to = start  # the start of the first line not split
+        self._starts = [np.empty(0, np.uint8)]  # narrow parts, one per window
+        self._ends = [np.empty((0, ncols), np.uint8)]
+        self._lines = 0  # lines in the parts
+        self._rows = 0  # of them, those up to the last non-blank line
+        self._row_end = 0  # the offset past that line's newline
+        self._blank_row = None  # first waiting blank line's row number, ncols > 1
+
+    def extend(self, buf: bytes) -> None:
+        """Split the lines of `buf`, the buffer of earlier calls with bytes
+        appended, that end in a newline and were not split yet. A window
+        ends at the first newline at or past `_SPLIT_WINDOW` bytes, so a
+        longer line makes a longer window."""
+        start = self._split_to
+        stop = max(buf.rfind(b"\n", start) + 1, start)
+        arr = np.frombuffer(buf, dtype=np.uint8)
+        while start < stop:
+            end = buf.find(b"\n", min(start + _SPLIT_WINDOW, stop) - 1, stop) + 1
+            self._window(arr, start, end)
+            start = end
+        self._split_to = stop
+
+    def _window(self, arr: np.ndarray, lo: int, hi: int) -> None:
+        """Split the lines of `arr[lo:hi]`, which ends in a newline."""
+        ncols = self.ncols
+        body = arr[lo:hi]
+        # Field (r, j) sits between consecutive delimiters in the flattened
+        # comma/newline grid; a line's comma count is its delimiter count less one.
+        is_delim = body == COMMA
+        is_delim |= body == NEWLINE
+        delims = np.flatnonzero(is_delim)
+        del is_delim
+        nl_at = np.flatnonzero(body[delims] == NEWLINE)
+        newlines = delims[nl_at]
+        starts = np.concatenate(([0], newlines[:-1] + 1))
+        line_ends = newlines - ((newlines > starts) & (body[newlines - 1] == CR))
+        filled = np.flatnonzero(starts != line_ends)
+        last = int(filled[-1]) + 1 if len(filled) else 0
+        if last and self._blank_row is not None:
+            self._raise_fields(self._blank_row, 1)
+        # One-field rows take blank lines as they come; wider rows stop at
+        # the window's last non-blank line.
+        n = len(newlines) if ncols == 1 else last
+        commas = np.diff(nl_at[:n], prepend=-1) - 1
+        bad = np.flatnonzero(commas != ncols - 1)
+        if len(bad):
+            self._raise_fields(self._lines + int(bad[0]) + 1, int(commas[bad[0]]) + 1)
+        if n < len(newlines) and self._blank_row is None:
+            self._blank_row = self._lines + n + 1
+
+        grid = delims[: n * ncols].reshape(n, ncols)
+        grid[:, -1] = line_ends[:n]  # the newline, less its "\r"
+        grid -= starts[:n, None]
+        self._ends.append(grid.astype(np.min_scalar_type(int(grid[:, -1].max(initial=0)))))
+        starts += lo
+        self._starts.append(starts[:n].astype(np.min_scalar_type(len(arr))))
+        if last:
+            self._rows = self._lines + last
+            self._row_end = lo + int(newlines[last - 1]) + 1
+        self._lines += n
+
+    def _raise_fields(self, row: int, fields: int):
         raise FormatError(
-            f"{path}: data row {row + 1} has {int(commas[row]) + 1} fields, "
-            f"expected {ncols}"
+            f"{self.path}: data row {row} has {fields} fields, expected {self.ncols}"
         )
 
-    grid = delims[: nrows * ncols].reshape(nrows, ncols)
-    grid[:, -1] = line_ends[:nrows]  # the newline, less its "\r"
-    return RowMap(line_starts[:nrows], grid, len(buf), path), newlines[:nrows] + 1
+    def rowmap(self):
+        """The positional map of the rows split so far, and the offset just
+        past each row's newline. The parts are joined into one, which later
+        windows extend."""
+        self._starts = [np.concatenate(self._starts)]
+        self._ends = [np.concatenate(self._ends)]
+        starts = self._starts[0][: self._rows]
+        row_ends = np.empty_like(starts)
+        if self._rows:
+            row_ends[:-1] = starts[1:]
+            row_ends[-1] = self._row_end
+        return RowMap(starts, self._ends[0][: self._rows], self.path), row_ends
 
 
 # Rows per step of `cut_column` and `cut_rows`: every temporary is a vector

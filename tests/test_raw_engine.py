@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from insitu import raw_engine
+from insitu import raw_engine, tabular
 from insitu.datagen import generate_csv
 from insitu.errors import (
     BudgetExceededError,
@@ -329,6 +329,18 @@ class TestScansAndCache:
         expected = [(r[0], r[v03]) for r in rows if r[dec] > 10 and r[v03] <= 800]
         assert sorted(result.rows) == sorted(expected)
 
+    def test_text_column_is_charged_its_codes_and_words(self, tmp_path):
+        """A coded text column is charged 4 bytes a row plus its distinct
+        words, not each row's text: beside a numeric column it fits a budget
+        that a per-row charge of the text would overflow, and stays cached."""
+        p = write_csv(tmp_path / "t.csv", ["s", "x"], [["ab"[i % 2], i] for i in range(1000)])
+        engine = RawEngine(cache_budget_bytes=12_100)  # codes 4,000 B, words 18 B, x 8,000 B
+        engine.register("t", p)
+        for q in ("SELECT s FROM t", "SELECT x FROM t"):
+            engine.execute(parse_query(q))
+        _, stats = engine.execute(parse_query("SELECT s FROM t"))
+        assert stats.cache_hit_columns == 1 and stats.bytes_read_from_disk == 0
+
     def test_budget_error_names_sizes(self, small_table):
         engine = RawEngine(cache_budget_bytes=10_000)  # 10k rows x 8B won't fit
         engine.register("t", small_table)
@@ -364,6 +376,28 @@ class TestScansAndCache:
 
 
 class TestPositionalMap:
+    def test_limit_splits_each_byte_once(self, small_table, monkeypatch):
+        """Each round of a LIMIT scan splits only the lines its chunk
+        completed: the windows split follow on from one another and cover
+        the complete lines of the prefix read, each byte once."""
+        windows, rounds = [], []
+        window, rowmap = tabular.LineSplit._window, tabular.LineSplit.rowmap
+        monkeypatch.setattr(tabular.LineSplit, "_window", lambda self, arr, lo, hi: (
+            windows.append((lo, hi)) or window(self, arr, lo, hi)))
+        monkeypatch.setattr(tabular.LineSplit, "rowmap",
+                            lambda self: rounds.append(1) or rowmap(self))
+        monkeypatch.setattr(raw_engine, "_SCAN_CHUNK", 16)
+        _, stats = RawEngine().execute(
+            parse_query("SELECT objid FROM t WHERE ra < 300 LIMIT 40"), files={"t": small_table}
+        )
+        data = small_table.read_bytes()
+        header = data.find(b"\n") + 1
+        prefix = data[: header + 16 * (2 ** len(rounds) - 1)]
+        assert stats.early_stop and len(rounds) > 3
+        assert windows[0][0] == header
+        assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
+        assert sum(hi - lo for lo, hi in windows) == prefix.rfind(b"\n") + 1 - header
+
     """Misses on a file tokenized once are cut from its positional map."""
 
     @pytest.fixture

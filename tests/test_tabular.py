@@ -1,6 +1,8 @@
 import itertools
 import os
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,9 +26,10 @@ from insitu.tabular import (
     predicate_mask,
     read_csv,
     scan_csv,
+    split_lines,
     text_column,
 )
-from util import CONTRACT_INPUTS, cut_fields, write_csv
+from util import CONTRACT_INPUTS, cut_fields, split_whole, write_csv
 
 
 def make_col(n):
@@ -198,6 +201,92 @@ class TestRowMap:
 
 
 @st.composite
+def split_cases(draw):
+    """A buffer and the offset of its first data line, for `split_lines`:
+    good, ragged and blank lines, each ending in LF or CRLF, "\\r" in
+    fields, lines of up to 80 bytes (longer than a window of 1, 7 or 64
+    bytes), a header ending in "\\r\\r\\n" or not, and after the last
+    newline nothing, a partial line or more blank lines."""
+    ncols = draw(st.integers(1, 3))
+    field = st.text("ab1\r", max_size=25)
+    line = st.one_of(
+        st.lists(field, min_size=ncols, max_size=ncols),
+        st.lists(field, min_size=1, max_size=ncols + 1),
+        st.just([""]),
+    ).map(",".join)
+    header = ",".join(f"c{j}" for j in range(ncols)) + draw(st.sampled_from(["", "\r", "\r\r"]))
+    text = header + "\n"
+    for body in draw(st.lists(line, max_size=10)):
+        text += body + draw(st.sampled_from(["\n", "\r\n"]))
+    text += draw(st.sampled_from(["", "1", "a,\r", "\n", "\r\n\n"]))
+    return text.encode(), len(header) + 1, ncols
+
+
+def split_outcome(split):
+    """Line starts, field ends from each line start and row ends, as lists,
+    or the FormatError message."""
+    try:
+        starts, ends, row_ends = split()
+    except FormatError as exc:
+        return str(exc)
+    return starts.tolist(), ends.tolist(), row_ends.tolist()
+
+
+class TestWindowedSplit:
+    """`split_lines` walks line-aligned windows; the whole-buffer split it
+    replaced (`split_whole`) is the reference."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(split_cases())
+    @example((b"a,b\r\r\n1,2\r\n", 6, 2))
+    @example((b"a\n1\n\n\r\n2\n\n\r\n", 2, 1))  # one column, blank lines
+    @example((b"a\n123456\r\n7\r\n", 2, 1))  # "\r" at the end of a 7-byte window
+    @example((b"a,b\n1,2\n\n3,4\n", 4, 2))  # a blank line waits for the next window
+    @example((b"a,b\n1,2\n\n\n", 4, 2))
+    @example((b"a,b\n", 4, 2))
+    def test_windows_equal_the_whole_buffer_split(self, case):
+        from insitu import tabular
+
+        buf, start, ncols = case
+        maps = []
+
+        def windowed():
+            rowmap, row_ends = split_lines(buf, start, ncols, "t.csv")
+            maps.append(rowmap)
+            return rowmap.line_starts, rowmap.ends, row_ends
+
+        expected = split_outcome(lambda: split_whole(buf, start, ncols, "t.csv"))
+        for window in (1, 7, 64, 1 << 20):
+            with mock.patch.object(tabular, "_SPLIT_WINDOW", window):
+                assert split_outcome(windowed) == expected, window
+        if maps:  # the narrowest dtype that holds the widest line
+            widest = max((r[-1] for r in expected[1]), default=0)
+            assert {m.ends.dtype for m in maps} == {np.min_scalar_type(widest)}
+
+    def test_temporaries_stay_within_a_window(self, tmp_path, monkeypatch):
+        """Beyond the buffer, `split_lines` holds at most the map's parts and
+        the joined map, plus one window's temporaries; the whole-buffer split
+        held about twice the buffer."""
+        from insitu import tabular
+
+        window = 1 << 14
+        monkeypatch.setattr(tabular, "_SPLIT_WINDOW", window)
+        p = tmp_path / "t.csv"
+        generate_csv(p, rows=12_000, columns=4, seed=3)
+        raw = p.read_bytes()
+        assert len(raw) >= 32 * window
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rowmap, _ = split_lines(raw, raw.find(b"\n") + 1, 4, p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(rowmap) == 12_000
+        assert peak <= 2 * rowmap.nbytes + 8 * window
+
+
+@st.composite
 def numeric_text(draw):
     """A decimal with an optional sign and dot, 0-20 digits: around the
     kernel's 15-byte limit, with leading zeros and leading or trailing dots."""
@@ -353,7 +442,8 @@ class TestPredicates:
         """A coded column against the list of str it replaced: the same
         strings back, masks equal to one `str` comparison per row (the
         earlier kernel, kept here as the oracle), gathers equal to the
-        list's and the same cache charge."""
+        list's, and a cache charge of 4 bytes a code plus the distinct
+        words."""
         col = Column(values)
         assert col.words == sorted(set(values)) and col.values.dtype == np.int32
         assert col.tolist() == values
@@ -364,8 +454,9 @@ class TestPredicates:
         picks = data.draw(st.lists(st.integers(0, len(values) - 1))) if data and values else []
         taken = col.take(np.array(picks, dtype=np.intp))
         assert taken.tolist() == [values[i] for i in picks] and taken.words is col.words
-        for c, vs in ((col, values), (taken, taken.tolist())):
-            assert c.nbytes == sum(len(v.encode("utf-8")) + TEXT_ENTRY_OVERHEAD for v in vs)
+        words = sum(len(v.encode("utf-8")) + TEXT_ENTRY_OVERHEAD for v in set(values))
+        for c in (col, taken):
+            assert c.nbytes == 4 * len(c) + words
 
 
 class TestResultSet:

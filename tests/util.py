@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
+from insitu.errors import FormatError
 from insitu.query_model import parse_query
+from insitu.tabular import COMMA, CR, NEWLINE
 
 
 # Data files in and out of the CSV contract (README), as table t.
@@ -26,6 +30,38 @@ def cut_fields(buf: bytes, rowmap, wanted):
     for j in wanted:
         starts, ends = rowmap.bounds(j)
         yield [buf[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+
+
+def split_whole(buf: bytes, start: int, ncols: int, path):
+    """The structure step over the whole of `buf` at once, with masks and
+    a delimiter array sized by it: the reference the windowed `split_lines`
+    is tested against. Returns its map's line starts and field ends (from
+    each line start) and its row ends, as int64 arrays, or raises its
+    FormatError."""
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    body = arr[start:]
+    delims = np.flatnonzero((body == COMMA) | (body == NEWLINE))
+    nl_at = np.flatnonzero(body[delims] == NEWLINE)
+    delims += start
+    newlines = delims[nl_at]
+    line_starts = np.concatenate(([start], newlines + 1))[:-1]
+    line_ends = newlines - ((newlines > line_starts) & (arr[newlines - 1] == CR))
+    filled = np.flatnonzero(line_starts != line_ends)
+    nrows = int(filled[-1]) + 1 if len(filled) else 0
+
+    commas = np.diff(nl_at[:nrows], prepend=-1) - 1
+    bad = np.flatnonzero(commas != ncols - 1)
+    if len(bad):
+        row = int(bad[0])
+        raise FormatError(
+            f"{path}: data row {row + 1} has {int(commas[row]) + 1} fields, "
+            f"expected {ncols}"
+        )
+
+    grid = delims[: nrows * ncols].reshape(nrows, ncols)
+    grid[:, -1] = line_ends[:nrows]
+    line_starts = line_starts[:nrows]
+    return line_starts, grid - line_starts[:, None], newlines[:nrows] + 1
 
 
 def write_csv(path, header, rows):
