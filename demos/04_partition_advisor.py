@@ -21,7 +21,7 @@ from insitu import (
     route_query,
     rua_partition,
 )
-from insitu.advisor import load_db_side, write_raw_slices
+from insitu.advisor import materialize_plan
 from insitu.tabular import read_header
 
 work = Path(tempfile.mkdtemp(prefix="insitu_demo_"))
@@ -68,8 +68,8 @@ for plan in (
 
     out = work / plan.technique.lower()
     db = DbEngine(work / f"{plan.technique.lower()}_db")
-    raw_paths = write_raw_slices(plan, sources, out)
-    load_ms = sum(s.duration_ms for s in load_db_side(plan, sources, db).values())
+    raw_paths, loads, _ = materialize_plan(plan, sources, out, db)
+    load_ms = sum(s.duration_ms for s in loads.values())
     raw = RawEngine()
     for table, path in raw_paths.items():
         raw.register(table, path)

@@ -16,13 +16,14 @@ the covered share of the schema.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .analyzer import ResourceProfile, SystemSpec, record_dict
 from .errors import ConfigError, FormatError, SchemaError, UncoveredQueryError
 from .query_model import QueryClass, is_name
-from .tabular import LoadStats, RowMap, cut_rows, read_csv
+from .tabular import CsvReader, LoadStats, cut_rows
 
 TECHNIQUE_QCA = "QCA"
 TECHNIQUE_RUA = "RUA"
@@ -219,40 +220,60 @@ def route_query(cls: QueryClass, plan: PartitionPlan, query_id: str | None = Non
     )
 
 
-def write_raw_slices(plan: PartitionPlan, source_csv, data_dir,
-                     rowmaps: dict | None = None) -> dict[str, str]:
-    """Write the raw-side vertical slice CSV per table; returns their paths.
-    ``source_csv`` maps each table to its CSV. Slices keep the source's
-    column order and field text verbatim. ``rowmaps``, when a dict, receives
-    each sliced source's positional map, keyed by table, for
-    `load_db_side`."""
+def materialize_plan(plan: PartitionPlan, source_csv, data_dir, db_engine,
+                     journal: bool = False):
+    """Write the raw-side vertical slice CSV per table and bulk-load each
+    table's db-side columns, in one windowed pass per source. Returns the
+    slices' paths and the loads' stats, keyed by table, and the time spent
+    slicing in ms. ``source_csv`` maps each table to its CSV.
+
+    A source both sides keep is loaded by `DbEngine.load_table`, which hands
+    each window to the table's `_Slice` (its `tee`) before cutting its
+    columns; a source only the raw side keeps is sliced alone
+    (`_write_slice`). Sliced sources go first, in table order, then the
+    db-only ones. A pass that fails leaves neither its slice nor its load
+    behind. The slicing time is the whole pass of a sliced-only source and
+    `_Slice.add` in a shared one.
+    """
     sources = {t: Path(p) for t, p in source_csv.items()}
-    by_table = _split_by_table(plan.raw_attrs, sources)
-    raw_dir = Path(data_dir) / "raw_partition"
-    raw_dir.mkdir(parents=True, exist_ok=True)
+    raw_side = _split_by_table(plan.raw_attrs, sources)
+    db_side = _split_by_table(plan.db_attrs, sources)
+    raw_dir = Path(data_dir) / "raw_partition" if data_dir is not None else None
+    if raw_dir is not None:
+        raw_dir.mkdir(parents=True, exist_ok=True)
     raw_paths: dict[str, str] = {}
-    for table, attrs in by_table.items():
-        out = raw_dir / f"{table}.csv"
-        rowmap = _write_slice(sources[table], out, attrs)
-        if rowmaps is not None:
-            rowmaps[table] = rowmap
-        raw_paths[table] = str(out)
-    return raw_paths
+    stats: dict[str, LoadStats] = {}
+    slice_ms = 0.0
+    for table in dict.fromkeys([*raw_side, *db_side]):
+        out = raw_dir / f"{table}.csv" if table in raw_side else None
+        if table not in db_side:
+            start = time.perf_counter()
+            _write_slice(sources[table], out, raw_side[table])
+            slice_ms += (time.perf_counter() - start) * 1000.0
+        elif out is None:
+            stats[table] = db_engine.load_table(sources[table], table, journal=journal,
+                                                columns=db_side[table])
+        else:
+            with _Slice(out, raw_side[table]) as raw:
+                stats[table] = db_engine.load_table(sources[table], table, journal=journal,
+                                                    columns=db_side[table], tee=raw)
+            slice_ms += raw.ms
+        if out is not None:
+            raw_paths[table] = str(out)
+    return raw_paths, {table: stats[table] for table in db_side}, slice_ms
 
 
-def load_db_side(plan: PartitionPlan, source_csv, db_engine, journal: bool = False,
-                 rowmaps: dict | None = None) -> dict[str, LoadStats]:
-    """Bulk-load each table's db-side columns straight from its source CSV;
-    ``source_csv`` maps each table to its CSV. A table's map from
-    `write_raw_slices(rowmaps=)` spares its load a second structure pass
-    unless the source was rewritten since (see `tabular.read_csv`)."""
-    sources = {t: Path(p) for t, p in source_csv.items()}
-    rowmaps = rowmaps or {}
-    return {
-        table: db_engine.load_table(sources[table], table, journal=journal,
-                                    columns=attrs, rowmap=rowmaps.get(table))
-        for table, attrs in _split_by_table(plan.db_attrs, sources).items()
-    }
+def write_raw_slices(plan: PartitionPlan, source_csv, data_dir) -> dict[str, str]:
+    """The raw side of `materialize_plan` alone: the slice paths."""
+    raw_only = replace(plan, db_attrs=frozenset())
+    return materialize_plan(raw_only, source_csv, data_dir, None)[0]
+
+
+def load_db_side(plan: PartitionPlan, source_csv, db_engine,
+                 journal: bool = False) -> dict[str, LoadStats]:
+    """The db side of `materialize_plan` alone: the loads' stats."""
+    db_only = replace(plan, raw_attrs=frozenset())
+    return materialize_plan(db_only, source_csv, None, db_engine, journal)[1]
 
 
 def _split_by_table(attrs, sources) -> dict[str, list[str]]:
@@ -271,17 +292,44 @@ def _split_by_table(attrs, sources) -> dict[str, list[str]]:
     return out
 
 
-def _write_slice(source: Path, out: Path, attrs) -> RowMap:
-    """Project a CSV onto the named columns; returns the source's positional
-    map. The slice keeps the CSV contract: header and fields in source
-    column order, field bytes verbatim, LF line ends. `tabular.cut_rows`
-    copies the rows out of the source bytes a block at a time, straight
-    from the map that `read_csv` built, so a file outside the contract
-    raises what `scan_csv` raises on it, before the slice is opened."""
-    raw, _, header, attrs, rowmap = read_csv(source, attrs)
-    kept = set(attrs)
-    keep = [i for i, name in enumerate(header) if name in kept]
-    with open(out, "wb") as o:
-        o.write((",".join(header[i] for i in keep) + "\n").encode("utf-8"))
-        o.writelines(cut_rows(raw, rowmap, keep))
-    return rowmap
+class _Slice:
+    """A raw slice written window by window during a pass over its source:
+    `start` checks the kept names and writes the header, `add` each
+    window's rows. The slice keeps the CSV contract: header and fields in
+    source column order, field bytes verbatim, LF line ends
+    (`tabular.cut_rows`, one gather per block of rows). Leaving the `with`
+    block on an error removes the part written."""
+
+    def __init__(self, out: Path, attrs):
+        self.out, self.attrs, self.file = out, attrs, None
+        self.ms = 0.0  # time spent in `add`
+
+    def start(self, reader: CsvReader) -> None:
+        self.keep = reader.indices(self.attrs)
+        self.file = open(self.out, "wb")
+        self.file.write((",".join(reader.header[i] for i in self.keep) + "\n").encode("utf-8"))
+
+    def add(self, buf: bytes, rowmap) -> None:
+        start = time.perf_counter()
+        self.file.writelines(cut_rows(buf, rowmap, self.keep))
+        self.ms += (time.perf_counter() - start) * 1000.0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, *exc):
+        if self.file is not None:
+            self.file.close()
+            if kind is not None:
+                self.out.unlink()
+
+
+def _write_slice(source: Path, out: Path, attrs) -> None:
+    """Project a CSV onto the named columns in one windowed pass; a file
+    outside the contract raises what `scan_csv` raises on it, and leaves
+    no slice."""
+    with CsvReader(source) as reader, _Slice(out, attrs) as raw:
+        raw.start(reader)
+        for buf, rowmap, _ in reader:
+            raw.add(buf, rowmap)
+            del buf, rowmap  # so one window is held while the next is read

@@ -1,7 +1,8 @@
 """Load-then-query columnar engine.
 
-COPY-style bulk load converts CSV into typed binary column files (optionally
-journaling every input record verbatim first), records per-column min/max,
+COPY-style bulk load converts CSV into typed binary column files in one
+windowed pass over the file (optionally journaling every input record
+verbatim from the same windows), records per-column min/max,
 and answers queries over the loaded columns with in-memory caching, min/max
 pruning, and equi-joins by one array kernel (`_hash_match`: a stable sort
 of one side's keys and binary searches for the other's; text keys are
@@ -26,29 +27,34 @@ from __future__ import annotations
 import os
 import shutil
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .cache import ColumnCache
-from .errors import LoadError, NotLoadedError, SchemaError
+from .errors import FormatError, LoadError, NotLoadedError, SchemaError
 from .query_model import QueryAst, needed_attrs
 from .tabular import (
     Column,
+    CsvReader,
     ExecStats,
     FLOAT_TYPE,
     LoadStats,
     ResultSet,
     TEXT_TYPE,
+    _TEXT_BLOCK_ROWS,
+    _fields,
     _text_literal,
     column_from_strings,
     count_result,
+    cut_column,
     filter_rows,
     join_keys,
     join_stage,
     project,
-    scan_csv,
+    text_column,
 )
 
 DEFAULT_CACHE_BUDGET = 1 << 30
@@ -96,53 +102,78 @@ class DbEngine:
         return table in self.stores or (self.data_dir / table / "meta").exists()
 
     def load_table(self, csv_path, table: str, journal: bool = False,
-                   columns=None, rowmap=None) -> LoadStats:
-        """Bulk-load a CSV file into typed binary column files.
+                   columns=None, tee=None) -> LoadStats:
+        """Bulk-load a CSV file into typed binary column files, in one
+        windowed pass (`tabular.CsvReader`): each window's columns are cut
+        and appended (`_ColumnBuilder`) and, with `journal`, its source bytes
+        appended to the journal, so the file is opened and read once.
 
         `columns` names the columns to load (None loads every one); they are
         stored in header order. A subset load counts as input the size of
         those columns as CSV text (header, fields, commas and LF), a full
         load the file size. The journal holds the file's data records
         verbatim either way. A table that already holds rows must be
-        truncated first. `rowmap` is the positional map of an earlier scan
-        of the file; the columns are cut from it while the file is unchanged
-        (see `scan_csv`).
+        truncated first. `tee`, when given, shares the pass: its
+        `start(reader)` runs once the header is read and its `add(buf,
+        rowmap)` on each window (the plan slicer's raw slice). Errors are
+        raised as a whole-file scan raises them: a ragged row first, then a
+        text field that is not UTF-8 (in `columns` order), then a type
+        conflict (in header order); nothing is left in the store.
         """
         existing = self.stores.get(table)
         if existing is not None and existing.row_count > 0:
             raise LoadError(f"table {table!r} is already loaded; truncate it first")
 
         start = time.perf_counter()
-        scan = scan_csv(csv_path, columns, rowmap=rowmap)
-        if columns is None:
-            attrs, input_bytes = scan.header, scan.file_bytes
-        else:
-            kept = [j for j, name in enumerate(scan.header) if name in scan.columns]
-            attrs = [scan.header[j] for j in kept]
-            field_text = sum(int((e - s).sum()) for s, e in map(scan.rowmap.bounds, kept))
-            input_bytes = (len((",".join(attrs) + "\n").encode("utf-8"))
-                           + field_text + scan.row_count * len(attrs))
-
         directory = self.data_dir / table
         tmp_dir = self.data_dir / f".{table}.loading"
-        if tmp_dir.exists():
-            shutil.rmtree(tmp_dir)
-        tmp_dir.mkdir(parents=True)
-
-        stats = LoadStats(rows_loaded=scan.row_count, input_bytes=input_bytes)
-        store = TableStore(directory=tmp_dir, attrs=attrs, types={}, row_count=scan.row_count)
-        try:
-            if journal:
-                stats.journal_bytes = _write_journal(store.journal_path, csv_path)
-            for attr in attrs:
-                col = self._coerce_for_load(scan.columns[attr], attr)
-                store.types[attr] = col.type
-                store.minmax[attr] = _column_minmax(col)
-                stats.binary_bytes += _write_column(store.col_path(attr), col)
-            _write_meta(store.meta_path, store)
-        except Exception:
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-            raise
+        with CsvReader(csv_path) as reader:
+            if tee is not None:
+                tee.start(reader)
+            wanted = reader.header if columns is None else list(columns)
+            kept = reader.indices(wanted)
+            attrs = [reader.header[j] for j in kept]
+            builders = {name: _ColumnBuilder(name, reader.header.index(name)) for name in wanted}
+            if tmp_dir.exists():
+                shutil.rmtree(tmp_dir)
+            tmp_dir.mkdir(parents=True)
+            store = TableStore(directory=tmp_dir, attrs=attrs, types={}, row_count=0)
+            stats = LoadStats()
+            field_text = 0
+            try:
+                with open(store.journal_path, "wb") if journal else nullcontext() as log:
+                    for buf, rowmap, size in reader:
+                        if tee is not None:
+                            tee.add(buf, rowmap)
+                        if log:
+                            log.write(memoryview(buf)[:size])
+                        for builder in builders.values():
+                            builder.add(buf, rowmap)
+                        if columns is not None:
+                            field_text += sum(int((e - s).sum())
+                                              for s, e in map(rowmap.bounds, kept))
+                        del buf, rowmap  # so one window is held while the next is read
+                    if log:  # every input record verbatim, fsynced once per load
+                        log.flush()
+                        os.fsync(log.fileno())
+                        stats.journal_bytes = log.tell()
+                errors = [b.error for b in builders.values() if isinstance(b.error, FormatError)]
+                errors += [builders[a].error for a in attrs if builders[a].error is not None]
+                if errors:
+                    raise errors[0]
+                store.row_count = stats.rows_loaded = reader.rows
+                stats.input_bytes = reader.file_bytes if columns is None else (
+                    len((",".join(attrs) + "\n").encode("utf-8"))
+                    + field_text + reader.rows * len(attrs))
+                for attr in attrs:
+                    col = builders.pop(attr).column()
+                    store.types[attr] = col.type
+                    store.minmax[attr] = _column_minmax(col)
+                    stats.binary_bytes += _write_column(store.col_path(attr), col)
+                _write_meta(store.meta_path, store)
+            except BaseException:
+                shutil.rmtree(tmp_dir, ignore_errors=True)
+                raise
         if directory.exists():
             shutil.rmtree(directory)
         tmp_dir.rename(directory)
@@ -152,27 +183,6 @@ class DbEngine:
         self.total_bytes_written += stats.total_written
         stats.duration_ms = (time.perf_counter() - start) * 1000.0
         return stats
-
-    def _coerce_for_load(self, col: Column, attr: str) -> Column:
-        """Abort the load of a text column whose first non-number lies past
-        its first `_TYPE_INFER_ROWS` rows (the whole-column rule would have
-        silently fallen back to text). A value is a number by the engines'
-        one rule: `column_from_strings` on its UTF-8 bytes. Each distinct
-        value is tested at most once, at its first row, in row order."""
-        if col.is_numeric:
-            return col
-        first = np.full(len(col.words), len(col))  # each word's first row
-        np.minimum.at(first, col.values, np.arange(len(col)))
-        # A text column holds a non-number, so the loop breaks.
-        for i in np.sort(first).tolist():
-            v = col.words[col.values[i]]
-            if not column_from_strings([v.encode("utf-8")]).is_numeric:
-                break
-        if i < _TYPE_INFER_ROWS:
-            return col
-        raise LoadError(
-            f"type conflict in column {attr!r}: row {i + 1} value {v!r} is not numeric"
-        )
 
     def truncate_table(self, table: str) -> float:
         """Empty a table: zero rows, empty column files, reset statistics."""
@@ -300,6 +310,90 @@ class DbEngine:
 # -- helpers ----------------------------------------------------------------
 
 
+class _ColumnBuilder:
+    """Column `attr` (header position j) of a load, cut from each window
+    with `cut_column` and appended: float64 pieces are joined once at the
+    end, text pieces have their dictionaries merged and sorted once. The
+    column is typed by the engines' one rule over all its rows, as a
+    whole-file cut types it.
+
+    A load aborts a text column whose first non-number lies past its first
+    `_TYPE_INFER_ROWS` rows (the whole-column rule would have silently
+    fallen back to text): `error` then holds that LoadError. So a column
+    that turns text after its first window needs only the field bytes of
+    its first `_TYPE_INFER_ROWS` rows again, which it keeps while it is
+    numeric; after the flip it cuts every window as text. A text field that
+    is not UTF-8 is the FormatError in `error` instead, and ends the cuts."""
+
+    def __init__(self, attr: str, j: int):
+        self.attr, self.j = attr, j
+        self.pieces: list[Column] = []
+        self.rows = 0
+        self.text = False
+        self.head: list[bytes] = []  # the first rows' fields while numeric
+        self.error: Exception | None = None
+
+    def add(self, buf: bytes, rowmap) -> None:
+        if isinstance(self.error, FormatError) or not len(rowmap):
+            return
+        try:
+            piece = (_cut_text if self.text else cut_column)(buf, rowmap, self.j)
+        except FormatError as exc:
+            self.error, self.pieces = exc, []
+            return
+        if piece.is_numeric:
+            # Rows past `_TYPE_INFER_ROWS` make a later flip a LoadError.
+            within = self.rows + len(rowmap) < _TYPE_INFER_ROWS
+            self.head = self.head + _fields(buf, *rowmap.bounds(self.j)) if within else []
+        elif not self.text:
+            self.text = True
+            i, value = _first_text_row(piece)
+            if self.rows + i >= _TYPE_INFER_ROWS:
+                self.error = LoadError(f"type conflict in column {self.attr!r}: row "
+                                       f"{self.rows + i + 1} value {value!r} is not numeric")
+            elif self.rows:  # re-cut the rows before the flip as text
+                self.pieces = [text_column([self.head])]
+            self.head = []
+        self.rows += len(rowmap)
+        if self.error is None:
+            self.pieces.append(piece)
+
+    def column(self) -> Column:
+        if not self.text:
+            return Column(np.concatenate([p.values for p in self.pieces]) if self.pieces
+                          else np.empty(0))
+        words = sorted(set().union(*(p.words for p in self.pieces)))
+        code = {w: i for i, w in enumerate(words)}
+        return Column(np.concatenate([np.array([code[w] for w in p.words], np.int32)[p.values]
+                                      for p in self.pieces]), words)
+
+
+def _first_text_row(col: Column) -> tuple[int, str]:
+    """The first row of a text column holding a non-number, and its value.
+    A value is a number by the engines' one rule: `column_from_strings` on
+    its UTF-8 bytes. Each distinct value is tested at most once, at its
+    first row, in row order."""
+    first = np.full(len(col.words), len(col))  # each word's first row
+    np.minimum.at(first, col.values, np.arange(len(col)))
+    # A text column holds a non-number, so the loop breaks.
+    for i in np.sort(first).tolist():
+        value = col.words[col.values[i]]
+        if not column_from_strings([value.encode("utf-8")]).is_numeric:
+            break
+    return i, value
+
+
+def _cut_text(buf: bytes, rowmap, j: int) -> Column:
+    """Column j of a window as text, as `cut_column` cuts a text column."""
+    blocks = (_fields(buf, *rowmap.bounds(j, slice(lo, lo + _TEXT_BLOCK_ROWS)))
+              for lo in range(0, len(rowmap), _TEXT_BLOCK_ROWS))
+    try:
+        return text_column(blocks)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{rowmap.path}: text field {exc.object!r} is not UTF-8") from None
+
+
+
 def _prunes(store: TableStore, pred) -> bool:
     bare = pred.attr.split(".", 1)[1]
     bounds = store.minmax.get(bare)
@@ -395,18 +489,6 @@ def _read_column(path) -> tuple[Column, int]:
     if rows and (codes.min() < 0 or codes.max() >= len(words)):
         raise LoadError(f"{path}: a code lies outside [0, {len(words)})")
     return Column(codes, words), len(raw)
-
-
-def _write_journal(path, csv_path) -> int:
-    """Append every input record verbatim, fsynced once per load."""
-    with open(csv_path, "rb") as src:
-        src.readline()  # header is schema, not a record
-        body = src.read()
-    with open(path, "wb") as out:
-        out.write(body)
-        out.flush()
-        os.fsync(out.fileno())
-    return len(body)
 
 
 def _write_meta(path, store: TableStore) -> None:

@@ -1,17 +1,22 @@
 """Shared tabular primitives: typed columns, CSV scanning, result sets.
 
-Both query engines, the LIMIT path and the plan slicer split lines with
-one tokenizer. `split_lines` finds every line and field end and returns
-them as a compact positional map (`RowMap`, as in NoDB), stamped with the
-file's (size, mtime_ns). It walks the buffer in line-aligned windows
-(`LineSplit`, as Instant Loading tokenizes a chunk at a time), keeps only
-each window's narrow line starts and field ends and joins them once, so
-no temporary is sized by the file; the LIMIT path extends one `LineSplit`
-by the lines each of its reads completes, so it splits each byte once.
-A scan always returns the map it worked from; the in-situ engine keeps it
-per file and the plan slicer hands it to the db-side load, and either
-hands it back to `scan_csv`, which skips `split_lines` while the file
-still has the map's stamp.
+Both query engines, the LIMIT path, loads and the plan slicer split lines
+with one tokenizer. `split_lines` finds every line and field end and
+returns them as a compact positional map (`RowMap`, as in NoDB), stamped
+with the file's (size, mtime_ns). It walks the buffer in line-aligned
+windows (`LineSplit`, as Instant Loading tokenizes a chunk at a time),
+keeps only each window's narrow line starts and field ends and joins them
+once, so no temporary is sized by the file; the LIMIT path extends one
+`LineSplit` by the lines each of its reads completes, so it splits each
+byte once. A scan always returns the map it worked from; the in-situ
+engine keeps it per file and hands it back to `scan_csv`, which skips
+`split_lines` while the file still has the map's stamp.
+
+Only the in-situ engine reads whole files (`read_csv`, for the maps it
+keeps). Loads and the plan slicer read a file once, a window at a time
+(`CsvReader`): each window comes with its own map, cut and dropped before
+the next is read, and one `LineSplit` carries on across the windows, so
+errors name the file's rows.
 
 Values are typed by one rule: a column is float64 when every value read
 parses as a number (`np.asarray(fields, np.float64)` on the field bytes),
@@ -25,14 +30,14 @@ raises on one of them; a first field that is not a number makes it text
 before any parsing, and a block of rows mostly outside the plain form
 (17-digit float reprs, say) sends the rest of its column to the rule
 without the kernel. `cut_column` is the one step that types a column read
-from a file: whole files for scans and loads, and a file's prefix (header
-included, so map offsets are file offsets) for the LIMIT path. The db
-load's check that a text column was text from its first rows applies the
-rule word by word with `column_from_strings`, the rule on a list. The
-plan slicer types nothing: `cut_rows` copies a block of rows' kept
-fields, each with the delimiter after it, out of the buffer with one
-gather, so a slice holds the field bytes verbatim, in source column
-order, with LF line ends. So cold, hot and LIMIT scans and the two
+from a file: whole files for scans, each window for loads (which append
+the pieces), and a file's prefix (header included, so map offsets are
+file offsets) for the LIMIT path. The db load's check that a text column
+was text from its first rows applies the rule word by word with
+`column_from_strings`, the rule on a list. The plan slicer types nothing:
+`cut_rows` copies a block of rows' kept fields, each with the delimiter
+after it, out of the buffer with one gather, so a slice holds the field
+bytes verbatim, in source column order, with LF line ends. So cold, hot and LIMIT scans and the two
 engines compare exactly, with one known divergence: a LIMIT scan that
 stops early types each column over the prefix it read, so a column whose
 first text value lies past those bytes comes back numeric. Data files
@@ -270,7 +275,7 @@ def file_stamp(st: os.stat_result) -> tuple[int, int]:
 
 def read_csv(path, wanted=None, rowmap: RowMap | None = None):
     """Read a data file whole, check its header and map its lines; the
-    prelude of `scan_csv` and of the plan slicer.
+    prelude of `scan_csv`.
 
     Returns the file bytes (a final newline added when missing), the file
     size, the header names, the wanted names (every column for None) and
@@ -439,6 +444,87 @@ class LineSplit:
             row_ends[-1] = self._row_end
         return RowMap(starts, self._ends[0][: self._rows], self.path), row_ends
 
+    def window(self, buf: bytes):
+        """Split the complete lines of `buf`, a new buffer whose first byte
+        follows the last row split so far: the map of its rows (offsets into
+        `buf`) and the offset just past the last of them, 0 when it holds
+        none. Blank lines after that row and a partial last line stay
+        unsplit, for the next buffer to start with; rows are numbered on
+        from earlier buffers."""
+        rows = self._rows
+        self._lines, self._blank_row, self._split_to = rows, None, 0
+        del self._starts[1:], self._ends[1:]  # keep the empty first parts
+        self.extend(buf)
+        n = self._rows - rows
+        starts, ends = np.concatenate(self._starts)[:n], np.concatenate(self._ends)[:n]
+        return RowMap(starts, ends, self.path), (self._row_end if n else 0)
+
+
+class CsvReader:
+    """One pass over a data file in line-aligned windows of about
+    `_SPLIT_WINDOW` bytes: how loads and the plan slicer read, so that they
+    hold a window of a file, never the whole of it. Opening checks
+    the header as `read_csv` does (`indices` checks wanted names); iterating
+    yields `(buf, rowmap, size)` per window: its bytes, its rows' map and
+    how many of its bytes are the source's (all but the newline added after
+    a last line without one). One `LineSplit` carries on from window to
+    window, so a FormatError names the file's row. Each byte after the
+    header is in exactly one window; blank lines at the end are in the last
+    and are no rows. `file_bytes` and `rows` count what was read."""
+
+    def __init__(self, path):
+        self.path = path
+        self._file = open(path, "rb")
+        try:
+            line = self._file.readline()
+            if not line:
+                raise FormatError(f"{path}: empty file")
+            self.header = _header_names(line.removesuffix(b"\n"), path)
+        except BaseException:
+            self._file.close()
+            raise
+        self.file_bytes = len(line)
+        self.rows = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+    def indices(self, names) -> list[int]:
+        """Header positions of `names`, ascending; a name the header lacks
+        is a FormatError."""
+        for name in names:
+            if name not in self.header:
+                raise FormatError(f"{self.path}: no column named {name!r}")
+        kept = set(names)
+        return [j for j, name in enumerate(self.header) if name in kept]
+
+    def __iter__(self):
+        split = LineSplit(len(self.header), self.path, 0)
+        parts = []  # what the last window left unsplit, then reads with no newline
+        while True:
+            parts.append(self._file.read(_SPLIT_WINDOW))
+            self.file_bytes += len(parts[-1])
+            end_of_file = not parts[-1]
+            if not end_of_file and b"\n" not in parts[-1]:
+                continue
+            buf = b"".join(parts)
+            parts.clear()
+            size = len(buf)
+            if end_of_file and not buf.endswith(b"\n"):
+                buf += b"\n"
+            rowmap, end = split.window(buf)
+            self.rows += len(rowmap)
+            if end_of_file:
+                yield buf, rowmap, size
+                return
+            if end:
+                yield buf, rowmap, end
+            parts.append(buf[end:])
+            del buf, rowmap  # before the next read
+
 
 # Rows per step of `cut_column` and `cut_rows`: every temporary is a vector
 # this long (times the kept fields in `cut_rows`), or for text a list of
@@ -460,9 +546,9 @@ def cut_rows(buf: bytes, rowmap: RowMap, keep):
     a row being `buf[s:e]` for its pair of `rowmap.bounds(j)`.
 
     Each field is widened by the one byte after it (its comma, or the "\\r"
-    or "\\n" that ends its line; `read_csv` adds a final newline), all of a
-    block's widened fields are gathered with one fancy index, and the
-    copied delimiter bytes are overwritten. A block is at most
+    or "\\n" that ends its line; `read_csv` and `CsvReader` add a final
+    newline), all of a block's widened fields are gathered with one fancy
+    index, and the copied delimiter bytes are overwritten. A block is at most
     `_BLOCK_ROWS` rows, and holds only the rows that start less than
     `_BLOCK_BYTES` past its first."""
     arr = np.frombuffer(buf, dtype=np.uint8)

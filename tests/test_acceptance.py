@@ -14,6 +14,7 @@ import pytest
 
 from insitu.advisor import (
     load_db_side,
+    materialize_plan,
     qca_partition,
     raw_capacity_check,
     route_query,
@@ -551,10 +552,8 @@ def test_criterion_10_partition_wet_reduction(workdir):
     plan = qca_partition(classes, schema)
     qca_db = DbEngine(d / "qca_db")
     sources = {"wide": wide_csv, "u": u_csv}
-    # Materialize as `insitu run` does: the slicer hands its maps to the load.
-    rowmaps = {}
-    raw_paths = write_raw_slices(plan, sources, d / "qca_out", rowmaps)
-    load_stats = load_db_side(plan, sources, qca_db, rowmaps=rowmaps)
+    # Materialize as `insitu run` does: one pass per source.
+    raw_paths, load_stats, _ = materialize_plan(plan, sources, d / "qca_out", qca_db)
     qca_raw = RawEngine()
     for table, p in raw_paths.items():
         qca_raw.register(table, p)
@@ -594,9 +593,7 @@ def test_criterion_10_partition_wet_reduction(workdir):
     assert all(rua_plan.routing[qid] == "db" for qid, _ in complex_q)
 
     rua_db = DbEngine(d / "rua_db")
-    rua_rowmaps = {}
-    rua_raw_paths = write_raw_slices(rua_plan, sources, d / "rua_out", rua_rowmaps)
-    rua_load = load_db_side(rua_plan, sources, rua_db, rowmaps=rua_rowmaps)
+    rua_raw_paths, rua_load, _ = materialize_plan(rua_plan, sources, d / "rua_out", rua_db)
     rua_raw = RawEngine()
     for table, p in rua_raw_paths.items():
         rua_raw.register(table, p)

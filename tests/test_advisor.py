@@ -1,6 +1,7 @@
 import os
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from insitu import advisor, tabular
+from insitu import advisor, cli, tabular
 from insitu.advisor import (
     PartitionPlan,
     load_db_side,
@@ -31,7 +32,7 @@ from insitu.errors import (
 from insitu.query_model import QueryClass, classify, parse_query
 from insitu.raw_engine import RawEngine
 from insitu.tabular import ResultSet, cut_rows, read_csv, read_header, scan_csv
-from util import CONTRACT_INPUTS, cut_fields, write_csv
+from util import CONTRACT_INPUTS, counting_opens, cut_fields, write_csv
 
 MB = 1024 * 1024
 
@@ -276,55 +277,42 @@ class TestMaterialize:
         assert store.attrs == ["b", "c"]
         assert store.row_count == 2
 
-    @staticmethod
-    def counting_splits(monkeypatch):
-        """Count `split_lines` calls from the slicer and from `scan_csv`."""
-        calls = []
-        split = tabular.split_lines
+    def test_materializing_opens_each_source_once(self, tmp_path, monkeypatch):
+        """A plan run cuts each source's raw slice and db-side columns from
+        one pass over it; the slicer and the db-side load each read it."""
+        t, u = tmp_path / "t.csv", tmp_path / "u.csv"
+        generate_csv(t, rows=300, columns=6, seed=5)
+        generate_csv(u, rows=50, columns=3, seed=6)
+        wl = tmp_path / "wl.csv"
+        wl.write_text('T_ID,Statement\nQ0,"SELECT ra FROM t WHERE ra < 100;"\n'
+                      'Q1,"SELECT t.dec, u.ra FROM t JOIN u ON t.objid = u.objid;"\n')
+        plan = tmp_path / "plan.json"
+        assert cli.main(["advise", "qca", "--workload", str(wl), "--schema-csv", str(t),
+                         str(u), "--out", str(plan)]) == 0
+        opens = counting_opens(monkeypatch, [t, u])
+        assert cli.main(["run", "--workload", str(wl), "--engine", f"plan:{plan}",
+                         "--source", "synthetic", "--data-dir", str(tmp_path),
+                         "--journal", "on", "--out", str(tmp_path / "out")]) == 0
+        assert opens == {str(t): 1, str(u): 1}
 
-        def counted(*args, **kwargs):
-            calls.append(args[3])
-            return split(*args, **kwargs)
-
-        monkeypatch.setattr(tabular, "split_lines", counted)
-        return calls
-
-    @staticmethod
-    def db_store(db, table="t"):
-        s = db.stores[table]
-        return s.attrs, s.row_count, [s.col_path(a).read_bytes() for a in s.attrs]
-
-    def test_handed_map_spares_the_second_split(self, tmp_path, monkeypatch):
+    def test_materializing_holds_a_window_not_the_source(self, tmp_path):
+        """The pass holds a window of its source and the columns it loads,
+        never the whole file."""
         src = tmp_path / "t.csv"
-        generate_csv(src, rows=300, columns=6, seed=5)
+        generate_csv(src, rows=20_000, columns=30, seed=8)
+        size = src.stat().st_size
+        assert size >= 8 << 20
         schema = tuple(f"t.{a}" for a in read_header(src))
-        plan = PartitionPlan("QCA", schema, raw_attrs=frozenset(schema[:2]),
-                             db_attrs=frozenset(schema[1:4]))
-        cold = DbEngine(tmp_path / "cold")
-        load_db_side(plan, {"t": src}, cold)
-        calls = self.counting_splits(monkeypatch)
-        rowmaps = {}
-        write_raw_slices(plan, {"t": src}, tmp_path / "out", rowmaps)
-        db = DbEngine(tmp_path / "db")
-        load_db_side(plan, {"t": src}, db, rowmaps=rowmaps)
-        assert calls == [src]  # the slicer's split only
-        assert self.db_store(db) == self.db_store(cold)
-
-    def test_rewritten_source_is_split_again(self, tmp_path, monkeypatch):
-        src = write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [4, 5]])
-        plan = PartitionPlan("QCA", ("t.a", "t.b"), raw_attrs=frozenset({"t.a"}),
-                             db_attrs=frozenset({"t.b"}))
-        rowmaps = {}
-        write_raw_slices(plan, {"t": src}, tmp_path / "out", rowmaps)
-        write_csv(src, ["a", "b"], [[10, 20], [30, 40], [50, 60]])
-        calls = self.counting_splits(monkeypatch)
-        db = DbEngine(tmp_path / "db")
-        load_db_side(plan, {"t": src}, db, rowmaps=rowmaps)
-        assert calls == [src]
-        fresh = DbEngine(tmp_path / "fresh")
-        fresh.load_table(src, "t", columns=["b"])
-        assert self.db_store(db) == self.db_store(fresh)
-        assert db.stores["t"].row_count == 3
+        plan = PartitionPlan("QCA", schema, raw_attrs=frozenset(schema[:3]),
+                             db_attrs=frozenset(schema[2:6]))
+        tracemalloc.start()
+        try:
+            advisor.materialize_plan(plan, {"t": src}, tmp_path / "out",
+                                     DbEngine(tmp_path / "db"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 2, (peak, size)
 
     def test_empty_raw_side_writes_no_slice(self, tmp_path):
         src = write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2]])

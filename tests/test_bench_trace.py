@@ -26,8 +26,16 @@ engine, source = sys.argv[2], sys.argv[3]
 # The live run is long enough for several ticks at 1 kHz.
 generate_csv(work / "t.csv", rows=4000 if source == "procfs" else 400, columns=5, seed=2)
 generate_csv(work / "u.csv", rows=50, columns=3, seed=3)
-statements = (
-    "T_ID,Statement\n"
+statements = "T_ID,Statement\n"
+if engine == "db":
+    # Three loads, each journalled: a COPY of each table, then a reload of t.
+    statements += (
+        f"L0,\"COPY t FROM '{work / 't.csv'}';\"\n"
+        f"L1,\"COPY u FROM '{work / 'u.csv'}';\"\n"
+        'L2,"TRUNCATE TABLE t;"\n'
+        f"L3,\"COPY t FROM '{work / 't.csv'}';\"\n"
+    )
+statements += (
     'Q0,"SELECT ra, dec FROM t WHERE ra < 100;"\n'
     'Q1,"SELECT t.v03, u.ra FROM t JOIN u ON t.objid = u.objid;"\n'
 )
@@ -43,6 +51,8 @@ if engine == "plan":
     engine = f"plan:{plan}"
 argv = ["run", "--workload", str(wl), "--engine", engine, "--source", source,
         "--data-dir", str(work), "--out", str(work / "out")]
+if engine == "db":
+    argv += ["--journal", "on"]
 if source == "procfs":
     # This process's command line holds the work directory, as the benchmark's
     # holds its job file.
@@ -94,3 +104,12 @@ def test_layers_trace_a_live_procfs_run(tmp_path):
     assert result["metrics"]["monitor.samples_held"] > result["metrics"]["stat_sources.ticks"]
     # The LIMIT query read a prefix of its file without a full scan beneath it.
     assert 0 < result["metrics"]["raw_engine.limit_bytes_frac"] < 1
+
+
+def test_layers_trace_a_journalled_db_run(tmp_path):
+    """Loads and their journal fsyncs go through the names the tracer
+    wraps (`DbEngine.load_table`, `os.fsync`)."""
+    result = trace(tmp_path, "db", "synthetic")
+    assert result["code"] == 0
+    assert result["metrics"]["db_engine.load_calls"] >= 3
+    assert result["metrics"]["db_engine.fsyncs"] >= 1

@@ -1,4 +1,5 @@
 import json
+import threading
 import time
 
 import pytest
@@ -12,6 +13,8 @@ from insitu.cli import (
     main,
 )
 from insitu.datagen import generate_csv
+from insitu.db_engine import DbEngine
+from insitu.stat_sources import ProcfsSource
 from insitu.tabular import ResultSet
 from util import write_csv
 
@@ -305,7 +308,7 @@ class TestRun:
         assert "TOTAL" in text
         assert "COPY" in text  # load spans several sampling periods
 
-    def test_procfs_watches_by_command_line(self, tmp_path):
+    def test_procfs_watches_by_command_line(self, tmp_path, monkeypatch):
         import os
         import subprocess
         import sys
@@ -313,13 +316,39 @@ class TestRun:
         if not os.path.exists("/proc/stat"):
             pytest.skip("no procfs")
         table = tmp_path / "t.csv"
-        generate_csv(table, rows=20_000, columns=6, seed=4)  # a load of several ticks
+        generate_csv(table, rows=20_000, columns=6, seed=4)
         wl = tmp_path / "wl.csv"
         wl.write_text(f"T_ID,Statement\nCOPY,\"COPY t FROM '{table}';\"\n")
         # The marker is in the child's command line only, never in its comm.
         marker = f"insitu-marker-{tmp_path.name}"
-        child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)", marker])
+        child = subprocess.Popen(
+            [sys.executable, "-c", "import sys; print('ready', flush=True); sys.stdin.read()",
+             marker], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        # The COPY returns only once two ticks have sampled the child, so the
+        # run spans them however fast the load is.
+        sampled = threading.Event()
+        seen = []
+        read_tick = ProcfsSource.read_tick
+
+        def counted_tick(source):
+            tick = read_tick(source)
+            seen.extend(tick.processes[:1])
+            if len(seen) >= 2:
+                sampled.set()
+            return tick
+
+        load_table = DbEngine.load_table
+
+        def load_spanning_two_ticks(*args, **kwargs):
+            stats = load_table(*args, **kwargs)
+            assert sampled.wait(60)
+            return stats
+
+        monkeypatch.setattr(ProcfsSource, "read_tick", counted_tick)
+        monkeypatch.setattr(DbEngine, "load_table", load_spanning_two_ticks)
         try:
+            # The child has started: its command line holds the marker.
+            assert child.stdout.readline() == "ready\n"
             comm = open(f"/proc/{child.pid}/comm").read().strip()
             out = tmp_path / "out"
             rc = main(["run", "--workload", str(wl), "--engine", "db",
@@ -456,13 +485,13 @@ class TestAdviseAndPlanRun:
     def test_plan_load_times_slicing_and_leaves_no_db_slice(
         self, tmp_path, advised, monkeypatch
     ):
-        write_raw_slices = cli.write_raw_slices
+        materialize_plan = cli.materialize_plan
 
         def slow_slices(*args, **kwargs):
             time.sleep(0.05)
-            return write_raw_slices(*args, **kwargs)
+            return materialize_plan(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "write_raw_slices", slow_slices)
+        monkeypatch.setattr(cli, "materialize_plan", slow_slices)
         wl, plan_path, _ = advised
         out = tmp_path / "out"
         assert main(["run", "--workload", str(wl), "--engine", f"plan:{plan_path}",

@@ -13,7 +13,7 @@ from insitu.errors import FormatError, LoadError, NotLoadedError, SchemaError
 from insitu.query_model import parse_query
 from insitu.raw_engine import RawEngine, _nested_loop_match
 from insitu.tabular import Column, read_header
-from util import TableInfo, random_select, write_csv
+from util import TableInfo, counting_opens, random_select, write_csv
 
 
 @pytest.fixture
@@ -33,6 +33,16 @@ class TestLoad:
         stats = engine.load_table(numeric_csv, "t", journal=True)
         assert stats.rows_loaded == 10_000
         assert abs(stats.journal_bytes - stats.input_bytes) / stats.input_bytes < 0.05
+
+    def test_journalled_copy_opens_its_source_once(self, engine, numeric_csv, monkeypatch):
+        """The journal is written from the windows the columns are cut
+        from; it used to be a second read of the source."""
+        opens = counting_opens(monkeypatch, [numeric_csv])
+        stats = engine.load_table(numeric_csv, "t", journal=True)
+        assert opens == {str(numeric_csv): 1}
+        body = numeric_csv.read_bytes().split(b"\n", 1)[1]
+        assert engine.stores["t"].journal_path.read_bytes() == body
+        assert stats.journal_bytes == len(body)
 
     def test_journal_off_writes_none(self, engine, numeric_csv):
         stats = engine.load_table(numeric_csv, "t", journal=False)

@@ -263,26 +263,29 @@ class TestProcfsSource:
             pytest.skip("no procfs")
         blob = tmp_path / "blob.bin"
         blob.write_bytes(os.urandom(8 << 20))
+        # The child says when it is running (so its command line is its own)
+        # and when its read is done; it reads when told to.
         code = (
-            "import sys, time; time.sleep(0.6);\n"
-            f"data = open({str(blob)!r},'rb').read(); time.sleep(2)"
+            "import sys; print('ready', flush=True); sys.stdin.readline()\n"
+            f"data = open({str(blob)!r},'rb').read(); print('done', flush=True)\n"
+            "sys.stdin.readline()"
         )
-        child = subprocess.Popen([sys.executable, "-c", code])
+        child = subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
+                                 stdout=subprocess.PIPE, text=True)
         try:
+            assert child.stdout.readline() == "ready\n"
             # The blob path is in the child's command line only, not in
             # pytest's, whose own reads would count otherwise.
             src = ProcfsSource(watched_names=[str(blob)], rediscover_every_s=0.0)
-            src.read_tick()
-            total = 0.0
-            t_prev = time.monotonic()
-            for _ in range(4):
-                time.sleep(0.5)
-                tick = src.read_tick()
-                now = time.monotonic()
-                for p in tick.processes:
-                    if p.read_Bps:
-                        total += p.read_Bps * (now - t_prev)
-                t_prev = now
+            # A tick's rates are taken from the time it starts.
+            before = time.monotonic()
+            assert [p.read_Bps for p in src.read_tick().processes] == [0.0]
+            child.stdin.write("go\n")
+            child.stdin.flush()
+            assert child.stdout.readline() == "done\n"
+            after = time.monotonic()
+            tick = src.read_tick()
+            total = sum(p.read_Bps for p in tick.processes) * (after - before)
         finally:
             child.kill()
             child.wait()

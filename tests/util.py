@@ -2,13 +2,18 @@
 random query generator used by the engine-equivalence tests."""
 from __future__ import annotations
 
+import builtins
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 
-from insitu.errors import FormatError
+from insitu import db_engine
+from insitu.errors import FormatError, LoadError
 from insitu.query_model import parse_query
-from insitu.tabular import COMMA, CR, NEWLINE
+from insitu.tabular import (COMMA, CR, NEWLINE, column_from_strings, cut_rows, read_csv,
+                            scan_csv)
 
 
 # Data files in and out of the CSV contract (README), as table t.
@@ -62,6 +67,84 @@ def split_whole(buf: bytes, start: int, ncols: int, path):
     grid[:, -1] = line_ends[:nrows]
     line_starts = line_starts[:nrows]
     return line_starts, grid - line_starts[:, None], newlines[:nrows] + 1
+
+
+def load_whole(csv_path, directory, journal=False, columns=None):
+    """The whole-buffer load, the reference the windowed `DbEngine.load_table`
+    is tested against: `scan_csv` over the whole file, the first-rows type
+    check on each whole text column, then the store's files (`.col`,
+    `meta`, and with `journal` the file's bytes after its header line)
+    written into `directory`. Returns the load's `input_bytes`, or raises
+    the load's error (a ragged row, then a text field that is not UTF-8, in
+    `columns` order, then a type conflict, in header order)."""
+    scan = scan_csv(csv_path, columns)
+    if columns is None:
+        attrs, input_bytes = scan.header, scan.file_bytes
+    else:
+        kept = [j for j, name in enumerate(scan.header) if name in scan.columns]
+        attrs = [scan.header[j] for j in kept]
+        field_text = sum(int((e - s).sum()) for s, e in map(scan.rowmap.bounds, kept))
+        input_bytes = (len((",".join(attrs) + "\n").encode("utf-8"))
+                       + field_text + scan.row_count * len(attrs))
+    for attr in attrs:
+        col = scan.columns[attr]
+        if not col.is_numeric:
+            first = np.full(len(col.words), len(col))
+            np.minimum.at(first, col.values, np.arange(len(col)))
+            for i in np.sort(first).tolist():
+                v = col.words[col.values[i]]
+                if not column_from_strings([v.encode("utf-8")]).is_numeric:
+                    break
+            if i >= db_engine._TYPE_INFER_ROWS:
+                raise LoadError(
+                    f"type conflict in column {attr!r}: row {i + 1} value {v!r} is not numeric"
+                )
+    directory = Path(directory)
+    directory.mkdir(parents=True)
+    store = db_engine.TableStore(directory, attrs, {}, scan.row_count)
+    if journal:
+        with open(csv_path, "rb") as src:
+            src.readline()
+            (directory / "journal.log").write_bytes(src.read())
+    for attr in attrs:
+        col = scan.columns[attr]
+        store.types[attr] = col.type
+        store.minmax[attr] = db_engine._column_minmax(col)
+        db_engine._write_column(store.col_path(attr), col)
+    db_engine._write_meta(store.meta_path, store)
+    return input_bytes
+
+
+def slice_whole(source, out, attrs):
+    """The whole-buffer slicer, the reference the windowed one is tested
+    against: the file read whole and mapped (`read_csv`), then its kept
+    columns' rows gathered (`cut_rows`) into `out`."""
+    raw, _, header, attrs, rowmap = read_csv(source, attrs)
+    keep = [i for i, name in enumerate(header) if name in set(attrs)]
+    with open(out, "wb") as o:
+        o.write((",".join(header[i] for i in keep) + "\n").encode("utf-8"))
+        o.writelines(cut_rows(raw, rowmap, keep))
+
+
+def dir_bytes(directory) -> dict[str, bytes]:
+    """Every file under `directory`, by path relative to it, with its bytes."""
+    directory = Path(directory)
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def counting_opens(monkeypatch, paths) -> dict[str, int]:
+    """Count the `open` calls on each of `paths` from now on."""
+    opens = {str(p): 0 for p in paths}
+    real = builtins.open
+
+    def counted(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) in opens:
+            opens[os.fspath(file)] += 1
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    return opens
 
 
 def write_csv(path, header, rows):
