@@ -44,15 +44,16 @@ from .tabular import (
     LoadStats,
     ResultSet,
     TEXT_TYPE,
-    _TEXT_BLOCK_ROWS,
     _fields,
     _text_literal,
     column_from_strings,
     count_result,
     cut_column,
+    cut_text,
     filter_rows,
     join_keys,
     join_stage,
+    merge_pieces,
     project,
     text_column,
 )
@@ -99,7 +100,21 @@ class DbEngine:
     # -- loading ----------------------------------------------------------
 
     def has_table(self, table: str) -> bool:
-        return table in self.stores or (self.data_dir / table / "meta").exists()
+        if table in self.stores:
+            return True
+        self._recover(table)
+        return (self.data_dir / table / "meta").exists()
+
+    def _recover(self, table: str) -> None:
+        """Settle a table swap that a crash cut short (see `load_table`): an
+        old table set aside comes back while no new one took its place, and
+        is deleted once one has."""
+        aside = self.data_dir / f".{table}.old"
+        if aside.exists():
+            if (self.data_dir / table).exists():
+                shutil.rmtree(aside)
+            else:
+                aside.rename(self.data_dir / table)
 
     def load_table(self, csv_path, table: str, journal: bool = False,
                    columns=None, tee=None) -> LoadStats:
@@ -166,7 +181,7 @@ class DbEngine:
                     len((",".join(attrs) + "\n").encode("utf-8"))
                     + field_text + reader.rows * len(attrs))
                 for attr in attrs:
-                    col = builders.pop(attr).column()
+                    col = merge_pieces(builders.pop(attr).pieces)
                     store.types[attr] = col.type
                     store.minmax[attr] = _column_minmax(col)
                     stats.binary_bytes += _write_column(store.col_path(attr), col)
@@ -174,9 +189,16 @@ class DbEngine:
             except BaseException:
                 shutil.rmtree(tmp_dir, ignore_errors=True)
                 raise
+        # The swap: at every step the table directory holds the old table
+        # or the new one, or the old one is set aside (`_recover`).
+        aside = self.data_dir / f".{table}.old"
+        self._recover(table)
         if directory.exists():
-            shutil.rmtree(directory)
+            directory.rename(aside)
         tmp_dir.rename(directory)
+        _fsync_directory(self.data_dir)
+        if aside.exists():
+            shutil.rmtree(aside)
         store.directory = directory
         self.cache.drop_matching(lambda key: key[0] == str(directory))
         self.stores[table] = store
@@ -202,6 +224,7 @@ class DbEngine:
     def _require_store(self, table: str, for_truncate: bool = False) -> TableStore:
         store = self.stores.get(table)
         if store is None:
+            self._recover(table)
             store = _read_meta(self.data_dir / table)
             if store is not None:
                 self.stores[table] = store
@@ -312,18 +335,18 @@ class DbEngine:
 
 class _ColumnBuilder:
     """Column `attr` (header position j) of a load, cut from each window
-    with `cut_column` and appended: float64 pieces are joined once at the
-    end, text pieces have their dictionaries merged and sorted once. The
-    column is typed by the engines' one rule over all its rows, as a
-    whole-file cut types it.
+    with `cut_column` into `pieces`, which `merge_pieces` joins once at the
+    end. The column is typed by the engines' one rule over all its rows, as
+    a whole-file cut types it.
 
     A load aborts a text column whose first non-number lies past its first
     `_TYPE_INFER_ROWS` rows (the whole-column rule would have silently
     fallen back to text): `error` then holds that LoadError. So a column
     that turns text after its first window needs only the field bytes of
     its first `_TYPE_INFER_ROWS` rows again, which it keeps while it is
-    numeric; after the flip it cuts every window as text. A text field that
-    is not UTF-8 is the FormatError in `error` instead, and ends the cuts."""
+    numeric; after the flip it cuts every window as text (`cut_text`). A
+    text field that is not UTF-8 is the FormatError in `error` instead, and
+    ends the cuts."""
 
     def __init__(self, attr: str, j: int):
         self.attr, self.j = attr, j
@@ -337,7 +360,7 @@ class _ColumnBuilder:
         if isinstance(self.error, FormatError) or not len(rowmap):
             return
         try:
-            piece = (_cut_text if self.text else cut_column)(buf, rowmap, self.j)
+            piece = (cut_text if self.text else cut_column)(buf, rowmap, self.j)
         except FormatError as exc:
             self.error, self.pieces = exc, []
             return
@@ -358,15 +381,6 @@ class _ColumnBuilder:
         if self.error is None:
             self.pieces.append(piece)
 
-    def column(self) -> Column:
-        if not self.text:
-            return Column(np.concatenate([p.values for p in self.pieces]) if self.pieces
-                          else np.empty(0))
-        words = sorted(set().union(*(p.words for p in self.pieces)))
-        code = {w: i for i, w in enumerate(words)}
-        return Column(np.concatenate([np.array([code[w] for w in p.words], np.int32)[p.values]
-                                      for p in self.pieces]), words)
-
 
 def _first_text_row(col: Column) -> tuple[int, str]:
     """The first row of a text column holding a non-number, and its value.
@@ -381,17 +395,6 @@ def _first_text_row(col: Column) -> tuple[int, str]:
         if not column_from_strings([value.encode("utf-8")]).is_numeric:
             break
     return i, value
-
-
-def _cut_text(buf: bytes, rowmap, j: int) -> Column:
-    """Column j of a window as text, as `cut_column` cuts a text column."""
-    blocks = (_fields(buf, *rowmap.bounds(j, slice(lo, lo + _TEXT_BLOCK_ROWS)))
-              for lo in range(0, len(rowmap), _TEXT_BLOCK_ROWS))
-    try:
-        return text_column(blocks)
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{rowmap.path}: text field {exc.object!r} is not UTF-8") from None
-
 
 
 def _prunes(store: TableStore, pred) -> bool:
@@ -489,6 +492,15 @@ def _read_column(path) -> tuple[Column, int]:
     if rows and (codes.min() < 0 or codes.max() >= len(words)):
         raise LoadError(f"{path}: a code lies outside [0, {len(words)})")
     return Column(codes, words), len(raw)
+
+
+def _fsync_directory(path) -> None:
+    """Make the renames in directory `path` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _write_meta(path, store: TableStore) -> None:

@@ -1,12 +1,13 @@
 """In-situ query engine over CSV files.
 
 Tokenizes at query time, keeps parsed columns in a RAM-budgeted LRU cache,
-stops LIMIT scans at the chunk that completes the result, and runs joins as
-deliberately unindexed nested loops. A LIMIT scan splits each byte it reads
-once: each chunk's completed lines extend the prefix's positional map
-(`tabular.LineSplit`). Every column it reads, from a whole file or from a
-LIMIT scan's prefix, is typed by `tabular.cut_column`. The engine never
-writes to disk; all caching is in memory.
+stops LIMIT scans at the window that completes the result, and runs joins
+as deliberately unindexed nested loops. A LIMIT scan reads through
+`tabular.CsvReader`, 64 KiB first and doubling to 1 MiB, and types each
+window once; a column that a later window turns from numeric to text
+sends the query to a full scan, whose bytes are counted too. Full scans
+read whole files (`tabular.scan_csv`; `tabular` says why). The engine
+never writes to disk; all caching is in memory.
 
 Per data file the engine keeps one record: its header, the (size,
 mtime_ns) it had when first seen, and, from the first full tokenization,
@@ -36,16 +37,18 @@ from .errors import JoinGuardError, SchemaError
 from .query_model import QueryAst, needed_attrs
 from .tabular import (
     Column,
+    CsvReader,
     ExecStats,
-    LineSplit,
     ResultSet,
     RowMap,
     count_result,
     cut_column,
+    cut_text,
     file_stamp,
     filter_rows,
     join_keys,
     join_stage,
+    merge_pieces,
     project,
     read_header,
     scan_csv,
@@ -54,7 +57,7 @@ from .tabular import (
 DEFAULT_CACHE_BUDGET = 1 << 30  # 1 GiB
 DEFAULT_JOIN_GUARD = 1_000_000_000
 
-_SCAN_CHUNK = 1 << 16
+_SCAN_CHUNK = 1 << 16  # a LIMIT scan's first read
 
 
 @dataclass
@@ -153,8 +156,9 @@ class RawEngine:
 
         if ast.limit is not None and not ast.is_count:
             cached = all((path, bare) in self.cache for bare in attrs)
-            if not cached:
-                return self._limit_scan(ast, table, path, attrs, stats)
+            result = None if cached else self._limit_scan(ast, table, path, attrs, stats)
+            if result is not None:
+                return result
 
         cols = self._ensure_columns(path, attrs, stats)
         qcols = {f"{table}.{bare}": col for bare, col in cols.items()}
@@ -200,50 +204,53 @@ class RawEngine:
                 cols[bare] = col
         return cols
 
-    def _limit_scan(self, ast, table, path, attrs, stats) -> ResultSet:
-        """Read the file in doubling chunks, stopping at the chunk that
-        completes the LIMIT.
+    def _limit_scan(self, ast, table, path, attrs, stats) -> ResultSet | None:
+        """Read the file through `tabular.CsvReader`, `_SCAN_CHUNK` bytes
+        first and doubling to 1 MiB, and stop at the window that completes
+        the LIMIT.
 
-        The buffer starts with the header line, so its map's offsets are
-        file offsets. Each round splits only the lines its chunk completed
-        (`tabular.LineSplit`, which carries the partial last line and any
-        blank lines still waiting), so each byte is split once, and types
-        the wanted columns over the whole prefix with `cut_column`, as a
-        full scan does, then filters them. Bytes are accounted at row
-        granularity: the tally is the end offset of the row completing the
-        LIMIT, not the read-ahead size.
+        Each window's wanted columns are cut once and filtered there; the
+        result is projected from the pieces joined (`merge_pieces`). A
+        column is typed by its first window: text there, it is cut as text
+        from later windows; numeric there and made text by a later window,
+        the scan ends with None, for the full-scan path to answer, and
+        counts the bytes to the end of that window. Otherwise bytes are
+        accounted at row granularity: the tally is the end offset of the
+        row completing the LIMIT, not the read-ahead size.
         """
         record = self._records[path]
-        header = record.header
         file_size = record.seen[0]
-        chunk = _SCAN_CHUNK
-        with open(path, "rb") as f:
-            buf = f.readline()  # the header
-            split = LineSplit(len(header), path, len(buf))
-            while True:
-                buf += f.read(chunk)
-                chunk *= 2
-                at_eof = len(buf) >= file_size
-                if at_eof and not buf.endswith(b"\n"):
-                    buf += b"\n"
-                split.extend(buf)
-                rowmap, row_ends = split.rowmap()
-                qcols = {
-                    f"{table}.{bare}": cut_column(buf, rowmap, header.index(bare))
-                    for bare in attrs
-                }
-                hits = filter_rows(qcols, ast.predicates, len(rowmap))
-                if at_eof or len(hits) >= ast.limit:
+        cols = {f"{table}.{bare}": record.header.index(bare) for bare in attrs}
+        pieces = {attr: [] for attr in cols}
+        hits, found, rows, read = [], 0, 0, file_size
+        with CsvReader(path, _SCAN_CHUNK) as reader:
+            offset = reader.file_bytes  # where the window starts in the file
+            for buf, rowmap, size in reader:
+                for attr, got in pieces.items():
+                    cut = cut_text if got and not got[0].is_numeric else cut_column
+                    got.append(cut(buf, rowmap, cols[attr]))
+                    if got[-1].is_numeric != got[0].is_numeric:
+                        stats.bytes_read_from_disk += min(offset + size, file_size)
+                        return None
+                window = {attr: got[-1] for attr, got in pieces.items()}
+                hit = filter_rows(window, ast.predicates, len(rowmap))[: ast.limit - found]
+                hits.append(hit + rows)
+                found += len(hit)
+                if found == ast.limit:
+                    last = int(hit[-1])
+                    line_end = int(rowmap.line_starts[last]) + int(rowmap.ends[last, -1])
+                    read = min(offset + buf.find(b"\n", line_end) + 1, file_size)
+                    rows += last + 1
                     break
+                rows += len(rowmap)
+                offset += size
+                del buf, rowmap  # before the next read
 
-        hits = hits[: ast.limit]
-        stats.rows_scanned, read = len(rowmap), file_size
-        if len(hits) == ast.limit:
-            stats.rows_scanned = int(hits[-1]) + 1
-            read = min(int(row_ends[hits[-1]]), file_size)
+        stats.rows_scanned = rows
         stats.bytes_read_from_disk += read
         stats.early_stop = read < file_size
-        return project(ast.projections, qcols, {table: hits})
+        qcols = {attr: merge_pieces(got) for attr, got in pieces.items()}
+        return project(ast.projections, qcols, {table: np.concatenate(hits)})
 
     def _execute_join(self, ast, paths, needed, stats) -> ResultSet:
         all_keys = {

@@ -3,20 +3,25 @@
 Both query engines, the LIMIT path, loads and the plan slicer split lines
 with one tokenizer. `split_lines` finds every line and field end and
 returns them as a compact positional map (`RowMap`, as in NoDB), stamped
-with the file's (size, mtime_ns). It walks the buffer in line-aligned
-windows (`LineSplit`, as Instant Loading tokenizes a chunk at a time),
-keeps only each window's narrow line starts and field ends and joins them
-once, so no temporary is sized by the file; the LIMIT path extends one
-`LineSplit` by the lines each of its reads completes, so it splits each
-byte once. A scan always returns the map it worked from; the in-situ
-engine keeps it per file and hands it back to `scan_csv`, which skips
-`split_lines` while the file still has the map's stamp.
+with the file's (size, mtime_ns). A `LineSplit` walks each buffer it is
+given in line-aligned steps (as Instant Loading tokenizes a chunk at a
+time), keeps only each step's narrow line starts and field ends and joins
+them once per buffer, so no temporary is sized by the file. A scan always
+returns the map it worked from; the in-situ engine keeps it per file and
+hands it back to `scan_csv`, which skips `split_lines` while the file
+still has the map's stamp.
 
-Only the in-situ engine reads whole files (`read_csv`, for the maps it
-keeps). Loads and the plan slicer read a file once, a window at a time
-(`CsvReader`): each window comes with its own map, cut and dropped before
-the next is read, and one `LineSplit` carries on across the windows, so
-errors name the file's rows.
+Every read but a full scan's goes through one loop, `CsvReader`: a file
+read once, a window at a time, each window with its own map and one
+`LineSplit` carrying on across the windows, so errors name the file's
+rows. Loads and the plan slicer
+read 1 MiB windows; the LIMIT path reads 64 KiB first and doubles to
+1 MiB, and stops at the window that completes its LIMIT. Only full scans
+read whole files (`read_csv`, for the maps the in-situ engine keeps): cut
+from the held map in 1 MiB windows instead, a miss on one numeric column
+of a 12-column file cost 17-21 % more in a measurement (2.27 -> 2.74 ms
+at 4.2 MB, 4.56 -> 5.33 ms at 8.4 MB; minimum of 40 interleaved runs,
+2 cores), and misses are the in-situ engine's hot layer.
 
 Values are typed by one rule: a column is float64 when every value read
 parses as a number (`np.asarray(fields, np.float64)` on the field bytes),
@@ -30,20 +35,23 @@ raises on one of them; a first field that is not a number makes it text
 before any parsing, and a block of rows mostly outside the plain form
 (17-digit float reprs, say) sends the rest of its column to the rule
 without the kernel. `cut_column` is the one step that types a column read
-from a file: whole files for scans, each window for loads (which append
-the pieces), and a file's prefix (header included, so map offsets are
-file offsets) for the LIMIT path. The db load's check that a text column
-was text from its first rows applies the rule word by word with
+from a file: whole files for scans, and each window once for loads and
+the LIMIT path, which keep the pieces and join them with `merge_pieces`.
+A column already text is cut as text from later windows (`cut_text`, the
+text branch of `cut_column`). The db load's check that a text column was
+text from its first rows applies the rule word by word with
 `column_from_strings`, the rule on a list. The plan slicer types nothing:
 `cut_rows` copies a block of rows' kept fields, each with the delimiter
 after it, out of the buffer with one gather, so a slice holds the field
-bytes verbatim, in source column order, with LF line ends. So cold, hot and LIMIT scans and the two
-engines compare exactly, with one known divergence: a LIMIT scan that
-stops early types each column over the prefix it read, so a column whose
-first text value lies past those bytes comes back numeric. Data files
-are plain comma-separated UTF-8 with a header row, lines ending in LF or
-CRLF, and no embedded commas, quotes or newlines in fields; a header or
-a text field read that is not UTF-8 is a FormatError naming the file.
+bytes verbatim, in source column order, with LF line ends. So cold, hot
+and LIMIT scans and the two engines compare exactly, with one known
+divergence: a LIMIT scan types each column by the first window it read,
+and a column numeric there that a later window read makes text sends the
+query to a full scan (its bytes counted), so only a column whose first
+text value lies past the windows read comes back numeric. Data files are plain
+comma-separated UTF-8 with a header row, lines ending in LF or CRLF, and
+no embedded commas, quotes or newlines in fields; a header or a text
+field read that is not UTF-8 is a FormatError naming the file.
 
 A text column is dictionary-coded: int32 codes into the sorted list of
 its distinct strings. `cut_column` codes the fields as it reads them,
@@ -209,16 +217,17 @@ class RowMap:
     the one form in which the tokenizer describes a file's structure.
 
     `line_starts[r]` is the offset of data line r in the bytes the map was
-    built from (a whole file, or a LIMIT scan's prefix), and `ends[r, j]`
+    built from (a whole file, or one `CsvReader` window), and `ends[r, j]`
     the end of its field j counted from that start; the last field ends at
     the line end, before any "\\r". Each array has the narrowest unsigned
     dtype that holds its values, so a file whose lines are all shorter than
     256 bytes costs one byte per field plus one offset per line. The number
-    of lines is the file's row count. `split_lines` builds a map one window
-    of the file at a time and joins the windows' narrow parts once. A map
+    of lines is the row count of those bytes. `LineSplit` builds a map one
+    step at a time and joins the steps' narrow parts once. A map
     describes the bytes it was built from and nothing else. `stamp` is the
-    (size, mtime_ns) of the file it was built from (None for a LIMIT scan's
-    prefix); `read_csv` reuses a map only while its file keeps that stamp.
+    (size, mtime_ns) of the whole file it was built from (None for a
+    window's map); `read_csv` reuses a map only while its file keeps that
+    stamp.
     `path` names that file in errors from cuts.
     """
 
@@ -341,53 +350,52 @@ def split_lines(buf: bytes, start: int, ncols: int, path):
     not rows; a blank line before a data line is a one-field row. Raises
     FormatError on the first row whose field count is not `ncols`,
     numbering rows from 1. Returns the lines' positional map (offsets into
-    `buf`) and the offset just past each row's newline. The lines are split
-    in windows of about `_SPLIT_WINDOW` bytes (`LineSplit`), so no
-    temporary is sized by `buf`; the map's narrow parts are joined once.
+    `buf`) and the offset just past the last row's newline: one
+    `LineSplit.window` over the whole buffer.
     """
-    split = LineSplit(ncols, path, start)
-    split.extend(buf)
-    return split.rowmap()
+    return LineSplit(ncols, path).window(buf, start)
 
 
 class LineSplit:
-    """The structure step over a buffer that grows, from offset `start`:
-    `extend` splits the complete lines added since its last call, one
-    line-aligned window at a time, and `rowmap` gives the map of every row
-    split so far, as `split_lines` gives it for the whole buffer. Each
-    window keeps only its rows' narrow line starts and field ends; a
-    partial last line waits for the bytes that complete it.
+    """The structure step over a file's data lines, one buffer at a time:
+    `window` splits the complete lines of each buffer and numbers its rows
+    on from the buffers before it. A buffer is walked in line-aligned steps
+    of about `_SPLIT_WINDOW` bytes, each keeping only its rows' narrow line
+    starts and field ends, which are joined once per buffer, so no
+    temporary is sized by the buffer.
 
     Blank lines after the last non-blank line wait: a later non-blank line
     makes them rows, which with `ncols` > 1 is the FormatError of the
     first of them; at the end of the data they are no rows."""
 
-    def __init__(self, ncols: int, path, start: int):
+    def __init__(self, ncols: int, path):
         self.ncols = ncols
         self.path = path
-        self._split_to = start  # the start of the first line not split
-        self._starts = [np.empty(0, np.uint8)]  # narrow parts, one per window
-        self._ends = [np.empty((0, ncols), np.uint8)]
-        self._lines = 0  # lines in the parts
-        self._rows = 0  # of them, those up to the last non-blank line
-        self._row_end = 0  # the offset past that line's newline
-        self._blank_row = None  # first waiting blank line's row number, ncols > 1
+        self._rows = 0  # rows split, up to the last non-blank line
 
-    def extend(self, buf: bytes) -> None:
-        """Split the lines of `buf`, the buffer of earlier calls with bytes
-        appended, that end in a newline and were not split yet. A window
-        ends at the first newline at or past `_SPLIT_WINDOW` bytes, so a
-        longer line makes a longer window."""
-        start = self._split_to
+    def window(self, buf: bytes, start: int = 0):
+        """Split the complete lines of `buf` from offset `start`, the first
+        line following the last row split so far: the map of its rows
+        (offsets into `buf`) and the offset just past the last of them, 0
+        when it holds none. Blank lines after that row and a partial last
+        line stay unsplit, for the next buffer to start with. A step ends at
+        the first newline at or past `_SPLIT_WINDOW` bytes, so a longer line
+        makes a longer step."""
+        rows = self._rows
+        self._lines, self._blank_row, self._row_end = rows, None, 0
+        self._starts = [np.empty(0, np.uint8)]  # narrow parts, one per step
+        self._ends = [np.empty((0, self.ncols), np.uint8)]
         stop = max(buf.rfind(b"\n", start) + 1, start)
         arr = np.frombuffer(buf, dtype=np.uint8)
         while start < stop:
             end = buf.find(b"\n", min(start + _SPLIT_WINDOW, stop) - 1, stop) + 1
-            self._window(arr, start, end)
+            self._step(arr, start, end)
             start = end
-        self._split_to = stop
+        n = self._rows - rows
+        starts, ends = np.concatenate(self._starts)[:n], np.concatenate(self._ends)[:n]
+        return RowMap(starts, ends, self.path), self._row_end
 
-    def _window(self, arr: np.ndarray, lo: int, hi: int) -> None:
+    def _step(self, arr: np.ndarray, lo: int, hi: int) -> None:
         """Split the lines of `arr[lo:hi]`, which ends in a newline."""
         ncols = self.ncols
         body = arr[lo:hi]
@@ -406,7 +414,7 @@ class LineSplit:
         if last and self._blank_row is not None:
             self._raise_fields(self._blank_row, 1)
         # One-field rows take blank lines as they come; wider rows stop at
-        # the window's last non-blank line.
+        # the step's last non-blank line.
         n = len(newlines) if ncols == 1 else last
         commas = np.diff(nl_at[:n], prepend=-1) - 1
         bad = np.flatnonzero(commas != ncols - 1)
@@ -431,49 +439,25 @@ class LineSplit:
             f"{self.path}: data row {row} has {fields} fields, expected {self.ncols}"
         )
 
-    def rowmap(self):
-        """The positional map of the rows split so far, and the offset just
-        past each row's newline. The parts are joined into one, which later
-        windows extend."""
-        self._starts = [np.concatenate(self._starts)]
-        self._ends = [np.concatenate(self._ends)]
-        starts = self._starts[0][: self._rows]
-        row_ends = np.empty_like(starts)
-        if self._rows:
-            row_ends[:-1] = starts[1:]
-            row_ends[-1] = self._row_end
-        return RowMap(starts, self._ends[0][: self._rows], self.path), row_ends
-
-    def window(self, buf: bytes):
-        """Split the complete lines of `buf`, a new buffer whose first byte
-        follows the last row split so far: the map of its rows (offsets into
-        `buf`) and the offset just past the last of them, 0 when it holds
-        none. Blank lines after that row and a partial last line stay
-        unsplit, for the next buffer to start with; rows are numbered on
-        from earlier buffers."""
-        rows = self._rows
-        self._lines, self._blank_row, self._split_to = rows, None, 0
-        del self._starts[1:], self._ends[1:]  # keep the empty first parts
-        self.extend(buf)
-        n = self._rows - rows
-        starts, ends = np.concatenate(self._starts)[:n], np.concatenate(self._ends)[:n]
-        return RowMap(starts, ends, self.path), (self._row_end if n else 0)
-
 
 class CsvReader:
-    """One pass over a data file in line-aligned windows of about
-    `_SPLIT_WINDOW` bytes: how loads and the plan slicer read, so that they
-    hold a window of a file, never the whole of it. Opening checks
-    the header as `read_csv` does (`indices` checks wanted names); iterating
-    yields `(buf, rowmap, size)` per window: its bytes, its rows' map and
-    how many of its bytes are the source's (all but the newline added after
-    a last line without one). One `LineSplit` carries on from window to
-    window, so a FormatError names the file's row. Each byte after the
-    header is in exactly one window; blank lines at the end are in the last
-    and are no rows. `file_bytes` and `rows` count what was read."""
+    """One pass over a data file in line-aligned windows: how loads, the
+    plan slicer and the LIMIT path read, so that they hold a window of a
+    file, never the whole of it. The first read is `first_read` bytes
+    (`_SPLIT_WINDOW` by default) and each later one twice the last, up to
+    `_SPLIT_WINDOW`; a read that completes no line is joined to the next.
+    Opening checks the header as `read_csv` does (`indices` checks wanted
+    names); iterating yields `(buf, rowmap, size)` per window: its bytes,
+    its rows' map and how many of its bytes are the source's and not
+    carried into the next window (all but the newline added after a last
+    line without one, at the end). One `LineSplit` carries on from window
+    to window, so a FormatError names the file's row. Each byte after the
+    header is in exactly one window's `size`; blank lines at the end are in
+    the last and are no rows. `file_bytes` and `rows` count what was read."""
 
-    def __init__(self, path):
+    def __init__(self, path, first_read: int | None = None):
         self.path = path
+        self.first_read = first_read
         self._file = open(path, "rb")
         try:
             line = self._file.readline()
@@ -502,10 +486,12 @@ class CsvReader:
         return [j for j, name in enumerate(self.header) if name in kept]
 
     def __iter__(self):
-        split = LineSplit(len(self.header), self.path, 0)
+        split = LineSplit(len(self.header), self.path)
         parts = []  # what the last window left unsplit, then reads with no newline
+        read = self.first_read or _SPLIT_WINDOW
         while True:
-            parts.append(self._file.read(_SPLIT_WINDOW))
+            parts.append(self._file.read(read))
+            read = min(2 * read, _SPLIT_WINDOW)
             self.file_bytes += len(parts[-1])
             end_of_file = not parts[-1]
             if not end_of_file and b"\n" not in parts[-1]:
@@ -622,13 +608,36 @@ def cut_column(buf: bytes, rowmap: RowMap, j: int) -> Column:
             # it loses where most fields pay for both.
             kernel = 2 * len(other) <= len(s)
     except ValueError:
-        blocks = (_fields(buf, *rowmap.bounds(j, slice(lo, lo + _TEXT_BLOCK_ROWS)))
-                  for lo in range(0, len(rowmap), _TEXT_BLOCK_ROWS))
-        try:
-            return text_column(blocks)
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{rowmap.path}: text field {exc.object!r} is not UTF-8") from None
+        return cut_text(buf, rowmap, j)
     return Column(values)
+
+
+def cut_text(buf: bytes, rowmap: RowMap, j: int) -> Column:
+    """Column j of `buf` as text, straight from the positional map: how
+    `cut_column` cuts a column the rule makes text, and how a column known
+    to be text is cut from each later window. A field that is not UTF-8 is
+    a FormatError naming the file."""
+    blocks = (_fields(buf, *rowmap.bounds(j, slice(lo, lo + _TEXT_BLOCK_ROWS)))
+              for lo in range(0, len(rowmap), _TEXT_BLOCK_ROWS))
+    try:
+        return text_column(blocks)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{rowmap.path}: text field {exc.object!r} is not UTF-8") from None
+
+
+def merge_pieces(pieces) -> Column:
+    """One column of the pieces cut from consecutive windows, all of one
+    type, in order: float64 values are concatenated; text dictionaries are
+    merged and sorted once, and each piece's codes mapped into the merged
+    one. No pieces make an empty numeric column."""
+    if len(pieces) == 1:
+        return pieces[0]
+    if not pieces or pieces[0].is_numeric:
+        return Column(np.concatenate([p.values for p in pieces]) if pieces else np.empty(0))
+    words = sorted(set().union(*(p.words for p in pieces)))
+    code = {w: i for i, w in enumerate(words)}
+    return Column(np.concatenate([np.array([code[w] for w in p.words], np.int32)[p.values]
+                                  for p in pieces]), words)
 
 
 def _fields(buf: bytes, starts, ends) -> list[bytes]:

@@ -1,6 +1,11 @@
 import itertools
 import math
+import os
 import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ from insitu.errors import FormatError, LoadError, NotLoadedError, SchemaError
 from insitu.query_model import parse_query
 from insitu.raw_engine import RawEngine, _nested_loop_match
 from insitu.tabular import Column, read_header
-from util import TableInfo, counting_opens, random_select, write_csv
+from util import TableInfo, counting_opens, dir_bytes, random_select, write_csv
 
 
 @pytest.fixture
@@ -125,6 +130,75 @@ class TestTruncate:
     def test_truncate_returns_duration(self, engine, numeric_csv):
         engine.load_table(numeric_csv, "t")
         assert engine.truncate_table("t") >= 0.0
+
+
+# Loads `sys.argv[2]` as table t of the store at `sys.argv[1]`, exiting at
+# once after the table swap's step `sys.argv[3]` (a rename, fsync or rmtree).
+CRASHING_LOAD = """
+import os, shutil, sys
+from pathlib import Path
+from insitu.db_engine import DbEngine
+
+data_dir, source, crash_at = sys.argv[1], sys.argv[2], int(sys.argv[3])
+steps = 0
+
+def step(fn):
+    def run(*args, **kwargs):
+        global steps
+        out = fn(*args, **kwargs)
+        steps += 1
+        if steps == crash_at:
+            os._exit(3)
+        return out
+    return run
+
+Path.rename, os.fsync, shutil.rmtree = step(Path.rename), step(os.fsync), step(shutil.rmtree)
+DbEngine(data_dir).load_table(source, "t")
+"""
+
+
+class TestSwapDurability:
+    def test_crash_at_each_step_reopens_old_or_new(self, tmp_path):
+        """A load that dies after any step of its table swap leaves a store
+        that reopens, by `execute` or by `has_table`, to exactly the old
+        table or exactly the new one, and takes the next load; that load
+        removes an unswapped `.t.loading`."""
+        old_csv = write_csv(tmp_path / "old.csv", ["a", "b"], [[1, 2], [3, 4]])
+        new_csv = write_csv(tmp_path / "new.csv", ["a", "b"], [[5, "x"], [6, "y"], [7, "z"]])
+        versions = {}
+        for name, csv in (("old", old_csv), ("new", new_csv)):
+            engine = DbEngine(tmp_path / name)
+            engine.load_table(csv, "t")
+            rows = engine.execute(parse_query("SELECT a, b FROM t"))[0].rows
+            versions[name] = (dir_bytes(tmp_path / name / "t"), rows)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                        os.environ.get("PYTHONPATH")) if p))
+        seen = []
+        for crash_at in itertools.count(1):
+            data_dir = tmp_path / f"crash{crash_at}"
+            shutil.copytree(tmp_path / "old", data_dir)
+            child = subprocess.run([sys.executable, "-c", CRASHING_LOAD, str(data_dir),
+                                    str(new_csv), str(crash_at)],
+                                   env=env, capture_output=True, text=True, timeout=120)
+            assert child.returncode in (0, 3), child.stderr
+            copy, reload = tmp_path / f"copy{crash_at}", tmp_path / f"reload{crash_at}"
+            shutil.copytree(data_dir, copy)
+            shutil.copytree(data_dir, reload)
+            rows = DbEngine(data_dir).execute(parse_query("SELECT a, b FROM t"))[0].rows
+            assert DbEngine(copy).has_table("t")
+            DbEngine(reload).load_table(old_csv, "t")
+            assert dir_bytes(reload / "t") == versions["old"][0]
+            for store in (data_dir, copy):  # no table set aside is left
+                assert {p.name for p in store.iterdir()} - {".t.loading"} == {"t"}
+            state = next(name for name, (files, _) in versions.items()
+                         if dir_bytes(data_dir / "t") == files)
+            assert rows == versions[state][1] and dir_bytes(copy / "t") == versions[state][0]
+            if child.returncode == 0:
+                assert state == "new"
+                break
+            seen.append(state)
+        assert seen[0] == "old" and seen[-1] == "new"
 
 
 class TestExecute:

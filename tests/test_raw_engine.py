@@ -255,6 +255,130 @@ class TestLimitProperty:
         assert cold.rows == full.rows[:limit] == hot.rows
 
 
+@pytest.fixture(scope="module")
+def wide_table(tmp_path_factory):
+    path = tmp_path_factory.mktemp("wide") / "t.csv"
+    generate_csv(path, rows=200_000, columns=12, seed=7)
+    return path
+
+
+@pytest.fixture
+def limit_readers(monkeypatch):
+    """The readers the LIMIT path opens from now on."""
+    readers = []
+
+    class Reader(tabular.CsvReader):
+        def __init__(self, *args):
+            super().__init__(*args)
+            readers.append(self)
+
+    monkeypatch.setattr(raw_engine, "CsvReader", Reader)
+    return readers
+
+
+def typed_bytes(rowmap):
+    """The bytes a column cut types: from its first row's start to the
+    newline ending its last row (LF files)."""
+    if not len(rowmap):
+        return 0
+    return int(rowmap.line_starts[-1]) + int(rowmap.ends[-1, -1]) + 1 - int(rowmap.line_starts[0])
+
+
+class TestWindowTyping:
+    """A LIMIT scan types each window it reads once, and a column by its
+    first window with rows."""
+
+    @pytest.fixture
+    def typed(self, monkeypatch):
+        """Bytes typed per column index by the LIMIT path's cuts."""
+        typed = {}
+
+        def counting(cut):
+            def counted(buf, rowmap, j):
+                typed[j] = typed.get(j, 0) + typed_bytes(rowmap)
+                return cut(buf, rowmap, j)
+            return counted
+
+        for name in ("cut_column", "cut_text"):
+            monkeypatch.setattr(raw_engine, name, counting(getattr(raw_engine, name)))
+        return typed
+
+    @pytest.mark.parametrize("where, limit", [("t.v05 < 5", 100), ("t.v05 < 500", 20)])
+    def test_each_window_is_typed_once(self, wide_table, typed, limit_readers, where, limit):
+        # Typing the whole prefix read at each doubling, as this path once
+        # did, typed 7,863,881 B per column for the first query (a 3,705,318 B
+        # tally) and 65,406 B for the second.
+        stmt = f"SELECT t.objid, t.v05 FROM t WHERE {where}"
+        result, stats = RawEngine().execute(parse_query(f"{stmt} LIMIT {limit}"),
+                                            files={"t": wide_table})
+        data = wide_table.read_bytes()
+        read = limit_readers[0].file_bytes - (data.find(b"\n") + 1)  # after the header
+        line = max(map(len, data[:1 << 17].split(b"\n")[1:-1])) + 1
+        assert stats.early_stop and set(typed) == {0, 5}
+        assert all(n <= read for n in typed.values()), (typed, read)
+        if limit == 20:
+            assert read == raw_engine._SCAN_CHUNK
+            assert all(n <= raw_engine._SCAN_CHUNK + line for n in typed.values())
+        full, _ = RawEngine().execute(parse_query(stmt), files={"t": wide_table})
+        assert result.rows == full.rows[:limit]
+        offsets = oracle_offsets(wide_table)
+        assert stats.bytes_read_from_disk == offsets[stats.rows_scanned]
+
+    @pytest.fixture
+    def tiny_windows(self, monkeypatch):
+        monkeypatch.setattr(raw_engine, "_SCAN_CHUNK", 16)
+        monkeypatch.setattr(tabular, "_SPLIT_WINDOW", 64)
+
+    def test_late_text_before_the_completing_row_scans_the_file(self, tmp_path, tiny_windows):
+        p = write_csv(tmp_path / "t.csv", ["a", "v"],
+                      [[i, "x" if i == 20 else i] for i in range(60)])
+        full, _ = RawEngine().execute(parse_query("SELECT v FROM t"), files={"t": p})
+        result, stats = RawEngine().execute(parse_query("SELECT v FROM t LIMIT 30"),
+                                            files={"t": p})
+        assert result.rows == full.rows[:30]
+        assert result.rows[0] == ("0",) and result.rows[20] == ("x",)
+        assert stats.structure_scans == 1 and stats.early_stop
+        size = os.path.getsize(p)
+        assert size < stats.bytes_read_from_disk < 2 * size  # the prefix and the file
+
+    def test_text_first_window_stays_text(self, tmp_path, tiny_windows):
+        p = write_csv(tmp_path / "t.csv", ["a", "v"],
+                      [[i, "x" if i == 0 else i] for i in range(60)])
+        full, _ = RawEngine().execute(parse_query("SELECT a, v FROM t"), files={"t": p})
+        result, stats = RawEngine().execute(
+            parse_query("SELECT a, v FROM t WHERE v > '3' LIMIT 20"), files={"t": p})
+        assert result.rows == [r for r in full.rows if r[1] > "3"][:20]
+        assert result.rows[-1] == (42.0, "42")
+        assert (stats.structure_scans, stats.rowmap_bytes) == (0, 0)
+        assert stats.bytes_read_from_disk == oracle_offsets(p)[43]
+        assert stats.rows_scanned == 43 and stats.early_stop
+
+    def test_text_after_the_completing_row_is_not_seen(self, tmp_path, tiny_windows):
+        """The documented divergence: a column whose first text value lies
+        past the windows read comes back numeric."""
+        p = write_csv(tmp_path / "t.csv", ["a", "v"],
+                      [[i, "x" if i == 50 else i] for i in range(60)])
+        result, stats = RawEngine().execute(parse_query("SELECT v FROM t LIMIT 5"),
+                                            files={"t": p})
+        assert result.rows == [(float(i),) for i in range(5)]
+        assert stats.structure_scans == 0 and stats.early_stop
+
+    @pytest.mark.parametrize("at", [13, 14, 15])  # the fourth read starts at row 14
+    @pytest.mark.parametrize("bad", [b"00000,1,2\n", b"\n", b"00000,\xff\n", b"00000,\xfe\n"],
+                             ids=["ragged", "blank", "not-utf8", "not-utf8-in-text"])
+    def test_bad_line_on_a_window_boundary(self, tmp_path, tiny_windows, at, bad):
+        # 8-byte rows after a 4-byte header: reads of 16, 32 and 64 bytes
+        # end after rows 2, 6 and 14.
+        rows = [b"%05d,%s\n" % (i, b"w" if bad == b"00000,\xfe\n" else b"1") for i in range(40)]
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"a,b\n" + b"".join(rows[:at]) + bad + b"".join(rows[at + 1:]))
+        with pytest.raises(FormatError) as expected:
+            scan_csv(p)
+        with pytest.raises(FormatError) as limited:
+            limit_stats(p, "SELECT a, b FROM t WHERE a < 0 LIMIT 5")
+        assert str(limited.value) == str(expected.value)
+
+
 class TestScansAndCache:
     def test_count_all_rows(self, small_table):
         engine = RawEngine()
@@ -376,27 +500,32 @@ class TestScansAndCache:
 
 
 class TestPositionalMap:
-    def test_limit_splits_each_byte_once(self, small_table, monkeypatch):
-        """Each round of a LIMIT scan splits only the lines its chunk
+    def test_limit_splits_each_byte_once(self, small_table, monkeypatch, limit_readers):
+        """Each window of a LIMIT scan splits only the lines its read
         completed: the windows split follow on from one another and cover
         the complete lines of the prefix read, each byte once."""
-        windows, rounds = [], []
-        window, rowmap = tabular.LineSplit._window, tabular.LineSplit.rowmap
-        monkeypatch.setattr(tabular.LineSplit, "_window", lambda self, arr, lo, hi: (
-            windows.append((lo, hi)) or window(self, arr, lo, hi)))
-        monkeypatch.setattr(tabular.LineSplit, "rowmap",
-                            lambda self: rounds.append(1) or rowmap(self))
+        windows = []
+        split = tabular.LineSplit.window
+
+        def window(self, buf, start=0):
+            rowmap, end = split(self, buf, start)
+            windows.append((bytes(buf), start, end))
+            return rowmap, end
+
+        monkeypatch.setattr(tabular.LineSplit, "window", window)
         monkeypatch.setattr(raw_engine, "_SCAN_CHUNK", 16)
         _, stats = RawEngine().execute(
             parse_query("SELECT objid FROM t WHERE ra < 300 LIMIT 40"), files={"t": small_table}
         )
         data = small_table.read_bytes()
         header = data.find(b"\n") + 1
-        prefix = data[: header + 16 * (2 ** len(rounds) - 1)]
-        assert stats.early_stop and len(rounds) > 3
-        assert windows[0][0] == header
-        assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
-        assert sum(hi - lo for lo, hi in windows) == prefix.rfind(b"\n") + 1 - header
+        prefix = data[: limit_readers[0].file_bytes]
+        assert stats.early_stop and len(windows) > 3
+        assert all(start == 0 for _, start, _ in windows)
+        assert all(b[0].startswith(a[0][a[2]:]) for a, b in zip(windows, windows[1:]))
+        body = b"".join(buf[:end] for buf, _, end in windows)
+        assert body == data[header: header + len(body)]
+        assert len(body) == prefix.rfind(b"\n") + 1 - header
 
     """Misses on a file tokenized once are cut from its positional map."""
 

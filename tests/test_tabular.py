@@ -223,13 +223,13 @@ def split_cases(draw):
 
 
 def split_outcome(split):
-    """Line starts, field ends from each line start and row ends, as lists,
-    or the FormatError message."""
+    """Line starts and field ends from each line start, as lists, or the
+    FormatError message."""
     try:
-        starts, ends, row_ends = split()
+        starts, ends = split()
     except FormatError as exc:
         return str(exc)
-    return starts.tolist(), ends.tolist(), row_ends.tolist()
+    return starts.tolist(), ends.tolist()
 
 
 class TestWindowedSplit:
@@ -251,9 +251,9 @@ class TestWindowedSplit:
         maps = []
 
         def windowed():
-            rowmap, row_ends = split_lines(buf, start, ncols, "t.csv")
+            rowmap, _ = split_lines(buf, start, ncols, "t.csv")
             maps.append(rowmap)
-            return rowmap.line_starts, rowmap.ends, row_ends
+            return rowmap.line_starts, rowmap.ends
 
         expected = split_outcome(lambda: split_whole(buf, start, ncols, "t.csv"))
         for window in (1, 7, 64, 1 << 20):

@@ -41,8 +41,7 @@ def split_whole(buf: bytes, start: int, ncols: int, path):
     """The structure step over the whole of `buf` at once, with masks and
     a delimiter array sized by it: the reference the windowed `split_lines`
     is tested against. Returns its map's line starts and field ends (from
-    each line start) and its row ends, as int64 arrays, or raises its
-    FormatError."""
+    each line start), as int64 arrays, or raises its FormatError."""
     arr = np.frombuffer(buf, dtype=np.uint8)
     body = arr[start:]
     delims = np.flatnonzero((body == COMMA) | (body == NEWLINE))
@@ -66,7 +65,7 @@ def split_whole(buf: bytes, start: int, ncols: int, path):
     grid = delims[: nrows * ncols].reshape(nrows, ncols)
     grid[:, -1] = line_ends[:nrows]
     line_starts = line_starts[:nrows]
-    return line_starts, grid - line_starts[:, None], newlines[:nrows] + 1
+    return line_starts, grid - line_starts[:, None]
 
 
 def load_whole(csv_path, directory, journal=False, columns=None):
