@@ -106,7 +106,7 @@ class DbEngine:
         return (self.data_dir / table / "meta").exists()
 
     def _recover(self, table: str) -> None:
-        """Settle a table swap that a crash cut short (see `load_table`): an
+        """Settle a table swap that a crash cut short (see `_swap_in`): an
         old table set aside comes back while no new one took its place, and
         is deleted once one has."""
         aside = self.data_dir / f".{table}.old"
@@ -140,8 +140,6 @@ class DbEngine:
             raise LoadError(f"table {table!r} is already loaded; truncate it first")
 
         start = time.perf_counter()
-        directory = self.data_dir / table
-        tmp_dir = self.data_dir / f".{table}.loading"
         with CsvReader(csv_path) as reader:
             if tee is not None:
                 tee.start(reader)
@@ -149,9 +147,7 @@ class DbEngine:
             kept = reader.indices(wanted)
             attrs = [reader.header[j] for j in kept]
             builders = {name: _ColumnBuilder(name, reader.header.index(name)) for name in wanted}
-            if tmp_dir.exists():
-                shutil.rmtree(tmp_dir)
-            tmp_dir.mkdir(parents=True)
+            tmp_dir = self._loading_dir(table)
             store = TableStore(directory=tmp_dir, attrs=attrs, types={}, row_count=0)
             stats = LoadStats()
             field_text = 0
@@ -189,37 +185,59 @@ class DbEngine:
             except BaseException:
                 shutil.rmtree(tmp_dir, ignore_errors=True)
                 raise
-        # The swap: at every step the table directory holds the old table
-        # or the new one, or the old one is set aside (`_recover`).
+        self._swap_in(table, store)
+        self.total_bytes_written += stats.total_written
+        stats.duration_ms = (time.perf_counter() - start) * 1000.0
+        return stats
+
+    def truncate_table(self, table: str) -> float:
+        """Empty a table: zero rows, empty column files of the same types,
+        reset statistics, no journal. The empty table is built beside the
+        table and swapped in (`_swap_in`), so a truncate cut short leaves
+        the old table or the empty one."""
+        start = time.perf_counter()
+        store = self._require_store(table, for_truncate=True)
+        tmp_dir = self._loading_dir(table)
+        empty = TableStore(directory=tmp_dir, attrs=store.attrs, types=store.types,
+                           row_count=0, minmax={attr: None for attr in store.attrs})
+        try:
+            for attr in empty.attrs:
+                _write_column(empty.col_path(attr), Column(np.empty(0, dtype=np.float64))
+                              if empty.types[attr] == FLOAT_TYPE else Column([]))
+            _write_meta(empty.meta_path, empty)
+        except BaseException:
+            shutil.rmtree(tmp_dir, ignore_errors=True)
+            raise
+        self._swap_in(table, empty)
+        return (time.perf_counter() - start) * 1000.0
+
+    def _loading_dir(self, table: str) -> Path:
+        """An empty `.<table>.loading`, where a new table is built for
+        `_swap_in`; one left by a pass cut short is removed."""
+        tmp_dir = self.data_dir / f".{table}.loading"
+        if tmp_dir.exists():
+            shutil.rmtree(tmp_dir)
+        tmp_dir.mkdir(parents=True)
+        return tmp_dir
+
+    def _swap_in(self, table: str, store: TableStore) -> None:
+        """Make `store`, built in `.<table>.loading`, the table. At every step
+        of the swap the table directory holds the old table or the new one,
+        or the old one is set aside (`_recover`): the old is renamed aside,
+        the new renamed in, the data directory fsynced and the aside
+        deleted."""
+        directory = self.data_dir / table
         aside = self.data_dir / f".{table}.old"
         self._recover(table)
         if directory.exists():
             directory.rename(aside)
-        tmp_dir.rename(directory)
+        store.directory.rename(directory)
         _fsync_directory(self.data_dir)
         if aside.exists():
             shutil.rmtree(aside)
         store.directory = directory
         self.cache.drop_matching(lambda key: key[0] == str(directory))
         self.stores[table] = store
-        self.total_bytes_written += stats.total_written
-        stats.duration_ms = (time.perf_counter() - start) * 1000.0
-        return stats
-
-    def truncate_table(self, table: str) -> float:
-        """Empty a table: zero rows, empty column files, reset statistics."""
-        start = time.perf_counter()
-        store = self._require_store(table, for_truncate=True)
-        for attr in store.attrs:
-            _write_column(store.col_path(attr), Column(np.empty(0, dtype=np.float64))
-                          if store.types[attr] == FLOAT_TYPE else Column([]))
-        store.row_count = 0
-        store.minmax = {attr: None for attr in store.attrs}
-        if store.journal_path.exists():
-            store.journal_path.unlink()
-        _write_meta(store.meta_path, store)
-        self.cache.drop_matching(lambda key: key[0] == str(store.directory))
-        return (time.perf_counter() - start) * 1000.0
 
     def _require_store(self, table: str, for_truncate: bool = False) -> TableStore:
         store = self.stores.get(table)
@@ -284,7 +302,10 @@ class DbEngine:
         if col is not None:
             stats.cache_hit_columns += 1
             return col
-        col, nbytes = _read_column(store.col_path(attr))
+        path = store.col_path(attr)
+        col, nbytes = _read_column(path)
+        if len(col) != store.row_count:
+            raise LoadError(f"{path}: holds {len(col)} rows, meta says {store.row_count}")
         stats.bytes_read_from_disk += nbytes
         self.cache.put(key, col, pinned=pinned)
         return col

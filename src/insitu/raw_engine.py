@@ -2,12 +2,13 @@
 
 Tokenizes at query time, keeps parsed columns in a RAM-budgeted LRU cache,
 stops LIMIT scans at the window that completes the result, and runs joins
-as deliberately unindexed nested loops. A LIMIT scan reads through
-`tabular.CsvReader`, 64 KiB first and doubling to 1 MiB, and types each
-window once; a column that a later window turns from numeric to text
-sends the query to a full scan, whose bytes are counted too. Full scans
-read whole files (`tabular.scan_csv`; `tabular` says why). The engine
-never writes to disk; all caching is in memory.
+as deliberately unindexed nested loops. Every read of a data file goes
+through `tabular.CsvReader`. A LIMIT scan iterates it, 64 KiB first and
+doubling to 1 MiB, and types each window once; a column that a later
+window turns from numeric to text sends the query to a full scan, whose
+bytes are counted too. A full scan (`tabular.scan_csv`) reads the rest of
+the file whole after its header, into one buffer (`tabular` says why). The
+engine never writes to disk; all caching is in memory.
 
 Per data file the engine keeps one record: its header, the (size,
 mtime_ns) it had when first seen, and, from the first full tokenization,

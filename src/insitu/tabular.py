@@ -1,27 +1,29 @@
 """Shared tabular primitives: typed columns, CSV scanning, result sets.
 
 Both query engines, the LIMIT path, loads and the plan slicer split lines
-with one tokenizer. `split_lines` finds every line and field end and
-returns them as a compact positional map (`RowMap`, as in NoDB), stamped
-with the file's (size, mtime_ns). A `LineSplit` walks each buffer it is
-given in line-aligned steps (as Instant Loading tokenizes a chunk at a
-time), keeps only each step's narrow line starts and field ends and joins
-them once per buffer, so no temporary is sized by the file. A scan always
-returns the map it worked from; the in-situ engine keeps it per file and
-hands it back to `scan_csv`, which skips `split_lines` while the file
-still has the map's stamp.
+with one tokenizer. A `LineSplit` finds every line and field end of the
+buffers it is given and returns them as a compact positional map
+(`RowMap`, as in NoDB). It walks each buffer in line-aligned steps (as
+Instant Loading tokenizes a chunk at a time), keeps only each step's
+narrow line starts and field ends and joins them once per buffer, so no
+temporary is sized by the file.
 
-Every read but a full scan's goes through one loop, `CsvReader`: a file
-read once, a window at a time, each window with its own map and one
+Every read of a data file goes through one reader, `CsvReader`: it opens
+the file, stamps it with its (size, mtime_ns) and checks its header.
+Loads, the plan slicer and the LIMIT path iterate it: the file is read
+once, a window at a time, each window with its own map and one
 `LineSplit` carrying on across the windows, so errors name the file's
-rows. Loads and the plan slicer
-read 1 MiB windows; the LIMIT path reads 64 KiB first and doubles to
-1 MiB, and stops at the window that completes its LIMIT. Only full scans
-read whole files (`read_csv`, for the maps the in-situ engine keeps): cut
-from the held map in 1 MiB windows instead, a miss on one numeric column
-of a 12-column file cost 17-21 % more in a measurement (2.27 -> 2.74 ms
-at 4.2 MB, 4.56 -> 5.33 ms at 8.4 MB; minimum of 40 interleaved runs,
-2 cores), and misses are the in-situ engine's hot layer.
+rows. Loads and the plan slicer read 1 MiB windows; the LIMIT path reads
+64 KiB first and doubles to 1 MiB, and stops at the window that completes
+its LIMIT. A full scan (`scan_csv`) reads the rest of the file whole
+instead (`CsvReader.read_rest`), into one buffer, and returns the map it
+worked from, stamped; the in-situ engine keeps it per file and hands it
+back, and the split is skipped while the file still has the map's stamp.
+Full scans read whole files because cut from the held map in 1 MiB
+windows instead, a miss on one numeric column of a 12-column file cost
+17-21 % more in a measurement (2.27 -> 2.74 ms at 4.2 MB, 4.56 -> 5.33 ms
+at 8.4 MB; minimum of 40 interleaved runs, 2 cores), and misses are the
+in-situ engine's hot layer.
 
 Values are typed by one rule: a column is float64 when every value read
 parses as a number (`np.asarray(fields, np.float64)` on the field bytes),
@@ -217,17 +219,17 @@ class RowMap:
     the one form in which the tokenizer describes a file's structure.
 
     `line_starts[r]` is the offset of data line r in the bytes the map was
-    built from (a whole file, or one `CsvReader` window), and `ends[r, j]`
-    the end of its field j counted from that start; the last field ends at
-    the line end, before any "\\r". Each array has the narrowest unsigned
-    dtype that holds its values, so a file whose lines are all shorter than
-    256 bytes costs one byte per field plus one offset per line. The number
-    of lines is the row count of those bytes. `LineSplit` builds a map one
-    step at a time and joins the steps' narrow parts once. A map
-    describes the bytes it was built from and nothing else. `stamp` is the
-    (size, mtime_ns) of the whole file it was built from (None for a
-    window's map); `read_csv` reuses a map only while its file keeps that
-    stamp.
+    built from (the data lines of a whole file, or one `CsvReader` window:
+    offset 0 is the first data line either way), and `ends[r, j]` the end
+    of its field j counted from that start; the last field ends at the line
+    end, before any "\\r". Each array has the narrowest unsigned dtype that
+    holds its values, so a file whose lines are all shorter than 256 bytes
+    costs one byte per field plus one offset per line. The number of lines
+    is the row count of those bytes. `LineSplit` builds a map one step at a
+    time and joins the steps' narrow parts once. A map describes the bytes
+    it was built from and nothing else. `stamp` is the (size, mtime_ns) of
+    the whole file it was built from (None for a window's map);
+    `CsvReader.read_rest` reuses a map only while its file keeps that stamp.
     `path` names that file in errors from cuts.
     """
 
@@ -256,11 +258,9 @@ class RowMap:
 
 
 def read_header(path) -> list[str]:
-    with open(path, "rb") as f:
-        line = f.readline()
-    if not line:
-        raise FormatError(f"{path}: empty file")
-    return _header_names(line.removesuffix(b"\n"), path)
+    """The column names of a data file's header line (see `CsvReader`)."""
+    with CsvReader(path) as reader:
+        return reader.header
 
 
 def _header_names(line: bytes, path) -> list[str]:
@@ -282,55 +282,31 @@ def file_stamp(st: os.stat_result) -> tuple[int, int]:
     return st.st_size, st.st_mtime_ns
 
 
-def read_csv(path, wanted=None, rowmap: RowMap | None = None):
-    """Read a data file whole, check its header and map its lines; the
-    prelude of `scan_csv`.
-
-    Returns the file bytes (a final newline added when missing), the file
-    size, the header names, the wanted names (every column for None) and
-    the file's positional map. That is `rowmap`, a map from an earlier read,
-    while the file keeps the stamp on it; else the lines are split again.
-    Raises FormatError on an empty file, a repeated header name, a wanted
-    name missing from the header or a ragged row.
-    """
-    with open(path, "rb") as f:
-        stamp = file_stamp(os.fstat(f.fileno()))  # a write during the read changes it
-        raw = f.read()
-    if not raw:
-        raise FormatError(f"{path}: empty file")
-    file_bytes = len(raw)
-    if not raw.endswith(b"\n"):
-        raw += b"\n"
-    nl = raw.find(b"\n")
-    header = _header_names(raw[:nl], path)
-    wanted = header if wanted is None else list(wanted)
-    for name in wanted:
-        if name not in header:
-            raise FormatError(f"{path}: no column named {name!r}")
-    if rowmap is None or rowmap.stamp != stamp:
-        rowmap, _ = split_lines(raw, nl + 1, len(header), path)
-        rowmap.stamp = stamp
-    return raw, file_bytes, header, wanted, rowmap
-
-
 def scan_csv(path, wanted=None, rowmap: RowMap | None = None) -> CsvScan:
     """Scan a CSV file in one pass, parsing only the wanted columns.
 
     `wanted` is a collection of header names (None parses every column,
     an empty collection parses none and just validates structure).
-    Raises FormatError on ragged rows, naming the first bad data row.
+    Raises FormatError on an empty file, a repeated header name, a wanted
+    name missing from the header or a ragged row, naming the first bad
+    data row.
 
     `rowmap` is the positional map of an earlier scan of the file: while
     the file keeps the stamp on it, the fields are cut straight from it,
-    skipping `split_lines`. Either way the file is read whole, the result
-    is the same and `CsvScan.rowmap` holds the map the fields were cut from.
+    skipping the split. Either way the file is read whole
+    (`CsvReader.read_rest`), the result is the same and `CsvScan.rowmap`
+    holds the map the fields were cut from.
     """
-    raw, file_bytes, header, wanted, rowmap = read_csv(path, wanted, rowmap)
+    with CsvReader(path) as reader:
+        header = reader.header
+        wanted = header if wanted is None else list(wanted)
+        reader.indices(wanted)
+        buf, rowmap = reader.read_rest(rowmap)
     return CsvScan(
         header=header,
-        columns={name: cut_column(raw, rowmap, header.index(name)) for name in wanted},
+        columns={name: cut_column(buf, rowmap, header.index(name)) for name in wanted},
         row_count=len(rowmap),
-        file_bytes=file_bytes,
+        file_bytes=reader.file_bytes,
         rowmap=rowmap,
     )
 
@@ -341,21 +317,6 @@ def scan_csv(path, wanted=None, rowmap: RowMap | None = None) -> CsvScan:
 _SPLIT_WINDOW = 1 << 20
 
 
-def split_lines(buf: bytes, start: int, ncols: int, path):
-    """Structure step of the tokenizer: find every data line of `buf` from
-    offset `start` and the end of each of its fields.
-
-    A line ends at its newline, less one "\\r" before it (CRLF files); bytes
-    after the last newline belong to no line. Blank lines at the end are
-    not rows; a blank line before a data line is a one-field row. Raises
-    FormatError on the first row whose field count is not `ncols`,
-    numbering rows from 1. Returns the lines' positional map (offsets into
-    `buf`) and the offset just past the last row's newline: one
-    `LineSplit.window` over the whole buffer.
-    """
-    return LineSplit(ncols, path).window(buf, start)
-
-
 class LineSplit:
     """The structure step over a file's data lines, one buffer at a time:
     `window` splits the complete lines of each buffer and numbers its rows
@@ -364,7 +325,9 @@ class LineSplit:
     starts and field ends, which are joined once per buffer, so no
     temporary is sized by the buffer.
 
-    Blank lines after the last non-blank line wait: a later non-blank line
+    A line ends at its newline, less one "\\r" before it (CRLF files). The
+    first row whose field count is not `ncols` is a FormatError, numbering
+    rows from 1. Blank lines after the last non-blank line wait: a later non-blank line
     makes them rows, which with `ncols` > 1 is the FormatError of the
     first of them; at the end of the data they are no rows."""
 
@@ -373,19 +336,18 @@ class LineSplit:
         self.path = path
         self._rows = 0  # rows split, up to the last non-blank line
 
-    def window(self, buf: bytes, start: int = 0):
-        """Split the complete lines of `buf` from offset `start`, the first
-        line following the last row split so far: the map of its rows
-        (offsets into `buf`) and the offset just past the last of them, 0
-        when it holds none. Blank lines after that row and a partial last
-        line stay unsplit, for the next buffer to start with. A step ends at
-        the first newline at or past `_SPLIT_WINDOW` bytes, so a longer line
-        makes a longer step."""
+    def window(self, buf: bytes):
+        """Split the complete lines of `buf`, whose first line follows the
+        last row split so far: the map of its rows (offsets into `buf`) and
+        the offset just past the last of them, 0 when it holds none. Blank
+        lines after that row and a partial last line stay unsplit, for the
+        next buffer to start with. A step ends at the first newline at or
+        past `_SPLIT_WINDOW` bytes, so a longer line makes a longer step."""
         rows = self._rows
         self._lines, self._blank_row, self._row_end = rows, None, 0
         self._starts = [np.empty(0, np.uint8)]  # narrow parts, one per step
         self._ends = [np.empty((0, self.ncols), np.uint8)]
-        stop = max(buf.rfind(b"\n", start) + 1, start)
+        start, stop = 0, buf.rfind(b"\n") + 1
         arr = np.frombuffer(buf, dtype=np.uint8)
         while start < stop:
             end = buf.find(b"\n", min(start + _SPLIT_WINDOW, stop) - 1, stop) + 1
@@ -441,25 +403,33 @@ class LineSplit:
 
 
 class CsvReader:
-    """One pass over a data file in line-aligned windows: how loads, the
-    plan slicer and the LIMIT path read, so that they hold a window of a
-    file, never the whole of it. The first read is `first_read` bytes
+    """The one reader of data files. Opening takes the file's (size,
+    mtime_ns) `stamp` and checks its header (`indices` checks wanted names);
+    the rest of the file is then read one of two ways.
+
+    Iterating is one pass in line-aligned windows: how loads, the plan
+    slicer and the LIMIT path read, so that they hold a window of a file,
+    never the whole of it. The first read is `first_read` bytes
     (`_SPLIT_WINDOW` by default) and each later one twice the last, up to
     `_SPLIT_WINDOW`; a read that completes no line is joined to the next.
-    Opening checks the header as `read_csv` does (`indices` checks wanted
-    names); iterating yields `(buf, rowmap, size)` per window: its bytes,
-    its rows' map and how many of its bytes are the source's and not
-    carried into the next window (all but the newline added after a last
-    line without one, at the end). One `LineSplit` carries on from window
-    to window, so a FormatError names the file's row. Each byte after the
-    header is in exactly one window's `size`; blank lines at the end are in
-    the last and are no rows. `file_bytes` and `rows` count what was read."""
+    It yields `(buf, rowmap, size)` per window: its bytes, its rows' map
+    and how many of its bytes are the source's and not carried into the
+    next window (all but the newline added after a last line without one,
+    at the end). One `LineSplit` carries on from window to window, so a
+    FormatError names the file's row. Each byte after the header is in
+    exactly one window's `size`; blank lines at the end are in the last and
+    are no rows.
+
+    `read_rest` reads the rest in one buffer, as a full scan does.
+    `file_bytes` and `rows` count what was read."""
 
     def __init__(self, path, first_read: int | None = None):
         self.path = path
         self.first_read = first_read
         self._file = open(path, "rb")
         try:
+            # Taken before the read: a write during it changes the stamp.
+            self.stamp = file_stamp(os.fstat(self._file.fileno()))
             line = self._file.readline()
             if not line:
                 raise FormatError(f"{path}: empty file")
@@ -484,6 +454,23 @@ class CsvReader:
                 raise FormatError(f"{self.path}: no column named {name!r}")
         kept = set(names)
         return [j for j, name in enumerate(self.header) if name in kept]
+
+    def read_rest(self, rowmap: RowMap | None = None):
+        """The rest of the file in one buffer, a final newline added when
+        missing, and the buffer's map, stamped: `rowmap`, a map from an
+        earlier read, while the file keeps the stamp on it; else the buffer
+        is split. The read is sized from `stamp`, so the buffer is allocated
+        once; a read to the end of the file would join what the header's
+        read buffered to the rest, a second copy of the file."""
+        buf = self._file.read(max(self.stamp[0] - self.file_bytes, 0))
+        self.file_bytes += len(buf)
+        if not buf.endswith(b"\n"):
+            buf += b"\n"
+        if rowmap is None or rowmap.stamp != self.stamp:
+            rowmap, _ = LineSplit(len(self.header), self.path).window(buf)
+            rowmap.stamp = self.stamp
+        self.rows = len(rowmap)
+        return buf, rowmap
 
     def __iter__(self):
         split = LineSplit(len(self.header), self.path)
@@ -532,11 +519,11 @@ def cut_rows(buf: bytes, rowmap: RowMap, keep):
     a row being `buf[s:e]` for its pair of `rowmap.bounds(j)`.
 
     Each field is widened by the one byte after it (its comma, or the "\\r"
-    or "\\n" that ends its line; `read_csv` and `CsvReader` add a final
-    newline), all of a block's widened fields are gathered with one fancy
-    index, and the copied delimiter bytes are overwritten. A block is at most
-    `_BLOCK_ROWS` rows, and holds only the rows that start less than
-    `_BLOCK_BYTES` past its first."""
+    or "\\n" that ends its line; `CsvReader` adds a final newline), all of
+    a block's widened fields are gathered with one fancy index, and the
+    copied delimiter bytes are overwritten. A block is at most `_BLOCK_ROWS`
+    rows, and holds only the rows that start less than `_BLOCK_BYTES` past
+    its first."""
     arr = np.frombuffer(buf, dtype=np.uint8)
     lo = 0
     while lo < len(rowmap):

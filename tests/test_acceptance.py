@@ -5,8 +5,10 @@ generated once per session into a shared temporary directory; total
 runtime is a few minutes on a laptop-class machine.
 """
 import json
+import math
 import os
 import random
+import shutil
 import statistics
 import time
 
@@ -538,33 +540,51 @@ def test_criterion_10_partition_wet_reduction(workdir):
     schema = [f"wide.{a}" for a in read_header(wide_csv)]
     schema += [f"u.{a}" for a in read_header(u_csv)]
 
-    # Load-everything baseline: bulk-load both tables, run all queries on db.
-    base_db = DbEngine(d / "base_db")
-    base_durations = {
-        "LOAD_wide": base_db.load_table(wide_csv, "wide").duration_ms,
-        "LOAD_u": base_db.load_table(u_csv, "u").duration_ms,
-    }
-    for qid, ast in asts.items():
-        base_durations[qid] = base_db.execute(ast)[1].duration_ms
-    base_wet = wet(base_durations, {"LOAD_wide", "LOAD_u"})
+    sources = {"wide": wide_csv, "u": u_csv}
+
+    def best_of_5(*arms):
+        """Each arm's minimum WET total (ms) over five rounds. A round runs
+        every arm once, in turn, each in a new directory, so with fresh
+        engines and stores. The host's speed swings in spells shorter than
+        a round, so one arm's single run can land in a fast spell that the
+        other arm's runs all miss; the more rounds, the likelier every arm
+        meets one."""
+        best = [math.inf] * len(arms)
+        for rep in range(5):
+            for i, arm in enumerate(arms):
+                run_dir = d / f"arm{i}-{rep}"
+                best[i] = min(best[i], arm(run_dir))
+                shutil.rmtree(run_dir, ignore_errors=True)
+        return best
+
+    def base_arm(run_dir):
+        """Load-everything baseline: bulk-load both tables, run all queries on db."""
+        db = DbEngine(run_dir)
+        durations = {f"LOAD_{t}": db.load_table(p, t).duration_ms for t, p in sources.items()}
+        for qid, ast in asts.items():
+            durations[qid] = db.execute(ast)[1].duration_ms
+        return wet(durations, {"LOAD_wide", "LOAD_u"}).total_ms
+
+    def plan_arm(plan, queries, query_classes):
+        """A plan's WET: materialized as `insitu run` does (one pass per
+        source), then each query on the side it routes to."""
+        def run(run_dir):
+            db = DbEngine(run_dir / "db")
+            raw_paths, load_stats, _ = materialize_plan(plan, sources, run_dir / "out", db)
+            raw = RawEngine()
+            for table, p in raw_paths.items():
+                raw.register(table, p)
+            durations = {f"LOAD_{t}": s.duration_ms for t, s in load_stats.items()}
+            for qid, ast in queries.items():
+                side = route_query(query_classes[qid], plan, query_id=qid)
+                durations[qid] = (raw if side == "raw" else db).execute(ast)[1].duration_ms
+            return wet(durations, {k for k in durations if k.startswith("LOAD_")}).total_ms
+        return run
 
     # QCA: simple-query attrs stay raw; complex attrs load.
     plan = qca_partition(classes, schema)
-    qca_db = DbEngine(d / "qca_db")
-    sources = {"wide": wide_csv, "u": u_csv}
-    # Materialize as `insitu run` does: one pass per source.
-    raw_paths, load_stats, _ = materialize_plan(plan, sources, d / "qca_out", qca_db)
-    qca_raw = RawEngine()
-    for table, p in raw_paths.items():
-        qca_raw.register(table, p)
-    qca_durations = {f"LOAD_{t}": s.duration_ms for t, s in load_stats.items()}
-    for qid, ast in asts.items():
-        side = route_query(classes[qid], plan, query_id=qid)
-        engine = qca_raw if side == "raw" else qca_db
-        qca_durations[qid] = engine.execute(ast)[1].duration_ms
-    qca_wet = wet(qca_durations, {k for k in qca_durations if k.startswith("LOAD_")})
-
-    qca_ratio = qca_wet.total_ms / base_wet.total_ms
+    qca_ms, base_ms = best_of_5(plan_arm(plan, asts, classes), base_arm)
+    qca_ratio = qca_ms / base_ms
     assert qca_ratio <= 0.5, f"QCA WET ratio {qca_ratio:.2f} exceeds 0.5"
 
     # RUA on a sampling-dominated workload vs raw-on-original.
@@ -576,35 +596,26 @@ def test_criterion_10_partition_wet_reduction(workdir):
     rua_asts = {qid: parse_query(s) for qid, s in rua_workload}
     rua_classes = {qid: classify(a) for qid, a in rua_asts.items()}
 
-    base_raw = RawEngine(join_guard_pairs=CORPUS_GUARD)
-    base_raw.register("wide", wide_csv)
-    base_raw.register("u", u_csv)
-    raw_durations = {}
-    raw_exec = {}
-    for qid, ast in rua_asts.items():
-        _, stats = base_raw.execute(ast)
-        raw_durations[qid] = stats.duration_ms
-        raw_exec[qid] = stats
-    raw_wet_total = wet(raw_durations, set()).total_ms
+    raw_exec = {}  # the last run's stats, for the RUA plan
 
+    def raw_arm(run_dir):
+        raw = RawEngine(join_guard_pairs=CORPUS_GUARD)
+        for table, p in sources.items():
+            raw.register(table, p)
+        for qid, ast in rua_asts.items():
+            raw_exec[qid] = raw.execute(ast)[1]
+        return wet({q: s.duration_ms for q, s in raw_exec.items()}, set()).total_ms
+
+    # The advisor's profiles come from a first raw run, as `insitu run`'s
+    # would from the workload's; `raw_exec` keeps the last run's stats.
+    raw_arm(d / "profile")
     profiles = profiles_from_exec_stats(raw_exec, SystemSpec())
     rua_plan = rua_partition(rua_classes, profiles, schema)
     assert all(rua_plan.routing[qid] == "raw" for qid, _ in sampling)
     assert all(rua_plan.routing[qid] == "db" for qid, _ in complex_q)
 
-    rua_db = DbEngine(d / "rua_db")
-    rua_raw_paths, rua_load, _ = materialize_plan(rua_plan, sources, d / "rua_out", rua_db)
-    rua_raw = RawEngine()
-    for table, p in rua_raw_paths.items():
-        rua_raw.register(table, p)
-    rua_durations = {f"LOAD_{t}": s.duration_ms for t, s in rua_load.items()}
-    for qid, ast in rua_asts.items():
-        side = route_query(rua_classes[qid], rua_plan, query_id=qid)
-        engine = rua_raw if side == "raw" else rua_db
-        rua_durations[qid] = engine.execute(ast)[1].duration_ms
-    rua_wet = wet(rua_durations, {k for k in rua_durations if k.startswith("LOAD_")})
-
-    rua_ratio = rua_wet.total_ms / raw_wet_total
+    rua_ms, raw_ms = best_of_5(plan_arm(rua_plan, rua_asts, rua_classes), raw_arm)
+    rua_ratio = rua_ms / raw_ms
     assert rua_ratio <= 0.5, f"RUA WET ratio {rua_ratio:.2f} exceeds 0.5"
     announce(10, f"QCA WET {qca_ratio:.2f}x of load-everything; "
                  f"RUA WET {rua_ratio:.2f}x of raw-on-original (both <= 0.5)")

@@ -31,8 +31,8 @@ from insitu.errors import (
 )
 from insitu.query_model import QueryClass, classify, parse_query
 from insitu.raw_engine import RawEngine
-from insitu.tabular import ResultSet, cut_rows, read_csv, read_header, scan_csv
-from util import CONTRACT_INPUTS, counting_opens, cut_fields, write_csv
+from insitu.tabular import CsvReader, ResultSet, cut_rows, read_header, scan_csv
+from util import CONTRACT_INPUTS, counting_opens, cut_fields, read_whole, write_csv
 
 MB = 1024 * 1024
 
@@ -497,9 +497,10 @@ class TestSliceContract:
 def row_writer(source, out, attrs):
     """The slicer's earlier row writer, the oracle of the block gather: one
     `bytes` per kept field, joined row by row."""
-    raw, _, header, attrs, rowmap = read_csv(source, attrs)
-    kept = set(attrs)
-    keep = [i for i, name in enumerate(header) if name in kept]
+    with CsvReader(source) as reader:
+        keep = reader.indices(attrs)
+        raw, rowmap = reader.read_rest()
+    header = reader.header
     fields = cut_fields(raw, rowmap, keep)
     with open(out, "wb") as o:
         o.write((",".join(header[i] for i in keep) + "\n").encode("utf-8"))
@@ -588,7 +589,7 @@ class TestSliceGather:
     def test_one_block_per_write(self, tmp_path):
         src = tmp_path / "t.csv"
         src.write_bytes(block_rows(2 * tabular._BLOCK_ROWS + 1))
-        raw, _, _, _, rowmap = read_csv(src)
+        raw, rowmap, _ = read_whole(src)
         blocks = list(cut_rows(raw, rowmap, [0, 2]))
         assert [bytes(b).count(b"\n") for b in blocks] == [tabular._BLOCK_ROWS] * 2 + [1]
 
@@ -602,7 +603,7 @@ class TestSliceGather:
         assert self.slice_outcome(data, [1, 3]) == self.slice_outcome(data, [1, 3], row_writer)
         src = tmp_path / "t.csv"
         src.write_bytes(data)
-        raw, _, _, _, rowmap = read_csv(src)
+        raw, rowmap, _ = read_whole(src)
         counts = [bytes(b).count(b"\n") for b in cut_rows(raw, rowmap, [1, 3])]
         assert sum(counts) == len(lines) and max(counts) < 10
         starts = rowmap.line_starts.astype(int).tolist() + [len(raw)]

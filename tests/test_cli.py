@@ -14,6 +14,8 @@ from insitu.cli import (
 )
 from insitu.datagen import generate_csv
 from insitu.db_engine import DbEngine
+from insitu.errors import LoadError
+from insitu.query_model import parse_query
 from insitu.stat_sources import ProcfsSource
 from insitu.tabular import ResultSet
 from util import write_csv
@@ -265,6 +267,24 @@ class TestRun:
         assert (report["status"], report["failed_task"]) == ("error", "Q1")
         assert [t["kind"] for t in report["tasks"]] == ["query", "failed"]
         assert "1.col: unreadable header" in report["tasks"][-1]["error"]
+
+    def test_short_column_is_a_failed_task(self, tmp_path, workload):
+        # A column emptied in place while `meta` still counts its rows, as a
+        # truncate cut short could leave it: no answer over the short column.
+        out = tmp_path / "out"
+        argv = ["run", "--engine", "db", "--source", "synthetic", "--out", str(out)]
+        assert main(argv + ["--workload", str(workload)]) == EXIT_OK
+        store = out / "db_store"
+        (store / "photoprimary" / "0.col").write_bytes(b"f64 0\n")
+        short = "0.col: holds 0 rows, meta says 3000"
+        with pytest.raises(LoadError, match=short):
+            DbEngine(store).execute(parse_query("SELECT objid FROM photoprimary WHERE ra < 10"))
+        wl = tmp_path / "rerun.csv"
+        wl.write_text('T_ID,Statement\nQ0,"SELECT objid FROM PhotoPrimary WHERE ra < 10;"\n')
+        assert main(argv + ["--workload", str(wl)]) == EXIT_ENGINE
+        report = json.loads((out / "report.json").read_text())
+        assert (report["status"], report["failed_task"]) == ("error", "Q0")
+        assert short in report["tasks"][-1]["error"]
 
     def test_os_error_in_a_task_is_a_failed_task(self, tmp_path, dataset):
         # The COPY source does not exist: the open fails with an OSError.

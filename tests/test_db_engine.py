@@ -132,14 +132,15 @@ class TestTruncate:
         assert engine.truncate_table("t") >= 0.0
 
 
-# Loads `sys.argv[2]` as table t of the store at `sys.argv[1]`, exiting at
-# once after the table swap's step `sys.argv[3]` (a rename, fsync or rmtree).
-CRASHING_LOAD = """
+# Loads `sys.argv[2]` as table t of the store at `sys.argv[1]`, or with
+# `sys.argv[3]` "truncate" truncates t, exiting at once after the table
+# swap's step `sys.argv[4]` (a rename, fsync or rmtree).
+CRASHING_SWAP = """
 import os, shutil, sys
 from pathlib import Path
 from insitu.db_engine import DbEngine
 
-data_dir, source, crash_at = sys.argv[1], sys.argv[2], int(sys.argv[3])
+data_dir, source, op, crash_at = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
 steps = 0
 
 def step(fn):
@@ -153,7 +154,8 @@ def step(fn):
     return run
 
 Path.rename, os.fsync, shutil.rmtree = step(Path.rename), step(os.fsync), step(shutil.rmtree)
-DbEngine(data_dir).load_table(source, "t")
+engine = DbEngine(data_dir)
+engine.truncate_table("t") if op == "truncate" else engine.load_table(source, "t")
 """
 
 
@@ -163,12 +165,24 @@ class TestSwapDurability:
         that reopens, by `execute` or by `has_table`, to exactly the old
         table or exactly the new one, and takes the next load; that load
         removes an unswapped `.t.loading`."""
+        self.crash_at_each_step(tmp_path, "load")
+
+    def test_truncate_crash_at_each_step_reopens_old_or_empty(self, tmp_path):
+        """The same for a truncate, whose new table is the empty one."""
+        self.crash_at_each_step(tmp_path, "truncate")
+
+    @staticmethod
+    def crash_at_each_step(tmp_path, op):
         old_csv = write_csv(tmp_path / "old.csv", ["a", "b"], [[1, 2], [3, 4]])
         new_csv = write_csv(tmp_path / "new.csv", ["a", "b"], [[5, "x"], [6, "y"], [7, "z"]])
         versions = {}
         for name, csv in (("old", old_csv), ("new", new_csv)):
             engine = DbEngine(tmp_path / name)
-            engine.load_table(csv, "t")
+            if op == "truncate" and name == "new":
+                engine.load_table(old_csv, "t")
+                engine.truncate_table("t")
+            else:
+                engine.load_table(csv, "t")
             rows = engine.execute(parse_query("SELECT a, b FROM t"))[0].rows
             versions[name] = (dir_bytes(tmp_path / name / "t"), rows)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -178,8 +192,8 @@ class TestSwapDurability:
         for crash_at in itertools.count(1):
             data_dir = tmp_path / f"crash{crash_at}"
             shutil.copytree(tmp_path / "old", data_dir)
-            child = subprocess.run([sys.executable, "-c", CRASHING_LOAD, str(data_dir),
-                                    str(new_csv), str(crash_at)],
+            child = subprocess.run([sys.executable, "-c", CRASHING_SWAP, str(data_dir),
+                                    str(new_csv), op, str(crash_at)],
                                    env=env, capture_output=True, text=True, timeout=120)
             assert child.returncode in (0, 3), child.stderr
             copy, reload = tmp_path / f"copy{crash_at}", tmp_path / f"reload{crash_at}"

@@ -507,9 +507,9 @@ class TestPositionalMap:
         windows = []
         split = tabular.LineSplit.window
 
-        def window(self, buf, start=0):
-            rowmap, end = split(self, buf, start)
-            windows.append((bytes(buf), start, end))
+        def window(self, buf):
+            rowmap, end = split(self, buf)
+            windows.append((bytes(buf), end))
             return rowmap, end
 
         monkeypatch.setattr(tabular.LineSplit, "window", window)
@@ -521,9 +521,8 @@ class TestPositionalMap:
         header = data.find(b"\n") + 1
         prefix = data[: limit_readers[0].file_bytes]
         assert stats.early_stop and len(windows) > 3
-        assert all(start == 0 for _, start, _ in windows)
-        assert all(b[0].startswith(a[0][a[2]:]) for a, b in zip(windows, windows[1:]))
-        body = b"".join(buf[:end] for buf, _, end in windows)
+        assert all(b[0].startswith(a[0][a[1]:]) for a, b in zip(windows, windows[1:]))
+        body = b"".join(buf[:end] for buf, end in windows)
         assert body == data[header: header + len(body)]
         assert len(body) == prefix.rfind(b"\n") + 1 - header
 

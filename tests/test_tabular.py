@@ -19,17 +19,16 @@ from insitu.tabular import (
     COMPARATORS,
     TEXT_ENTRY_OVERHEAD,
     Column,
+    LineSplit,
     ResultSet,
     _text_literal,
     column_from_strings,
     cut_column,
     predicate_mask,
-    read_csv,
     scan_csv,
-    split_lines,
     text_column,
 )
-from util import CONTRACT_INPUTS, cut_fields, split_whole, write_csv
+from util import CONTRACT_INPUTS, cut_fields, read_whole, split_whole, write_csv
 
 
 def make_col(n):
@@ -104,6 +103,31 @@ class TestScanCsv:
         p = write_csv(tmp_path / "t.csv", ["a"], [[1]])
         with pytest.raises(FormatError, match="zz"):
             scan_csv(p, wanted=["zz"])
+
+    def test_full_scan_holds_one_copy_of_its_file(self, tmp_path, monkeypatch):
+        """A cold and a hot scan each peak under the file, its map and a few
+        split windows: the read after the header is sized, so the buffer is
+        allocated once. An unsized `read()` joins what the header's
+        `readline()` buffered to the rest, a second copy of the file
+        (about 58 of these 64 KiB windows over the bound's base here)."""
+        from insitu import tabular
+
+        window = 1 << 16
+        monkeypatch.setattr(tabular, "_SPLIT_WINDOW", window)
+        p = tmp_path / "t.csv"
+        generate_csv(p, rows=25_000, columns=12, seed=1)
+        size = p.stat().st_size
+        assert size >= 4 << 20
+        rowmap = scan_csv(p, []).rowmap
+        for wanted, held in (([], None), (["v05"], rowmap)):
+            tracemalloc.start()
+            try:
+                scan = scan_csv(p, wanted, rowmap=held)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert scan.file_bytes == size
+            assert peak < size + rowmap.nbytes + 16 * window, (wanted, peak - size)
 
 
 FIELDS = st.sampled_from(["", "0", "-1.5", "2e3", "x", "ab", "nan"])
@@ -189,9 +213,9 @@ class TestRowMap:
         old = scan_csv(p, []).rowmap
         assert old.stamp == (p.stat().st_size, p.stat().st_mtime_ns)
         splits = []
-        split = tabular.split_lines
-        monkeypatch.setattr(tabular, "split_lines",
-                            lambda *a, **k: splits.append(a) or split(*a, **k))
+        split = tabular.LineSplit.window
+        monkeypatch.setattr(tabular.LineSplit, "window",
+                            lambda self, buf: splits.append(buf) or split(self, buf))
         assert scan_csv(p, ["b"], rowmap=old).rowmap is old
         assert splits == []
         write_csv(p, ["a", "b"], [[10, 20], [30, 40], [50, 60]])
@@ -202,7 +226,7 @@ class TestRowMap:
 
 @st.composite
 def split_cases(draw):
-    """A buffer and the offset of its first data line, for `split_lines`:
+    """A buffer and the offset of its first data line, for `LineSplit`:
     good, ragged and blank lines, each ending in LF or CRLF, "\\r" in
     fields, lines of up to 80 bytes (longer than a window of 1, 7 or 64
     bytes), a header ending in "\\r\\r\\n" or not, and after the last
@@ -233,8 +257,8 @@ def split_outcome(split):
 
 
 class TestWindowedSplit:
-    """`split_lines` walks line-aligned windows; the whole-buffer split it
-    replaced (`split_whole`) is the reference."""
+    """`LineSplit.window` walks line-aligned windows; the whole-buffer split
+    it replaced (`split_whole`) is the reference."""
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(split_cases())
@@ -248,14 +272,15 @@ class TestWindowedSplit:
         from insitu import tabular
 
         buf, start, ncols = case
+        body = buf[start:]  # the data lines, as a reader hands them over
         maps = []
 
         def windowed():
-            rowmap, _ = split_lines(buf, start, ncols, "t.csv")
+            rowmap, _ = LineSplit(ncols, "t.csv").window(body)
             maps.append(rowmap)
             return rowmap.line_starts, rowmap.ends
 
-        expected = split_outcome(lambda: split_whole(buf, start, ncols, "t.csv"))
+        expected = split_outcome(lambda: split_whole(body, ncols, "t.csv"))
         for window in (1, 7, 64, 1 << 20):
             with mock.patch.object(tabular, "_SPLIT_WINDOW", window):
                 assert split_outcome(windowed) == expected, window
@@ -264,7 +289,7 @@ class TestWindowedSplit:
             assert {m.ends.dtype for m in maps} == {np.min_scalar_type(widest)}
 
     def test_temporaries_stay_within_a_window(self, tmp_path, monkeypatch):
-        """Beyond the buffer, `split_lines` holds at most the map's parts and
+        """Beyond the buffer, `LineSplit` holds at most the map's parts and
         the joined map, plus one window's temporaries; the whole-buffer split
         held about twice the buffer."""
         from insitu import tabular
@@ -274,11 +299,12 @@ class TestWindowedSplit:
         p = tmp_path / "t.csv"
         generate_csv(p, rows=12_000, columns=4, seed=3)
         raw = p.read_bytes()
+        body = raw[raw.find(b"\n") + 1:]
         assert len(raw) >= 32 * window
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            rowmap, _ = split_lines(raw, raw.find(b"\n") + 1, 4, p)
+            rowmap, _ = LineSplit(4, p).window(body)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -331,7 +357,7 @@ class TestArrayCut:
         p = write_csv(tmp_path / "t.csv", ["plain", "late", "repr", "text"],
                       zip(plain, plain[:rows // 3] + reprs[rows // 3:], reprs,
                           reprs[:-1] + ["x"]))
-        raw, _, _, _, rowmap = read_csv(p)
+        raw, rowmap, _ = read_whole(p)
         for j, blocks in enumerate([3, 2, 1, 1]):
             calls.clear()
             got = cut_outcome(lambda: cut_column(raw, rowmap, j))
@@ -346,7 +372,7 @@ class TestArrayCut:
             with open(path, "wb") as f:
                 f.write(data)
             try:
-                raw, _, header, _, rowmap = read_csv(path)
+                raw, rowmap, header = read_whole(path)
             except FormatError:
                 return
             for j in range(len(header)):
@@ -365,9 +391,10 @@ class TestArrayCut:
     @example(fields=[b"123456789012345", b"-12345678901234.5"], last=None, second=True,
              final_newline=True)
     def test_same_column_as_the_list_rule(self, fields, last, second, final_newline):
-        """Header `a\\n` puts the first fields within 16 bytes of the buffer
-        start; `last` makes a column whose only text value is its last row;
-        `second` adds a column after, so fields also end at a comma."""
+        """The buffer cut starts at the first field, so the first fields lie
+        within 16 bytes of its start; `last` makes a column whose only text
+        value is its last row; `second` adds a column after, so fields also
+        end at a comma."""
         if last is not None:
             fields = [*fields, last]
         lines = [b"a,b" if second else b"a"]
@@ -390,7 +417,7 @@ class TestArrayCut:
         size = path.stat().st_size
 
         def list_rule():
-            raw, _, header, _, _ = read_csv(path, [column], rowmap)
+            raw, _, header = read_whole(path, rowmap)
             return column_from_strings(next(cut_fields(raw, rowmap, [header.index(column)])))
 
         def peak(fn):

@@ -12,7 +12,7 @@ import numpy as np
 from insitu import db_engine
 from insitu.errors import FormatError, LoadError
 from insitu.query_model import parse_query
-from insitu.tabular import (COMMA, CR, NEWLINE, column_from_strings, cut_rows, read_csv,
+from insitu.tabular import (COMMA, CR, NEWLINE, CsvReader, column_from_strings, cut_rows,
                             scan_csv)
 
 
@@ -24,6 +24,8 @@ CONTRACT_INPUTS = {
     "cr-cr-lf-header": b"a,b\r\r\n1,2\r\n",
     "crlf": b"a,b\r\n1,x\r\n3,4\r\n",
     "no-final-newline": b"a,b\n1,2\n3,4",
+    "header-only": b"a,b\n",
+    "header-only-no-newline": b"a,b",
 }
 
 
@@ -37,18 +39,17 @@ def cut_fields(buf: bytes, rowmap, wanted):
         yield [buf[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
 
 
-def split_whole(buf: bytes, start: int, ncols: int, path):
-    """The structure step over the whole of `buf` at once, with masks and
-    a delimiter array sized by it: the reference the windowed `split_lines`
-    is tested against. Returns its map's line starts and field ends (from
-    each line start), as int64 arrays, or raises its FormatError."""
+def split_whole(buf: bytes, ncols: int, path):
+    """The structure step over the whole of `buf`, data lines from its
+    start, at once, with masks and a delimiter array sized by it: the
+    reference the windowed `LineSplit` is tested against. Returns its map's
+    line starts and field ends (from each line start), as int64 arrays, or
+    raises its FormatError."""
     arr = np.frombuffer(buf, dtype=np.uint8)
-    body = arr[start:]
-    delims = np.flatnonzero((body == COMMA) | (body == NEWLINE))
-    nl_at = np.flatnonzero(body[delims] == NEWLINE)
-    delims += start
+    delims = np.flatnonzero((arr == COMMA) | (arr == NEWLINE))
+    nl_at = np.flatnonzero(arr[delims] == NEWLINE)
     newlines = delims[nl_at]
-    line_starts = np.concatenate(([start], newlines + 1))[:-1]
+    line_starts = np.concatenate(([0], newlines + 1))[:-1]
     line_ends = newlines - ((newlines > line_starts) & (arr[newlines - 1] == CR))
     filled = np.flatnonzero(line_starts != line_ends)
     nrows = int(filled[-1]) + 1 if len(filled) else 0
@@ -114,12 +115,22 @@ def load_whole(csv_path, directory, journal=False, columns=None):
     return input_bytes
 
 
+def read_whole(path, rowmap=None):
+    """A data file's data lines read whole and mapped
+    (`CsvReader.read_rest`, as a full scan reads): the buffer, its map and
+    the header names."""
+    with CsvReader(path) as reader:
+        return (*reader.read_rest(rowmap), reader.header)
+
+
 def slice_whole(source, out, attrs):
     """The whole-buffer slicer, the reference the windowed one is tested
-    against: the file read whole and mapped (`read_csv`), then its kept
+    against: the file read whole and mapped (`read_whole`), then its kept
     columns' rows gathered (`cut_rows`) into `out`."""
-    raw, _, header, attrs, rowmap = read_csv(source, attrs)
-    keep = [i for i, name in enumerate(header) if name in set(attrs)]
+    with CsvReader(source) as reader:
+        keep = reader.indices(attrs)
+        raw, rowmap = reader.read_rest()
+    header = reader.header
     with open(out, "wb") as o:
         o.write((",".join(header[i] for i in keep) + "\n").encode("utf-8"))
         o.writelines(cut_rows(raw, rowmap, keep))
