@@ -460,8 +460,9 @@ class CsvReader:
         missing, and the buffer's map, stamped: `rowmap`, a map from an
         earlier read, while the file keeps the stamp on it; else the buffer
         is split. The read is sized from `stamp`, so the buffer is allocated
-        once; a read to the end of the file would join what the header's
-        read buffered to the rest, a second copy of the file."""
+        once (a missing final newline is added by one copy); a read to the
+        end of the file would join what the header's read buffered to the
+        rest, a second copy of the file."""
         buf = self._file.read(max(self.stamp[0] - self.file_bytes, 0))
         self.file_bytes += len(buf)
         if not buf.endswith(b"\n"):
