@@ -6,12 +6,13 @@ updating the shared task register, interrupt the monitor, aggregate, and
 write ``samples.csv``, ``report.json``, and ``series.csv`` into the output
 directory.
 
-Engine modes: ``raw`` (in-situ; COPY/TRUNCATE are zero-duration no-ops),
-``db`` (COPY bulk-loads, queries hit the columnar store), and
-``plan:<file>`` (a partition plan is materialized up front and each query
-routes to the side the plan chose). A TRUNCATE against a table the db
-engine has never loaded is recorded as a no-op so workload files can open
-with a defensive TRUNCATE.
+Engine modes: ``raw`` (in-situ; COPY names a table's file and TRUNCATE
+drops its cached columns and positional map, both in zero time), ``db``
+(COPY bulk-loads, queries hit the columnar store), and ``plan:<file>`` (a
+partition plan is materialized up front and each query routes to the side
+the plan chose). A TRUNCATE against a table the db engine has never loaded
+is recorded as a no-op so workload files can open with a defensive
+TRUNCATE.
 
 Stat sources: ``procfs`` samples live on a background thread;
 ``synthetic`` and ``replay:<file>`` produce deterministic scripted samples
@@ -28,7 +29,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import advisor as advisor_mod
@@ -83,59 +83,55 @@ DATA_DIR_ENV = "INSITU_DATA_DIR"
 PLAN_LOAD_TASK = "PLAN_LOAD"
 
 
-@dataclass
-class RunConfig:
-    workload_path: Path
-    engine: str  # "raw", "db", or "plan"
-    out_dir: Path
-    plan_path: Path | None = None
-    data_dir: Path = field(
-        default_factory=lambda: Path(os.environ.get(DATA_DIR_ENV, "."))
-    )
-    source: str = "synthetic"  # "procfs", "synthetic", "replay"
-    replay_path: Path | None = None
-    frequency_hz: float = 1.0
-    flush_threshold: int = 512
-    watched: tuple[str, ...] = ("insitu", "python")
-    cache_budget: int = 1 << 30
-    journal: bool = False
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.engine not in (ENGINE_RAW, ENGINE_DB, "plan"):
-            raise ConfigError(f"unknown engine {self.engine!r}")
-        if self.engine == "plan" and self.plan_path is None:
-            raise ConfigError("engine=plan requires a plan file")
-        if self.frequency_hz <= 0:
-            raise ConfigError("monitor frequency must be positive")
-        if self.source == "replay" and self.replay_path is None:
-            raise ConfigError("source=replay requires a log file")
-        if self.source not in ("procfs", "synthetic", "replay"):
-            raise ConfigError(f"unknown stat source {self.source!r}")
+# `run --watched`'s default; an empty --watched means it too.
+WATCHED = "insitu,python"
 
 
-def run(config: RunConfig) -> dict:
-    """Execute the workload per the run configuration; returns the report."""
-    config.validate()
-    workload_text = Path(config.workload_path).read_text(encoding="utf-8")
-    tasks = parse_workload(workload_text)
+def _split_path(flag: str, kind: str) -> tuple[str, Path | None]:
+    """``<kind>:<file>`` -> ``(kind, file or None)``; other flags come back whole."""
+    if not flag.startswith(kind + ":"):
+        return flag, None
+    path = flag[len(kind) + 1:]
+    return kind, Path(path) if path else None
+
+
+def _check_freq(freq: float) -> None:
+    if not freq > 0:  # NaN too
+        raise ConfigError("monitor frequency must be positive")
+
+
+def run(args: argparse.Namespace) -> dict:
+    """Execute the workload per the parsed ``run`` flags; returns the report."""
+    engine, plan_path = _split_path(args.engine, "plan")
+    source, replay_path = _split_path(args.source, "replay")
+    if engine not in (ENGINE_RAW, ENGINE_DB, "plan"):
+        raise ConfigError(f"unknown engine {engine!r}")
+    if engine == "plan" and plan_path is None:
+        raise ConfigError("engine=plan requires a plan file")
+    _check_freq(args.freq)
+    if source == "replay" and replay_path is None:
+        raise ConfigError("source=replay requires a log file")
+    if source not in ("procfs", "synthetic", "replay"):
+        raise ConfigError(f"unknown stat source {source!r}")
+    watched = tuple((args.watched or WATCHED).split(","))
+
+    tasks = parse_workload(Path(args.workload).read_text(encoding="utf-8"))
     statements = {t.task_id: parse_query(t.statement) for t in tasks}
 
-    out_dir = Path(config.out_dir)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    samples_path = out_dir / "samples.csv"
-
     monitor_config = MonitorConfig(
-        frequency_hz=config.frequency_hz,
-        flush_threshold_records=config.flush_threshold,
-        output_path=samples_path,
+        frequency_hz=args.freq,
+        flush_threshold_records=args.flush_threshold,
+        output_path=out_dir / "samples.csv",
     )
 
-    runner = _WorkloadRunner(config, tasks, statements, out_dir)
+    plan = PartitionPlan.load(plan_path) if plan_path else None
+    runner = _WorkloadRunner(args, engine, plan, tasks, statements)
 
     register = TaskRegister()
-    if config.source == "procfs":
-        handle = start_monitor(monitor_config, ProcfsSource(config.watched), register)
+    if source == "procfs":
+        handle = start_monitor(monitor_config, ProcfsSource(watched), register)
         try:
             runner.execute_all(register)
         finally:
@@ -145,21 +141,21 @@ def run(config: RunConfig) -> dict:
         # Scripted sources sample a virtual timeline (one second per task),
         # decoupled from wall-clock durations for reproducibility.
         timeline = [(float(i), t.task_id) for i, t in enumerate(tasks)]
-        if config.source == "synthetic":
+        if source == "synthetic":
             script = synthetic_script(
-                config.seed, duration_s=max(1, len(tasks)),
-                frequency_hz=config.frequency_hz, process_names=config.watched[:1],
+                args.seed, duration_s=max(1, len(tasks)),
+                frequency_hz=args.freq, process_names=watched[:1],
             )
         else:
             script = replay_script(
-                Path(config.replay_path).read_text(encoding="utf-8"),
-                watched_names=config.watched, period_s=1.0 / config.frequency_hz,
+                replay_path.read_text(encoding="utf-8"),
+                watched_names=watched, period_s=1.0 / args.freq,
             )
         samples, flush_report = run_scripted(monitor_config, SyntheticSource(script), timeline)
         del script  # not needed while the workload runs
         runner.execute_all(register)
 
-    report = runner.build_report(samples, flush_report)
+    report = runner.build_report(samples, flush_report, source)
     write_report(out_dir / "report.json", report)
     write_series_csv(out_dir / "series.csv", samples)
     if runner.error is not None:
@@ -170,11 +166,13 @@ def run(config: RunConfig) -> dict:
 class _WorkloadRunner:
     """Task loop: set the register, execute, record time and result count."""
 
-    def __init__(self, config: RunConfig, tasks, statements, out_dir: Path):
-        self.config = config
+    def __init__(self, args, engine: str, plan: PartitionPlan | None, tasks, statements):
+        self.args = args
+        self.engine = engine
+        self.plan = plan
         self.tasks = tasks
         self.statements = statements
-        self.out_dir = out_dir
+        self.out_dir = Path(args.out)
         self.records: list[dict] = []
         self.exec_stats: dict[str, object] = {}
         self.load_stats: dict[str, object] = {}
@@ -182,24 +180,17 @@ class _WorkloadRunner:
         self.failed_task: str | None = None
         self._table_files: dict[str, Path] = {}
 
-        self.raw_engine = RawEngine(cache_budget_bytes=config.cache_budget)
-        self.db_engine = DbEngine(
-            out_dir / "db_store", cache_budget_bytes=config.cache_budget
-        )
-        self.plan: PartitionPlan | None = None
-        if config.engine == "plan":
-            self.plan = PartitionPlan.load(config.plan_path)
+        self.raw_engine = RawEngine(cache_budget_bytes=args.cache_budget)
+        self.db_engine = DbEngine(self.out_dir / "db_store", cache_budget_bytes=args.cache_budget)
 
     # -- table file resolution -----------------------------------------
 
     def _resolve(self, path_text: str) -> Path:
         p = Path(path_text)
-        return p if p.is_absolute() else Path(self.config.data_dir) / p
+        return p if p.is_absolute() else Path(self.args.data_dir) / p
 
     def _table_file(self, table: str) -> Path:
-        if table not in self._table_files:
-            self._table_files[table] = Path(self.config.data_dir) / f"{table}.csv"
-        return self._table_files[table]
+        return self._table_files.setdefault(table, self._resolve(f"{table}.csv"))
 
     # -- plan materialization --------------------------------------------
 
@@ -223,7 +214,7 @@ class _WorkloadRunner:
         begun = time.perf_counter()
         raw_paths, stats, slice_ms = materialize_plan(
             self.plan, sources, self.out_dir / "partition", self.db_engine,
-            journal=self.config.journal)
+            journal=self.args.journal == "on")
         end = time.perf_counter()
         for table, path in raw_paths.items():
             self.raw_engine.register(table, path)
@@ -274,9 +265,9 @@ class _WorkloadRunner:
         self.records.append(record)
 
     def _run_truncate(self, stmt: TruncateOp) -> dict:
-        if self.config.engine == ENGINE_DB and self.db_engine.has_table(stmt.table):
+        if self.engine == ENGINE_DB and self.db_engine.has_table(stmt.table):
             ms = self.db_engine.truncate_table(stmt.table)
-        elif self.config.engine == ENGINE_RAW:
+        elif self.engine == ENGINE_RAW:
             ms = self.raw_engine.truncate_table(stmt.table)
         else:
             ms = 0.0  # nothing to empty yet: defensive TRUNCATE is a no-op
@@ -285,31 +276,29 @@ class _WorkloadRunner:
     def _run_copy(self, stmt: CopyOp) -> dict:
         path = self._resolve(stmt.path)
         self._table_files[stmt.table] = path
-        if self.config.engine == ENGINE_DB:
-            stats = self.db_engine.load_table(path, stmt.table, journal=self.config.journal)
+        if self.engine == ENGINE_DB:
+            stats = self.db_engine.load_table(path, stmt.table,
+                                              journal=self.args.journal == "on")
             self.load_stats[stmt.table] = stats
             return {
                 "kind": "load",
                 "duration_ms": stats.duration_ms,
                 "result_rows": stats.rows_loaded,
             }
-        if self.config.engine == ENGINE_RAW:
-            ms = self.raw_engine.copy_table(stmt.table, path)
-            return {"kind": "load", "duration_ms": ms, "result_rows": 0}
-        return {"kind": "load", "duration_ms": 0.0, "result_rows": 0}
+        # A plan run's raw side reads the slices it registered up front.
+        ms = self.raw_engine.copy_table(stmt.table, path) if self.engine == ENGINE_RAW else 0.0
+        return {"kind": "load", "duration_ms": ms, "result_rows": 0}
 
     def _run_query(self, task_id: str, ast: QueryAst) -> dict:
-        engine_name = self.config.engine
-        if self.plan is not None:
+        engine_name = self.engine
+        if self.plan is not None:  # its raw slices were registered up front
             engine_name = route_query(classify(ast), self.plan, query_id=task_id)
-        if engine_name == ENGINE_RAW:
-            if self.plan is not None:
-                result, stats = self.raw_engine.execute(ast)  # registered slices
-            else:
-                files = {t: self._table_file(t) for t in ast.tables}
-                result, stats = self.raw_engine.execute(ast, files=files)
-        else:
-            result, stats = self.db_engine.execute(ast)
+        elif engine_name == ENGINE_RAW:
+            for table in ast.tables:  # once, unless a COPY named the file first
+                if table not in self.raw_engine.files:
+                    self.raw_engine.register(table, self._table_file(table))
+        engine = self.raw_engine if engine_name == ENGINE_RAW else self.db_engine
+        result, stats = engine.execute(ast)
         self.exec_stats[task_id] = stats
         return {
             "kind": "query",
@@ -322,7 +311,7 @@ class _WorkloadRunner:
 
     # -- reporting ---------------------------------------------------------
 
-    def build_report(self, samples, flush_report) -> dict:
+    def build_report(self, samples, flush_report, source: str) -> dict:
         durations = {r["task_id"]: r["duration_ms"] for r in self.records}
         load_ids = {r["task_id"] for r in self.records if r["kind"] in ("load", "failed")}
         breakdown = wet(durations, load_ids)
@@ -343,10 +332,10 @@ class _WorkloadRunner:
         report = {
             "status": "error" if self.error is not None else "ok",
             "failed_task": self.failed_task,
-            "engine": self.config.engine,
-            "source": self.config.source,
-            "seed": self.config.seed,
-            "workload": str(self.config.workload_path),
+            "engine": self.engine,
+            "source": source,
+            "seed": self.args.seed,
+            "workload": str(Path(self.args.workload)),
             "outputs": {"samples": "samples.csv", "series": "series.csv"},
             "spec": record_dict(spec),
             "tasks": self.records,
@@ -362,7 +351,7 @@ class _WorkloadRunner:
             "exec_profiles": {t: profile_to_dict(p) for t, p in exec_profiles.items()},
             # Synthetic and replayed samples are scripted ahead of the run.
             "monitor": {**record_dict(flush_report),
-                        "measured": self.config.source == "procfs"},
+                        "measured": source == "procfs"},
         }
         return report
 
@@ -372,33 +361,7 @@ class _WorkloadRunner:
 
 
 def _cmd_run(args) -> int:
-    engine = args.engine
-    plan_path = None
-    if engine.startswith("plan:"):
-        plan_path = Path(engine.split(":", 1)[1])
-        engine = "plan"
-    source = args.source
-    replay_path = None
-    if source.startswith("replay:"):
-        replay_path = Path(source.split(":", 1)[1])
-        source = "replay"
-    config = RunConfig(
-        workload_path=Path(args.workload),
-        engine=engine,
-        plan_path=plan_path,
-        out_dir=Path(args.out),
-        source=source,
-        replay_path=replay_path,
-        frequency_hz=args.freq,
-        flush_threshold=args.flush_threshold,
-        watched=tuple(args.watched.split(",")) if args.watched else ("insitu", "python"),
-        cache_budget=args.cache_budget,
-        journal=args.journal == "on",
-        seed=args.seed,
-    )
-    if args.data_dir:
-        config.data_dir = Path(args.data_dir)
-    report = run(config)
+    report = run(args)
     print(f"run complete: {report['status']}; outputs in {args.out}")
     return EXIT_OK if report["status"] == "ok" else EXIT_ENGINE
 
@@ -499,6 +462,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    _check_freq(args.freq)
     script = replay_script(Path(args.file).read_text(encoding="utf-8"),
                            watched_names=args.watched.split(","), period_s=1.0 / args.freq)
     config = MonitorConfig(frequency_hz=args.freq, output_path=args.out)
@@ -519,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--engine", required=True,
                        help="raw | db | plan:<plan.json>")
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--data-dir", default=None,
+    p_run.add_argument("--data-dir", default=os.environ.get(DATA_DIR_ENV, "."),
                        help=f"table CSV directory (default ${DATA_DIR_ENV} or .)")
     p_run.add_argument("--source", default="synthetic",
                        help="procfs | synthetic | replay:<file>")
@@ -530,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "engine's positional maps are not counted")
     p_run.add_argument("--journal", choices=["on", "off"], default="off")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--watched", default=None,
+    p_run.add_argument("--watched", default=WATCHED,
                        help="comma-separated substrings the stat source watches for "
                             "(procfs: comm or command line)")
     p_run.set_defaults(func=_cmd_run)

@@ -663,3 +663,122 @@ class TestReplayAndReport:
         run_profiles = json.loads((out / "report.json").read_text())["profiles"]
         assert json.loads(again.read_text())["profiles"] == run_profiles
         assert set(run_profiles) == {"TRUN", "COPY", "Q0", "Q1", "Q2"}
+
+
+class TestRunFlags:
+    """How `insitu run` reads its flags: bad forms, defaults and the report header."""
+
+    @pytest.mark.parametrize("flag, value, code", [
+        ("--engine", "plan", EXIT_CONFIG),
+        ("--engine", "raw:x", EXIT_CONFIG),
+        ("--engine", "bogus", EXIT_CONFIG),
+        ("--engine", "plan:missing.json", EXIT_ENGINE),
+        ("--source", "replay", EXIT_CONFIG),
+        ("--source", "bogus", EXIT_CONFIG),
+        ("--source", "synthetic:x", EXIT_CONFIG),
+    ])
+    def test_bad_flag_forms(self, tmp_path, workload, monkeypatch, flag, value, code):
+        monkeypatch.chdir(tmp_path)
+        argv = {"--engine": "raw", "--source": "synthetic", flag: value}
+        rc = main(["run", "--workload", str(workload), "--out", str(tmp_path / "o"),
+                   *(a for kv in argv.items() for a in kv)])
+        assert rc == code
+
+    @pytest.mark.parametrize("flag, bare", [("--engine", "plan"), ("--source", "replay")])
+    def test_empty_path_after_the_colon_is_the_bare_flag(self, tmp_path, workload, capsys,
+                                                         flag, bare):
+        errors = []
+        for value in (bare, f"{bare}:"):
+            argv = {"--engine": "raw", "--source": "synthetic", flag: value}
+            rc = main(["run", "--workload", str(workload), "--out", str(tmp_path / "o"),
+                       *(a for kv in argv.items() for a in kv)])
+            assert rc == EXIT_CONFIG, value
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("configuration error:")
+
+    @pytest.mark.parametrize("freq", ["0", "-1"])
+    def test_replay_freq_must_be_positive(self, tmp_path, capsys, freq):
+        from test_stat_sources import TOP_BLOCK
+
+        log = tmp_path / "tools.log"
+        log.write_text(TOP_BLOCK * 3)
+        rc = main(["replay", "--file", str(log), "--freq", freq,
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: monitor frequency must be positive\n")
+
+    @pytest.mark.parametrize("source", ["synthetic", "replay"])
+    @pytest.mark.parametrize("engine", ["raw", "db", "plan"])
+    def test_report_header(self, tmp_path, workload, dataset, engine, source):
+        from test_stat_sources import TOP_BLOCK
+
+        argv = ["run", "--workload", str(workload), "--seed", "5",
+                "--data-dir", str(tmp_path), "--out", str(tmp_path / "out")]
+        if engine == "plan":
+            plan_path = tmp_path / "plan.json"
+            assert main(["advise", "qca", "--workload", str(workload),
+                         "--schema-csv", str(dataset), "--out", str(plan_path)]) == EXIT_OK
+            argv += ["--engine", f"plan:{plan_path}"]
+        else:
+            argv += ["--engine", engine]
+        if source == "replay":
+            log = tmp_path / "tools.log"
+            log.write_text(TOP_BLOCK * 3)
+            argv += ["--source", f"replay:{log}"]
+        assert main(argv) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        header = {k: report[k] for k in ("engine", "source", "seed", "workload")}
+        assert header == {"engine": engine, "source": source, "seed": 5,
+                          "workload": str(workload)}
+        assert report["monitor"]["measured"] is False
+
+    def test_data_dir_flag_beats_the_environment(self, tmp_path, dataset, monkeypatch):
+        decoy = tmp_path / "decoy"
+        decoy.mkdir()
+        write_csv(decoy / "photoprimary.csv", ["objid"], [[1], [2]])
+        wl = tmp_path / "wl.csv"
+        wl.write_text('T_ID,Statement\nQ0,"SELECT objid FROM photoprimary;"\n')
+        monkeypatch.setenv("INSITU_DATA_DIR", str(decoy))
+        rows = {}
+        for name, extra in (("env", []), ("flag", ["--data-dir", str(dataset.parent)])):
+            out = tmp_path / name
+            assert main(["run", "--workload", str(wl), "--engine", "raw",
+                         "--out", str(out), *extra]) == EXIT_OK
+            rows[name] = json.loads((out / "report.json").read_text())["tasks"][0]["result_rows"]
+        assert rows == {"env": 2, "flag": 3000}
+
+    @pytest.mark.parametrize("watched, procs", [("", 0), ("postgres", 3)])
+    def test_empty_watched_keeps_the_default_names(self, tmp_path, workload, watched, procs):
+        from test_stat_sources import TOP_BLOCK
+
+        log = tmp_path / "tools.log"
+        log.write_text(TOP_BLOCK * 3)  # logs a postgres process, no insitu or python one
+        out = tmp_path / "out"
+        assert main(["run", "--workload", str(workload), "--engine", "raw",
+                     "--source", f"replay:{log}", "--watched", watched,
+                     "--out", str(out)]) == EXIT_OK
+        rows = [r.split(",") for r in (out / "samples.csv").read_text().splitlines()[1:]]
+        assert sum(r[2] == "PROC" for r in rows) == procs
+
+    def test_raw_truncate_drops_the_cache_however_the_file_was_found(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [3, 4]])
+        wl = tmp_path / "wl.csv"
+        wl.write_text(
+            "T_ID,Statement\n"
+            'Q0,"SELECT a FROM t;"\n'
+            'T0,"TRUNCATE TABLE t;"\n'
+            'Q1,"SELECT a FROM t;"\n'  # t found under --data-dir
+            "C0,\"COPY t FROM 't.csv';\"\n"
+            'Q2,"SELECT a FROM t;"\n'
+            'T1,"TRUNCATE TABLE t;"\n'
+            'Q3,"SELECT a FROM t;"\n'  # t named by the COPY
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--workload", str(wl), "--engine", "raw",
+                     "--data-dir", str(tmp_path), "--out", str(out)]) == EXIT_OK
+        tasks = json.loads((out / "report.json").read_text())["tasks"]
+        cache = {t["task_id"]: (t["exec"]["cache_hit_columns"], t["exec"]["structure_scans"])
+                 for t in tasks if t["kind"] == "query"}
+        assert cache == {"Q0": (0, 1), "Q1": (0, 1), "Q2": (1, 0), "Q3": (0, 1)}
