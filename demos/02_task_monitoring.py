@@ -1,15 +1,15 @@
 """Tag resource samples with the task that was running.
 
-Drives the monitor against a scripted synthetic source and a scripted
-register timeline, then aggregates per-task profiles. The same machinery
-runs threaded against procfs for live measurement; the scripted drive is
-byte-reproducible.
+Records a script of readings against a scripted register timeline with
+run_scripted, then aggregates per-task profiles. The same sink runs threaded
+against a live source for measurement (procfs, or SyntheticSource playing
+such a list); the scripted run is byte-reproducible.
 """
 import tempfile
 from pathlib import Path
 
 from insitu import MonitorConfig, aggregate_profiles, run_scripted
-from insitu.stat_sources import ProcessReading, SyntheticSource, SystemReading, TickReading
+from insitu.stat_sources import ProcessReading, SystemReading, TickReading
 
 work = Path(tempfile.mkdtemp(prefix="insitu_demo_"))
 
@@ -42,7 +42,7 @@ config = MonitorConfig(
     output_path=work / "samples.csv",
 )
 timeline = [(0.0, "COPY"), (10.0, "Q0")]
-samples, report = run_scripted(config, SyntheticSource(script), timeline)
+samples, report = run_scripted(config, script, timeline)
 print(f"{report.samples_total} samples in {report.flush_count} flushes "
       f"(max buffered {report.max_buffered})")
 print(f"samples.csv -> {config.output_path}\n")

@@ -3,14 +3,13 @@
 The block parsers normalize tool text (KiB-based units, cumulative
 per-process counters) into fragments; replay_script turns a log into one
 tick per refresh block, keeping only the watched processes, and
-SyntheticSource plays it so captured logs can be analyzed with the same
-pipeline as live runs.
+run_scripted records that script so captured logs can be analyzed with the
+same pipeline as live runs.
 """
 import tempfile
 from pathlib import Path
 
-from insitu import (MonitorConfig, SyntheticSource, parse_iotop_block, parse_top_block,
-                    replay_script)
+from insitu import MonitorConfig, parse_iotop_block, parse_top_block, replay_script
 from insitu.monitor import run_scripted
 
 TOP = """\
@@ -51,7 +50,7 @@ print("kept:", [p.name for p in tick.processes])
 later = IOTOP.replace("328704.00 K", "430944.00 K")  # +99.8 MiB
 script = replay_script(IOTOP + later, watched_names=["postgres"], period_s=1.0)
 out = Path(tempfile.mkdtemp(prefix="insitu_demo_")) / "replayed.csv"
-samples, report = run_scripted(MonitorConfig(output_path=out), SyntheticSource(script))
+samples, report = run_scripted(MonitorConfig(output_path=out), script)
 proc = [s for s in samples if s.scope == "PROC"]
 print(f"\nreplayed {report.samples_total} samples; postgres read rate on tick 2: "
       f"{proc[-1].read_Bps / 1024 / 1024:.1f} MiB/s")

@@ -92,15 +92,13 @@ def _peaks(group: np.ndarray, x: np.ndarray, k: int) -> list:
     return out
 
 
-def aggregate_profiles(samples, tasks=()) -> dict[str, ResourceProfile]:
-    """Per-task profiles; workload tasks that never got a sample map to an
-    empty-profile marker rather than fabricated zeros.
+def aggregate_profiles(cols: SampleColumns, tasks=()) -> dict[str, ResourceProfile]:
+    """Per-task profiles of the samples ``cols``; workload tasks that never
+    got a sample map to an empty-profile marker rather than fabricated zeros.
 
-    ``samples`` is a `SampleColumns` or any iterable of `Sample`. Sums run in
-    sample order (`np.bincount`), so each profile is bitwise the one a
-    sequential per-sample loop gives.
+    Sums run in sample order (`np.bincount`), so each profile is bitwise the
+    one a sequential per-sample loop gives.
     """
-    cols = SampleColumns.from_samples(samples)
     dt = _stream_dt(cols)
     k = len(cols.task_ids)
 
@@ -242,10 +240,10 @@ PROC_SERIES = (("cpu", "cpu_pct"), ("rss", "rss_bytes"), ("read_Bps", "read_Bps"
                ("write_Bps", "write_Bps"))
 
 
-def write_series_csv(path, samples, max_points: int = 1000) -> None:
-    """Plot-ready long-format series (`ts_ms,series,value`), downsampled by
-    tick stride to at most roughly max_points per series."""
-    cols = SampleColumns.from_samples(samples)
+def write_series_csv(path, cols: SampleColumns, max_points: int = 1000) -> None:
+    """Plot-ready long-format series (`ts_ms,series,value`) of the samples
+    ``cols``, downsampled by tick stride to at most roughly max_points per
+    series."""
     ts = np.sort(cols.ts_ms)
     ticks = ts[np.concatenate(([True], ts[1:] != ts[:-1]))] if len(ts) else ts
     keep = ticks[::max(1, len(ticks) // max_points)]

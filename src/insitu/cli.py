@@ -70,7 +70,7 @@ from .monitor import (
 )
 from .query_model import CopyOp, QueryAst, TruncateOp, classify, parse_query, parse_workload
 from .raw_engine import RawEngine
-from .stat_sources import ProcfsSource, SyntheticSource, replay_script, synthetic_script
+from .stat_sources import ProcfsSource, replay_script, synthetic_script
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,8 +83,10 @@ DATA_DIR_ENV = "INSITU_DATA_DIR"
 PLAN_LOAD_TASK = "PLAN_LOAD"
 
 
-# `run --watched`'s default; an empty --watched means it too.
+# `run --watched`'s and `replay --watched`'s defaults; an empty --watched
+# means the command's default too.
 WATCHED = "insitu,python"
+REPLAY_WATCHED = "postgres,java"
 
 
 def _split_path(flag: str, kind: str) -> tuple[str, Path | None]:
@@ -95,11 +97,6 @@ def _split_path(flag: str, kind: str) -> tuple[str, Path | None]:
     return kind, Path(path) if path else None
 
 
-def _check_freq(freq: float) -> None:
-    if not freq > 0:  # NaN too
-        raise ConfigError("monitor frequency must be positive")
-
-
 def run(args: argparse.Namespace) -> dict:
     """Execute the workload per the parsed ``run`` flags; returns the report."""
     engine, plan_path = _split_path(args.engine, "plan")
@@ -108,7 +105,9 @@ def run(args: argparse.Namespace) -> dict:
         raise ConfigError(f"unknown engine {engine!r}")
     if engine == "plan" and plan_path is None:
         raise ConfigError("engine=plan requires a plan file")
-    _check_freq(args.freq)
+    out_dir = Path(args.out)
+    monitor_config = MonitorConfig(args.freq, args.flush_threshold, out_dir / "samples.csv")
+    monitor_config.validate()
     if source == "replay" and replay_path is None:
         raise ConfigError("source=replay requires a log file")
     if source not in ("procfs", "synthetic", "replay"):
@@ -118,13 +117,7 @@ def run(args: argparse.Namespace) -> dict:
     tasks = parse_workload(Path(args.workload).read_text(encoding="utf-8"))
     statements = {t.task_id: parse_query(t.statement) for t in tasks}
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    monitor_config = MonitorConfig(
-        frequency_hz=args.freq,
-        flush_threshold_records=args.flush_threshold,
-        output_path=out_dir / "samples.csv",
-    )
 
     plan = PartitionPlan.load(plan_path) if plan_path else None
     runner = _WorkloadRunner(args, engine, plan, tasks, statements)
@@ -151,7 +144,7 @@ def run(args: argparse.Namespace) -> dict:
                 replay_path.read_text(encoding="utf-8"),
                 watched_names=watched, period_s=1.0 / args.freq,
             )
-        samples, flush_report = run_scripted(monitor_config, SyntheticSource(script), timeline)
+        samples, flush_report = run_scripted(monitor_config, script, timeline)
         del script  # not needed while the workload runs
         runner.execute_all(register)
 
@@ -462,11 +455,12 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    _check_freq(args.freq)
-    script = replay_script(Path(args.file).read_text(encoding="utf-8"),
-                           watched_names=args.watched.split(","), period_s=1.0 / args.freq)
     config = MonitorConfig(frequency_hz=args.freq, output_path=args.out)
-    _, report = run_scripted(config, SyntheticSource(script))
+    config.validate()
+    script = replay_script(Path(args.file).read_text(encoding="utf-8"),
+                           watched_names=(args.watched or REPLAY_WATCHED).split(","),
+                           period_s=1.0 / args.freq)
+    _, report = run_scripted(config, script)
     print(f"replayed {report.samples_total} samples to {args.out}")
     return EXIT_OK
 
@@ -533,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_replay = sub.add_parser("replay", help="convert captured tool logs to samples")
     p_replay.add_argument("--file", required=True)
-    p_replay.add_argument("--watched", default="postgres,java")
+    p_replay.add_argument("--watched", default=REPLAY_WATCHED)
     p_replay.add_argument("--freq", type=float, default=1.0)
     p_replay.add_argument("--out", required=True)
     p_replay.set_defaults(func=_cmd_replay)

@@ -12,13 +12,16 @@ every reading it is given. Each tick becomes one TOTAL sample for the system
 fragment plus one PROC sample per process reading. Samples are held as
 columns (`SampleColumns`), which the CSV writer and the analyzer read:
 
-* ``start_monitor`` spawns one background sampler thread (live sources) that
-  records each tick through ``_SampleSink.add_tick``;
-* ``run_scripted`` replays a scripted source and register timeline
+* ``start_monitor`` spawns one background sampler thread that reads a live
+  source (``read_tick``) and records each tick through ``_SampleSink.add_tick``;
+* ``run_scripted`` records a script against a register timeline
   synchronously, producing byte-identical output for identical scripts. A
   synthetic script's arrays become the columns directly, tagged with one
-  ``np.searchsorted`` over the timeline; any other script goes tick by tick
-  through ``add_tick``.
+  ``np.searchsorted`` over the timeline; a list of (time_s, reading) pairs
+  goes tick by tick through ``add_tick``.
+
+`ROW_LAYOUT` says which reading attribute fills each value field of a TOTAL
+and of a PROC row; both paths read it.
 
 Output CSV columns, in order:
 ``ts_ms,task_id,scope,process,cpu_pct,mem_pct,rss_bytes,read_Bps,write_Bps,io_wait_pct``
@@ -29,6 +32,7 @@ source failure is recorded as a gap marker row (scope TOTAL, process
 """
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -44,20 +48,22 @@ IDLE_TASK = "IDLE"
 SCOPE_TOTAL = "TOTAL"
 SCOPE_PROC = "PROC"
 
-SAMPLE_COLUMNS = (
-    "ts_ms",
-    "task_id",
-    "scope",
-    "process",
-    "cpu_pct",
-    "mem_pct",
-    "rss_bytes",
-    "read_Bps",
-    "write_Bps",
-    "io_wait_pct",
-)
+# samples.csv value field -> the `SystemReading` attribute a TOTAL row takes
+# and the `ProcessReading` attribute a PROC row takes; None where it has none.
+ROW_LAYOUT = {
+    "cpu_pct": ("cpu_busy_pct", "cpu_pct"),
+    "mem_pct": ("mem_used_pct", "mem_pct"),
+    "rss_bytes": (None, "rss_bytes"),
+    "read_Bps": ("read_Bps", "read_Bps"),
+    "write_Bps": ("write_Bps", "write_Bps"),
+    "io_wait_pct": ("io_wait_pct", None),
+}
 
-VALUE_FIELDS = SAMPLE_COLUMNS[4:]
+VALUE_FIELDS = tuple(ROW_LAYOUT)
+
+SAMPLE_COLUMNS = ("ts_ms", "task_id", "scope", "process", *VALUE_FIELDS)
+
+_TOTAL_ATTRS, _PROC_ATTRS = zip(*ROW_LAYOUT.values())
 
 GAP_PROCESS = "source-gap"
 
@@ -103,8 +109,10 @@ class MonitorConfig:
     output_path: str | Path = "samples.csv"
 
     def validate(self) -> None:
-        if self.frequency_hz <= 0:
-            raise ConfigError(f"frequency_hz must be positive, got {self.frequency_hz}")
+        if not self.frequency_hz > 0:  # NaN too
+            raise ConfigError("monitor frequency must be positive")
+        if self.frequency_hz == math.inf:
+            raise ConfigError("monitor frequency must be finite")
         if self.flush_threshold_records < 1:
             raise ConfigError(
                 f"flush_threshold_records must be >= 1, got {self.flush_threshold_records}"
@@ -187,11 +195,6 @@ class SampleColumns:
         ]
         return map(Sample, self.ts_ms.tolist(), tasks, scopes, procs, *values)
 
-    def __eq__(self, other):
-        if not isinstance(other, (SampleColumns, list)):
-            return NotImplemented
-        return list(self) == list(other)
-
     def take(self, index) -> "SampleColumns":
         """The samples at ``index`` (a slice, a mask or positions)."""
         return SampleColumns(
@@ -214,15 +217,11 @@ class SampleColumns:
         return cls(np.array(ts_ms, dtype=np.int64), task, task_labels,
                    np.array(procs, dtype=bool), process, process_labels, arrays, present)
 
-    @classmethod
-    def from_samples(cls, samples) -> "SampleColumns":
-        """Columns of an iterable of `Sample`; columns are returned as is."""
-        if isinstance(samples, SampleColumns):
-            return samples
-        rows = [(s.ts_ms, s.task_id, s.scope == SCOPE_PROC, s.process,
-                 *(getattr(s, f) for f in VALUE_FIELDS)) for s in samples]
-        cols = list(zip(*rows)) or [()] * (4 + len(VALUE_FIELDS))
-        return cls.from_lists(*cols[:4], cols[4:])
+
+def _row_values(reading, attrs) -> tuple:
+    """A row's value fields: ``reading``'s attributes ``attrs``, one side of
+    `ROW_LAYOUT`, where None is a field the row does not take."""
+    return tuple(None if a is None else getattr(reading, a) for a in attrs)
 
 
 def _dtype(field: str):
@@ -296,16 +295,13 @@ class _SampleSink:
             self.report.gap_rows += 1
             self._append((ts_ms, task_id, False, GAP_PROCESS) + (None,) * len(VALUE_FIELDS))
             return
-        sys_r = reading.system
-        if sys_r is not None:
+        if reading.system is not None:
             self.report.samples_total += 1
-            self._append((ts_ms, task_id, False, None, sys_r.cpu_busy_pct,
-                          sys_r.mem_used_pct, None, sys_r.read_Bps, sys_r.write_Bps,
-                          sys_r.io_wait_pct))
+            row = _row_values(reading.system, _TOTAL_ATTRS)
+            self._append((ts_ms, task_id, False, None, *row))
         for p in reading.processes:
             self.report.samples_total += 1
-            self._append((ts_ms, task_id, True, p.name, p.cpu_pct, p.mem_pct,
-                          p.rss_bytes, p.read_Bps, p.write_Bps, None))
+            self._append((ts_ms, task_id, True, p.name, *_row_values(p, _PROC_ATTRS)))
 
     def add_columns(self, cols: SampleColumns) -> None:
         """Record a whole scripted run on a new sink; full chunks are written
@@ -392,29 +388,33 @@ def start_monitor(config: MonitorConfig, source, register: TaskRegister) -> Moni
     return MonitorHandle(config, source, register)
 
 
-def run_scripted(config: MonitorConfig, source, timeline=()) -> tuple[SampleColumns, FlushReport]:
-    """Drive sampling deterministically from a scripted source.
+def run_scripted(config: MonitorConfig, script, timeline=()) -> tuple[SampleColumns, FlushReport]:
+    """Record a script of ticks deterministically.
 
-    ``timeline`` is a sorted sequence of (time_s, task_id) register events;
-    every event at or before a tick is applied before that tick samples.
-    Identical inputs produce byte-identical output files. A `ScriptColumns`
-    script is recorded from its arrays; any other source's ticks go through
-    `_SampleSink.add_tick` one at a time. Either way one `np.searchsorted`
-    over the timeline tags every tick.
+    ``script`` is a `ScriptColumns`, recorded from its arrays, or a sequence
+    of (time_s, TickReading | None) pairs, recorded one tick at a time
+    through `_SampleSink.add_tick`; a None reading is a gap row. ``timeline``
+    is a sequence of (time_s, task_id) register events; every event at or
+    before a tick is applied before that tick samples, and one
+    `np.searchsorted` over it tags every tick. Both must be sorted by time.
+    Identical inputs produce byte-identical output files.
     """
     config.validate()
     events = list(timeline)
-    times = [t for t, _ in events]
-    if times != sorted(times):
-        raise ConfigError("timeline must be sorted by time")
-    sink = _SampleSink(config)
-    script = getattr(source, "script", None)
     if isinstance(script, ScriptColumns):
-        sink.add_columns(_script_columns(script, *_tag_ticks(events, script.times)))
+        times = script.times.tolist()
     else:
-        ticks = list(source.ticks())
-        task, task_ids = _tag_ticks(events, [t for t, _ in ticks])
-        for (t, reading), code in zip(ticks, task.tolist()):
+        script = list(script)
+        times = [t for t, _ in script]
+    for what, ts in (("timeline", [t for t, _ in events]), ("script", times)):
+        if ts != sorted(ts):
+            raise ConfigError(f"{what} must be sorted by time")
+    sink = _SampleSink(config)
+    task, task_ids = _tag_ticks(events, times)
+    if isinstance(script, ScriptColumns):
+        sink.add_columns(_script_columns(script, task, task_ids))
+    else:
+        for (t, reading), code in zip(script, task.tolist()):
             sink.add_tick(int(round(t * 1000.0)), task_ids[code], reading)
     report = sink.close()
     return sink.columns(), report
@@ -438,23 +438,14 @@ def _script_columns(script: ScriptColumns, tick_task, task_ids) -> SampleColumns
     processes = list(dict.fromkeys([None, *script.names]))
     row_process = np.array([processes.index(p) for p in (None, *script.names)], dtype=np.int32)
 
-    s, q = script.system, script.procs
-    sources = {  # value field -> (TOTAL column, PROC matrix); None where absent
-        "cpu_pct": (s["cpu_busy_pct"], q["cpu_pct"]),
-        "mem_pct": (s["mem_used_pct"], q["mem_pct"]),
-        "rss_bytes": (None, q["rss_bytes"]),
-        "read_Bps": (s["read_Bps"], q["read_Bps"]),
-        "write_Bps": (s["write_Bps"], q["write_Bps"]),
-        "io_wait_pct": (s["io_wait_pct"], None),
-    }
     values, present = {}, {}
-    for f, (total, per_proc) in sources.items():
+    for f, (total, per_proc) in ROW_LAYOUT.items():
         grid = np.zeros((n, width), dtype=_dtype(f))
         mask = np.zeros((n, width), dtype=bool)
         if total is not None:
-            grid[:, 0], mask[:, 0] = total, True
+            grid[:, 0], mask[:, 0] = script.system[total], True
         if per_proc is not None:
-            grid[:, 1:], mask[:, 1:] = per_proc, True
+            grid[:, 1:], mask[:, 1:] = script.procs[per_proc], True
         values[f], present[f] = grid.ravel(), mask.ravel()
     return SampleColumns(
         ts_ms=np.repeat(np.rint(script.times * 1000.0).astype(np.int64), width),

@@ -1,12 +1,14 @@
 """Pluggable stat sources for the resource monitor.
 
-Three families: a live procfs reader, text parsers for captured `top` and
-`iotop` batch output (turned into a replay script), and a deterministic
-synthetic script for tests and reproducible runs; `SyntheticSource` plays
-either script. A source alone decides which processes a tick holds: procfs
-matches the watched names against `comm` or the command line, replay against
-the tool's command column, and a synthetic script holds the names it was
-drawn for. All IO figures are normalized to bytes or bytes/second
+Scripts are data and sources are live readers. Scripts: captured `top` and
+`iotop` batch output parsed into a replay script (a list of (time_s,
+TickReading) pairs), and a deterministic synthetic script (`ScriptColumns`)
+for tests and reproducible runs; `monitor.run_scripted` records either.
+Sources: a live procfs reader, and `SyntheticSource`, which plays a list of
+pairs live. A source or script alone decides which processes a tick holds:
+procfs matches the watched names against `comm` or the command line, replay
+against the tool's command column, and a synthetic script holds the names it
+was drawn for. All IO figures are normalized to bytes or bytes/second
 internally; a "K" in tool output is 1024 bytes.
 """
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, MonitorError
+from .errors import FormatError, MonitorError
 
 KIB = 1024.0
 
@@ -282,22 +284,15 @@ def parse_iotop_block(text: str) -> IotopSnapshot:
 
 
 class SyntheticSource:
-    """Replays a script of (time_s, TickReading) pairs exactly, as made by
-    `synthetic_script` (a `ScriptColumns`) or `replay_script` (a list).
+    """Plays (time_s, TickReading) pairs live for `monitor.start_monitor`,
+    one reading per `read_tick` in script order; the times are not read.
 
     An exhausted or empty script yields all-zero fragments so threaded use
     keeps producing samples until stopped.
     """
 
     def __init__(self, script):
-        if isinstance(script, ScriptColumns):
-            times = script.times.tolist()
-        else:
-            script = list(script)
-            times = [t for t, _ in script]
-        if times != sorted(times):
-            raise ConfigError("synthetic script must be sorted by time")
-        self.script = script
+        self.script = list(script)
         self._next = 0
 
     def read_tick(self) -> TickReading:
@@ -307,9 +302,6 @@ class SyntheticSource:
         self._next += 1
         return reading
 
-    def ticks(self):
-        yield from self.script
-
 
 SYSTEM_FIELDS = tuple(f.name for f in fields(SystemReading))
 PROCESS_FIELDS = tuple(f.name for f in fields(ProcessReading))[1:]  # after the name
@@ -318,8 +310,8 @@ PROCESS_FIELDS = tuple(f.name for f in fields(ProcessReading))[1:]  # after the 
 class ScriptColumns:
     """A synthetic script held as the arrays it was drawn as: tick times, one
     column per `SystemReading` field, and one (ticks, names) matrix per
-    `ProcessReading` field. It reads as a sequence of (time_s, TickReading)
-    pairs, each built when asked for; the monitor records it from the arrays.
+    `ProcessReading` field. It iterates as (time_s, TickReading) pairs, each
+    built when asked for; `monitor.run_scripted` records it from the arrays.
     """
 
     def __init__(self, times, system: dict, names, procs: dict):
@@ -339,20 +331,8 @@ class ScriptColumns:
         )
         return self.times[k].item(), TickReading(system=system, processes=procs)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self._pair(i) for i in range(len(self))[k]]
-        return self._pair(k)
-
     def __iter__(self):
         return map(self._pair, range(len(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, ScriptColumns):
-            return NotImplemented
-        return (self.names == other.names and np.array_equal(self.times, other.times)
-                and all(np.array_equal(self.system[f], other.system[f]) for f in SYSTEM_FIELDS)
-                and all(np.array_equal(self.procs[f], other.procs[f]) for f in PROCESS_FIELDS))
 
 
 def synthetic_script(seed: int, duration_s: float, frequency_hz: float,
@@ -405,8 +385,8 @@ def split_tool_blocks(text: str) -> list[str]:
 
 def replay_script(text: str, watched_names=(), period_s: float = 1.0):
     """Captured top/iotop output as a script of (time_s, TickReading) pairs,
-    one tick per refresh block, ``period_s`` apart; `SyntheticSource`
-    replays it.
+    one tick per refresh block, ``period_s`` apart; `monitor.run_scripted`
+    records it.
 
     A process is kept when its command contains a watched name (every
     process when none is given). Cumulative iotop per-process counters

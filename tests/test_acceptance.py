@@ -32,7 +32,6 @@ from insitu.query_model import classify, parse_query
 from insitu.raw_engine import RawEngine
 from insitu.stat_sources import (
     ProcfsSource,
-    SyntheticSource,
     parse_iotop_block,
     parse_top_block,
 )
@@ -328,10 +327,10 @@ def test_criterion_05_monitor_correlation(workdir):
         flush_threshold_records=threshold,
         output_path=workdir / "correlation.csv",
     )
-    source = SyntheticSource(make_script(int(duration_s * freq), period=1.0 / freq))
+    script = make_script(int(duration_s * freq), period=1.0 / freq)
     boundary_ms = 15_000
     samples, report = run_scripted(
-        config, source, timeline=[(0.0, "A"), (boundary_ms / 1000.0, "B")]
+        config, script, timeline=[(0.0, "A"), (boundary_ms / 1000.0, "B")]
     )
     assert report.max_buffered <= threshold
     checked = 0

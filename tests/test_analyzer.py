@@ -23,6 +23,7 @@ from insitu.monitor import MonitorConfig, Sample, run_scripted
 from insitu.stat_sources import ProcessReading, SystemReading, TickReading
 from insitu.query_model import WorkloadTask
 from insitu.tabular import ExecStats
+from util import sample_columns
 
 
 def total(ts_ms, task, cpu=None, mem=None, iow=None):
@@ -38,20 +39,20 @@ def proc(ts_ms, task, name="engine", rss=None, read=None, write=None):
 class TestAggregateProfiles:
     def test_time_weighted_mean_and_peak(self):
         samples = [total(1000, "T", cpu=10.0), total(2000, "T", cpu=30.0)]
-        p = aggregate_profiles(samples)["T"]
+        p = aggregate_profiles(sample_columns(samples))["T"]
         assert p.mean_cpu_pct == pytest.approx(20.0)
         assert p.peak_cpu_pct == 30.0
         assert p.duration_ms == pytest.approx(2000.0)
 
     def test_unequal_periods_weight_by_time(self):
         samples = [total(1000, "T", cpu=10.0), total(4000, "T", cpu=30.0)]
-        p = aggregate_profiles(samples)["T"]
+        p = aggregate_profiles(sample_columns(samples))["T"]
         assert p.mean_cpu_pct == pytest.approx((10.0 + 3 * 30.0) / 4.0)
 
     def test_task_without_samples_gets_empty_marker(self):
         tasks = [WorkloadTask("TRUN", "TRUNCATE TABLE t;"), WorkloadTask("Q0", "SELECT a FROM t")]
         samples = [total(1000, "Q0", cpu=5.0)]
-        profiles = aggregate_profiles(samples, tasks)
+        profiles = aggregate_profiles(sample_columns(samples), tasks)
         assert profiles["TRUN"].is_empty
         assert profiles["TRUN"].mean_cpu_pct is None
         assert not profiles["Q0"].is_empty
@@ -61,7 +62,7 @@ class TestAggregateProfiles:
             proc(1000, "Q", read=1000.0, write=100.0),
             proc(2000, "Q", read=3000.0, write=100.0),
         ]
-        p = aggregate_profiles(samples)["Q"]
+        p = aggregate_profiles(sample_columns(samples))["Q"]
         assert p.total_read_bytes == pytest.approx(4000.0)
         assert p.total_write_bytes == pytest.approx(200.0)
 
@@ -71,7 +72,7 @@ class TestAggregateProfiles:
             proc(1000, "Q7", read=1.5e6, rss=1 << 20),
             proc(2000, "IDLE", read=0.0),
         ]
-        p = aggregate_profiles(samples)["Q7"]
+        p = aggregate_profiles(sample_columns(samples))["Q7"]
         assert p.total_read_bytes < 2 * 1024 * 1024
 
     def test_peaks_dominate_means(self):
@@ -81,7 +82,7 @@ class TestAggregateProfiles:
                   iow=rng.uniform(0, 30))
             for i in range(50)
         ]
-        p = aggregate_profiles(samples)["T"]
+        p = aggregate_profiles(sample_columns(samples))["T"]
         assert p.peak_cpu_pct >= p.mean_cpu_pct
         assert p.peak_mem_pct >= p.mean_mem_pct
 
@@ -91,10 +92,10 @@ class TestAggregateProfiles:
         for i in range(200):
             task = "A" if i < 120 else "B"
             samples.append(proc(500 * (i + 1), task, read=rng.uniform(0, 1e6)))
-        per_task = aggregate_profiles(samples)
-        run_level = aggregate_profiles(
+        per_task = aggregate_profiles(sample_columns(samples))
+        run_level = aggregate_profiles(sample_columns(
             [Sample(**{**s.__dict__, "task_id": "ALL"}) for s in samples]
-        )["ALL"]
+        ))["ALL"]
         total_read = sum(p.total_read_bytes for p in per_task.values())
         assert total_read <= run_level.total_read_bytes + 1e-6
         assert total_read == pytest.approx(run_level.total_read_bytes)
@@ -224,14 +225,9 @@ class TestColumnReducer:
             ts_ms += step
             ticks.append((ts_ms / 1000.0, reading))
         timeline = sorted((ms / 1000.0, task) for ms, task in events)
-
-        class Ticks:
-            def ticks(self):
-                yield from ticks
-
         out = tmp_path_factory.mktemp("run") / "s.csv"
         samples, report = run_scripted(MonitorConfig(flush_threshold_records=7,
-                                                     output_path=out), Ticks(), timeline)
+                                                     output_path=out), ticks, timeline)
         expected, ei, task = [], 0, "IDLE"
         for t, reading in ticks:
             while ei < len(timeline) and timeline[ei][0] <= t:
@@ -271,9 +267,9 @@ class TestColumnReducer:
             want = reference_profiles(samples)
         except ConfigError:
             with pytest.raises(ConfigError, match="sorted by timestamp"):
-                aggregate_profiles(samples)
+                aggregate_profiles(sample_columns(samples))
             return
-        assert_same_profiles(aggregate_profiles(samples), want)
+        assert_same_profiles(aggregate_profiles(sample_columns(samples)), want)
 
 
 class TestScalarDerivations:

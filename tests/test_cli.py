@@ -187,10 +187,16 @@ class TestRun:
         assert r1 == r2
 
     def test_monitor_freq_zero_is_config_error(self, tmp_path, workload):
-        rc = main(["run", "--workload", str(workload), "--engine", "db",
-                   "--source", "synthetic", "--freq", "0",
-                   "--out", str(tmp_path / "o")])
-        assert rc == EXIT_CONFIG
+        from test_stat_sources import TOP_BLOCK
+
+        log = tmp_path / "tools.log"
+        log.write_text(TOP_BLOCK * 3)
+        for source, freq in (("synthetic", "0"), ("synthetic", "inf"),
+                             (f"replay:{log}", "inf")):
+            rc = main(["run", "--workload", str(workload), "--engine", "db",
+                       "--source", source, "--freq", freq,
+                       "--out", str(tmp_path / "o")])
+            assert rc == EXIT_CONFIG, (source, freq)
 
     def test_data_dir_env_default(self, tmp_path, dataset, monkeypatch):
         # Tables without an explicit COPY path resolve under INSITU_DATA_DIR.
@@ -650,6 +656,19 @@ class TestReplayAndReport:
         data = json.loads(report.read_text())
         assert "IDLE" in data["profiles"]
 
+    def test_replay_empty_watched_is_the_default_names(self, tmp_path):
+        from test_stat_sources import IOTOP_BLOCK, TOP_BLOCK
+
+        log = tmp_path / "tools.log"
+        log.write_text(TOP_BLOCK + IOTOP_BLOCK + TOP_BLOCK + IOTOP_BLOCK)
+        outs = []
+        for watched in ("", "postgres,java"):
+            outs.append(tmp_path / f"{len(outs)}.csv")
+            assert main(["replay", "--file", str(log), "--watched", watched,
+                         "--out", str(outs[-1])]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert b",PROC,postgres," in outs[0].read_bytes()
+
     def test_report_from_samples_matches_the_run(self, tmp_path, workload):
         # `insitu report` reduces the run's samples.csv with the same reducer,
         # so its profiles equal those the run wrote, bit for bit.
@@ -697,7 +716,7 @@ class TestRunFlags:
         assert errors[0] == errors[1]
         assert errors[0].startswith("configuration error:")
 
-    @pytest.mark.parametrize("freq", ["0", "-1"])
+    @pytest.mark.parametrize("freq", ["0", "-1", "inf"])
     def test_replay_freq_must_be_positive(self, tmp_path, capsys, freq):
         from test_stat_sources import TOP_BLOCK
 
@@ -706,8 +725,9 @@ class TestRunFlags:
         rc = main(["replay", "--file", str(log), "--freq", freq,
                    "--out", str(tmp_path / "s.csv")])
         assert rc == EXIT_CONFIG
+        rule = "finite" if freq == "inf" else "positive"
         assert capsys.readouterr().err == (
-            "configuration error: monitor frequency must be positive\n")
+            f"configuration error: monitor frequency must be {rule}\n")
 
     @pytest.mark.parametrize("source", ["synthetic", "replay"])
     @pytest.mark.parametrize("engine", ["raw", "db", "plan"])

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import threading
 import time
 
@@ -56,9 +58,8 @@ class TestScriptedRuns:
             frequency_hz=10, flush_threshold_records=32,
             output_path=tmp_path / "s.csv",
         )
-        source = SyntheticSource(make_script(60, period=0.1))
         samples, report = run_scripted(
-            config, source, timeline=[(0.0, "A"), (3.0, "B")]
+            config, make_script(60, period=0.1), timeline=[(0.0, "A"), (3.0, "B")]
         )
         period_ms = 100
         boundary_ms = 3000
@@ -71,7 +72,7 @@ class TestScriptedRuns:
 
     def test_sample_counts_and_scopes(self, tmp_path):
         config = MonitorConfig(frequency_hz=10, output_path=tmp_path / "s.csv")
-        samples, report = run_scripted(config, SyntheticSource(make_script(10)))
+        samples, report = run_scripted(config, make_script(10))
         totals = [s for s in samples if s.scope == "TOTAL"]
         procs = [s for s in samples if s.scope == "PROC"]
         assert len(totals) == 10
@@ -85,35 +86,32 @@ class TestScriptedRuns:
             output_path=tmp_path / "s.csv",
         )
         script = make_script(250, proc_names=())
-        samples, report = run_scripted(config, SyntheticSource(script))
+        samples, report = run_scripted(config, script)
         assert report.samples_total == 250
         assert report.flush_count == 3
 
     def test_empty_script_valid_file(self, tmp_path):
         config = MonitorConfig(output_path=tmp_path / "s.csv")
-        samples, report = run_scripted(config, SyntheticSource([]))
-        assert samples == []
+        samples, report = run_scripted(config, [])
+        assert list(samples) == []
         assert report.flush_count == 1  # final empty flush still writes a file
         assert (tmp_path / "s.csv").read_text().startswith("ts_ms,")
 
     def test_byte_identical_reruns(self, tmp_path):
         script = make_script(40)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_scripted(MonitorConfig(output_path=out1), SyntheticSource(script),
-                     timeline=[(0.0, "T")])
-        run_scripted(MonitorConfig(output_path=out2), SyntheticSource(script),
-                     timeline=[(0.0, "T")])
+        run_scripted(MonitorConfig(output_path=out1), script, timeline=[(0.0, "T")])
+        run_scripted(MonitorConfig(output_path=out2), script, timeline=[(0.0, "T")])
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_gap_marker_on_source_failure(self, tmp_path):
-        class Flaky:
-            def ticks(self):
-                yield 1.0, TickReading(SystemReading(cpu_busy_pct=1.0), ())
-                yield 2.0, None  # signals one failed read
-                yield 3.0, TickReading(SystemReading(cpu_busy_pct=3.0), ())
-
+        script = [
+            (1.0, TickReading(SystemReading(cpu_busy_pct=1.0), ())),
+            (2.0, None),  # signals one failed read
+            (3.0, TickReading(SystemReading(cpu_busy_pct=3.0), ())),
+        ]
         config = MonitorConfig(output_path=tmp_path / "s.csv")
-        samples, report = run_scripted(config, Flaky())
+        samples, report = run_scripted(config, script)
         assert report.gap_rows == 1
         assert len(samples) == 2
         text = (tmp_path / "s.csv").read_text()
@@ -122,35 +120,29 @@ class TestScriptedRuns:
     def test_gap_row_in_time_order(self, tmp_path):
         script = make_script(3, period=1.0)
         script[1] = (2.0, None)  # the read at 2 s fails
-
-        class Flaky:
-            def ticks(self):
-                yield from script
-
         config = MonitorConfig(output_path=tmp_path / "s.csv")  # threshold 512
-        run_scripted(config, Flaky())
+        run_scripted(config, script)
         rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["1000", "1000", "2000", "3000", "3000"]
         assert rows[2] == "2000,IDLE,TOTAL,source-gap,,,,,,"
 
     def test_samples_csv_golden_bytes(self, tmp_path):
-        class Ticks:
-            def ticks(self):
-                yield 0.5, TickReading(
-                    SystemReading(cpu_busy_pct=1 / 3, io_wait_pct=0.0, mem_used_pct=50.0,
-                                  write_Bps=2048.0),
-                    (ProcessReading(name="engine", cpu_pct=12.5, rss_bytes=1 << 20,
-                                    read_Bps=1e7, write_Bps=0.1 + 0.2),),
-                )
-                yield 1.0, None  # a failed read: gap row
-                yield 1.5, TickReading(None, (
-                    ProcessReading(name="engine", cpu_pct=2.0000004, write_Bps=1.5e16),
-                ))
-                yield 2.0, TickReading(SystemReading(), ())
-
+        script = [
+            (0.5, TickReading(
+                SystemReading(cpu_busy_pct=1 / 3, io_wait_pct=0.0, mem_used_pct=50.0,
+                              write_Bps=2048.0),
+                (ProcessReading(name="engine", cpu_pct=12.5, rss_bytes=1 << 20,
+                                read_Bps=1e7, write_Bps=0.1 + 0.2),),
+            )),
+            (1.0, None),  # a failed read: gap row
+            (1.5, TickReading(None, (
+                ProcessReading(name="engine", cpu_pct=2.0000004, write_Bps=1.5e16),
+            ))),
+            (2.0, TickReading(SystemReading(), ())),
+        ]
         # Threshold 2: both samples of the first tick are flushed together.
         config = MonitorConfig(flush_threshold_records=2, output_path=tmp_path / "s.csv")
-        samples, report = run_scripted(config, Ticks(), timeline=[(0.0, "Q1"), (1.0, "Q2")])
+        samples, report = run_scripted(config, script, timeline=[(0.0, "Q1"), (1.0, "Q2")])
         assert (tmp_path / "s.csv").read_bytes() == (
             b"ts_ms,task_id,scope,process,cpu_pct,mem_pct,rss_bytes,read_Bps,"
             b"write_Bps,io_wait_pct\n"
@@ -188,14 +180,41 @@ class TestScriptedRuns:
         script = synthetic_script(4, 3.0, 4.0, process_names=names)
         timeline = [(0.0, "A"), (0.5, "B"), (0.6, "A"), (2.0, "C"), (2.0, "D")]
         results = []
-        for name, source in (("arrays", SyntheticSource(script)),
-                             ("ticks", SyntheticSource(list(script)))):
+        for name, arg in (("arrays", script), ("ticks", list(script))):
             config = MonitorConfig(flush_threshold_records=threshold,
                                    output_path=tmp_path / f"{name}.csv")
-            samples, report = run_scripted(config, source, timeline[1:])
+            samples, report = run_scripted(config, arg, timeline[1:])
             results.append(((tmp_path / f"{name}.csv").read_bytes(), report, list(samples)))
         assert results[0] == results[1]
         assert b"IDLE" in results[0][0]
+
+    def test_script_arrays_golden_sha256(self, tmp_path):
+        # The test above compares two paths that read the same `ROW_LAYOUT`;
+        # this pins the bytes, so a wrong layout entry fails here.
+        script = synthetic_script(4, 3.0, 4.0, process_names=("a", "b"))
+        out = tmp_path / "s.csv"
+        run_scripted(MonitorConfig(output_path=out), script,
+                     [(0.5, "B"), (0.6, "A"), (2.0, "C")])
+        data = out.read_bytes()
+        assert data.startswith(
+            b"ts_ms,task_id,scope,process,cpu_pct,mem_pct,rss_bytes,read_Bps,"
+            b"write_Bps,io_wait_pct\n"
+            b"250,IDLE,TOTAL,,76.58,49.91,,5636902.0,56428402.0,4.3\n"
+            b"250,IDLE,PROC,a,79.58,2.498,18032867,18082704.0,8841128.0,\n"
+            b"250,IDLE,PROC,b,6.47,3.469,94705146,19072466.0,5508504.0,\n"
+        )
+        assert hashlib.sha256(data).hexdigest() == (
+            "9d0280bb817172e96c0ac60a73a622ed7d554ab425486a9235cfc2b1fddeb936")
+
+    def test_unsorted_script_rejected(self, tmp_path):
+        # Either form, checked before the sink opens its file.
+        arrays = synthetic_script(1, 2.0, 2.0)
+        arrays.times = arrays.times[::-1].copy()
+        out = tmp_path / "s.csv"
+        for script in (arrays, list(arrays)):
+            with pytest.raises(ConfigError, match="script must be sorted by time"):
+                run_scripted(MonitorConfig(output_path=out), script)
+            assert not out.exists()
 
     @pytest.mark.parametrize("row", [
         "1000,Q0,TOTAL,,1.0,2.0,,3.0", "1000,Q0,SYSTEM,,,,,,,", "x,Q0,TOTAL,,,,,,,",
@@ -212,11 +231,9 @@ class TestScriptedRuns:
 
     def test_samples_roundtrip_through_csv(self, tmp_path):
         config = MonitorConfig(output_path=tmp_path / "s.csv")
-        samples, _ = run_scripted(
-            config, SyntheticSource(make_script(6)), timeline=[(0.0, "X")]
-        )
+        samples, _ = run_scripted(config, make_script(6), timeline=[(0.0, "X")])
         loaded = read_samples_csv(tmp_path / "s.csv")
-        assert loaded == samples
+        assert list(loaded) == list(samples)
 
 
 class TestThreadedMonitor:
@@ -281,6 +298,7 @@ class TestThreadedMonitor:
             start_monitor(config, SyntheticSource([]), TaskRegister())
 
     def test_bad_frequency_rejected(self, tmp_path):
-        config = MonitorConfig(frequency_hz=0, output_path=tmp_path / "s.csv")
-        with pytest.raises(ConfigError):
-            start_monitor(config, SyntheticSource([]), TaskRegister())
+        for freq in (0, math.inf, math.nan):
+            config = MonitorConfig(frequency_hz=freq, output_path=tmp_path / "s.csv")
+            with pytest.raises(ConfigError):
+                start_monitor(config, SyntheticSource([]), TaskRegister())

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from insitu.errors import ConfigError, FormatError
+from insitu.errors import FormatError
 from insitu.stat_sources import (
     ProcfsSource,
     SyntheticSource,
@@ -140,23 +140,18 @@ class TestSyntheticSource:
         src = SyntheticSource([])
         assert src.read_tick() == ZERO_TICK
 
-    def test_unsorted_script_rejected(self):
-        bad = [(2.0, ZERO_TICK), (1.0, ZERO_TICK)]
-        with pytest.raises(ConfigError):
-            SyntheticSource(bad)
-
     def test_generated_script_is_deterministic(self):
         a = synthetic_script(7, 5.0, 2.0)
         b = synthetic_script(7, 5.0, 2.0)
-        assert a == b
+        assert list(a) == list(b)
         assert len(a) == 10
 
 
 class TestSyntheticScript:
     def test_seed_decides_the_script(self):
-        a = synthetic_script(1, 4.0, 5.0, process_names=("p", "q"))
-        assert a == synthetic_script(1, 4.0, 5.0, process_names=("p", "q"))
-        assert a != synthetic_script(2, 4.0, 5.0, process_names=("p", "q"))
+        a = list(synthetic_script(1, 4.0, 5.0, process_names=("p", "q")))
+        assert a == list(synthetic_script(1, 4.0, 5.0, process_names=("p", "q")))
+        assert a != list(synthetic_script(2, 4.0, 5.0, process_names=("p", "q")))
 
     @pytest.mark.parametrize("duration_s, frequency_hz, n", [
         (0.0, 50.0, 0), (1.0, 50.0, 50), (407.0, 50.0, 20350), (2.5, 3.0, 8),
@@ -166,8 +161,9 @@ class TestSyntheticScript:
         script = synthetic_script(3, duration_s, frequency_hz)
         assert len(script) == n == round(duration_s * frequency_hz)
         period = 1.0 / frequency_hz
-        assert [t for t, _ in script] == [k * period for k in range(1, n + 1)]
-        assert all(a < b for (a, _), (b, _) in zip(script, script[1:]))
+        times = [t for t, _ in script]
+        assert times == [k * period for k in range(1, n + 1)]
+        assert all(a < b for a, b in zip(times, times[1:]))
 
     @pytest.mark.parametrize("names", [(), ("engine",), ("insitu", "python")])
     def test_field_types_and_ranges(self, names):

@@ -11,6 +11,7 @@ import numpy as np
 
 from insitu import db_engine
 from insitu.errors import FormatError, LoadError
+from insitu.monitor import SCOPE_PROC, VALUE_FIELDS, SampleColumns
 from insitu.query_model import parse_query
 from insitu.tabular import (COMMA, CR, NEWLINE, CsvReader, column_from_strings, cut_rows,
                             scan_csv)
@@ -155,6 +156,14 @@ def counting_opens(monkeypatch, paths) -> dict[str, int]:
 
     monkeypatch.setattr(builtins, "open", counted)
     return opens
+
+
+def sample_columns(samples) -> SampleColumns:
+    """The `SampleColumns` of a list of `Sample` records, in their order."""
+    rows = [(s.ts_ms, s.task_id, s.scope == SCOPE_PROC, s.process,
+             *(getattr(s, f) for f in VALUE_FIELDS)) for s in samples]
+    cols = list(zip(*rows)) or [()] * (4 + len(VALUE_FIELDS))
+    return SampleColumns.from_lists(*cols[:4], cols[4:])
 
 
 def write_csv(path, header, rows):
